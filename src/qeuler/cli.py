@@ -14,29 +14,26 @@ import dataclasses
 import json
 import sys
 import time
-import urllib.request
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 from . import doubloon, eulerian, special, unimodality
 from .eulerian import (
+    FAMILIES,
+    TRIANGLES,
     basis_change_A,
     basis_change_B,
     carlitz_entry,
     carlitz_poly,
     carlitz_series_oracle,
-    carlitz_triangle,
     gamma_a_entry,
-    gamma_a_triangle,
     gamma_b_entry,
-    gamma_b_triangle,
     gamma_expand_A,
     gamma_expand_B,
     typeB_entry,
     typeB_poly,
     typeB_series_oracle,
-    typeB_triangle,
 )
 from .qring import QLaurent, TQPoly, is_nonneg, spec_q1
 from .serialize import csv_rows, render, to_json
@@ -148,11 +145,11 @@ def suite_expansionA(max_n: int = 14, points=None) -> Report:
         r.check(f"gamma_expand_A({n}) == carlitz_poly({n})", gamma_expand_A(n) == carlitz_poly(n))
         r.check(
             f"basis_change_A rows n={n}",
-            all(basis_change_A(n, k) == carlitz_entry(n, k) for k in range(1, n + 1)),
+            all(basis_change_A(n, k) == carlitz_entry(n, k) for k in FAMILIES["A"].krange(n)),
         )
         r.check(
             f"a[{n},k] nonnegative",
-            all(is_nonneg(gamma_a_entry(n, k)) for k in range(1, (n + 1) // 2 + 1)),
+            all(is_nonneg(gamma_a_entry(n, k)) for k in FAMILIES["a"].krange(n)),
         )
     return r
 
@@ -164,11 +161,11 @@ def suite_expansionB(max_n: int = 14, points=None) -> Report:
         r.check(f"gamma_expand_B({n}) == typeB_poly({n})", gamma_expand_B(n) == typeB_poly(n))
         r.check(
             f"basis_change_B rows n={n}",
-            all(basis_change_B(n, k) == typeB_entry(n, k) for k in range(0, n + 1)),
+            all(basis_change_B(n, k) == typeB_entry(n, k) for k in FAMILIES["B"].krange(n)),
         )
         r.check(
             f"b[{n},k] nonnegative",
-            all(is_nonneg(gamma_b_entry(n, k)) for k in range(0, n // 2 + 1)),
+            all(is_nonneg(gamma_b_entry(n, k)) for k in FAMILIES["b"].krange(n)),
         )
     return r
 
@@ -322,6 +319,8 @@ def default_fixture_path(sequence: str) -> Path:
 
 def refresh_fixture(sequence: str, dest: Path) -> None:
     """Fetch the live OEIS b-file over the network (never used by tests)."""
+    import urllib.request  # only this command needs it; keeps `import qeuler.cli` cheap
+
     url = f"https://oeis.org/{sequence}/b{sequence[1:]}.txt"
     with urllib.request.urlopen(url) as resp:
         dest.write_bytes(resp.read())
@@ -333,11 +332,11 @@ def oeis_expected(sequence: str, max_n: int, report: Report) -> list[int]:
     out = []
     if sequence == "A101280":
         for n in range(1, max_n + 1):
-            for k in range(1, (n + 1) // 2 + 1):
+            for k in FAMILIES["a"].krange(n):
                 out.append(spec_q1(gamma_a_entry(n, k)))
     elif sequence == "A008971":
         for n in range(1, max_n + 1):
-            for k in range(0, n // 2 + 1):
+            for k in FAMILIES["b"].krange(n):
                 v = spec_q1(gamma_b_entry(n, k))
                 quot, rem = divmod(v, 4**k)
                 if rem:
@@ -377,19 +376,10 @@ def run_oeis_check(sequence: str, max_n: int, fixture_text: str, skip: int = 0) 
 # ---------------------------------------------------------------------------
 
 
-def _triangle_for(family: str, max_n: int):
-    return {
-        "a": gamma_a_triangle,
-        "b": gamma_b_triangle,
-        "A": carlitz_triangle,
-        "B": typeB_triangle,
-    }[family](max_n)
-
-
 def cmd_table(args, parser) -> int:
     if args.max_n < 1:
         parser.error("--max-n must be >= 1")
-    tri = _triangle_for(args.family, args.max_n)
+    tri = TRIANGLES[args.family](args.max_n)
     rows = []
     for n in range(tri.first_n, tri.max_n + 1):
         kr = tri.krange(n)

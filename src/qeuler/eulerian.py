@@ -1,17 +1,25 @@
 """The four q-Eulerian coefficient triangles and their generating polynomials.
 
-Families, with their per-row column ranges:
+Every triangle is built by one two-term recurrence,
+
+    P[n,k] = alpha(n,k) P[n-1,k] + beta(n,k) P[n-1,k-1],
+
+with ``alpha`` a q-integer and ``beta`` a monomial times a q-integer times a
+small fixed factor.  The ``FAMILIES`` table gives, per family, the column
+range ``krange(n)``, the seed row ``(1,)`` at ``seed_n``, the first public
+row ``first_n``, and ``alpha``/``beta``:
 
 * ``A`` -- Carlitz q-Eulerian coefficients ``A[n,k]``, ``1 <= k <= n``,
-  built by ``A[n,k] = [k] A[n-1,k] + q^(k-1) [n+1-k] A[n-1,k-1]``.
+  ``A[n,k] = [k] A[n-1,k] + q^(k-1) [n+1-k] A[n-1,k-1]``.
 * ``a`` -- the gamma coefficients of the type-A expansion,
-  ``1 <= k <= (n+1)//2``, by
+  ``1 <= k <= (n+1)//2``,
   ``a[n,k] = [k] a[n-1,k] + (1+q^(k-1)) q^(k-1) [n+2-2k] a[n-1,k-1]``.
 * ``B`` -- Chow-Gessel type-B q-Eulerian coefficients ``B[n,k]``,
-  ``0 <= k <= n``, by
+  ``0 <= k <= n``,
   ``B[n,k] = [2k+1] B[n-1,k] + q^(2k-1) [2n-2k+1] B[n-1,k-1]``.
-* ``b`` -- the type-B gamma coefficients, ``0 <= k <= n//2``, by
-  ``b[n,k] = [2k+1] b[n-1,k] + (1+q)(1+q^(2k-1)) q^(2k-1) [n+1-2k]_{q^2} b[n-1,k-1]``.
+* ``b`` -- the type-B gamma coefficients, ``0 <= k <= n//2``,
+  ``b[n,k] = [2k+1] b[n-1,k] + (1+q)(1+q^(2k-1)) q^(2k-1) [n+1-2k]_{q^2} b[n-1,k-1]``;
+  it seeds at ``b[0,0] = 1`` (forced by ``B_0(t,q) = 1``) and is public from n=1.
 
 ``A_n(t,q) = sum_k A[n,k] t^(k-1)`` and ``B_n(t,q) = sum_k B[n,k] t^k`` are
 also definable through their generating series
@@ -22,13 +30,14 @@ also definable through their generating series
 which the ``*_series_oracle`` functions implement as independent
 cross-checks of the recurrence route.
 
-Rows are built once and cached; triangles are immutable views.
+Rows are built once, bottom up, and cached; triangles are immutable views.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from functools import lru_cache
+from typing import Callable
 
 from .qring import (
     QLaurent,
@@ -40,14 +49,55 @@ from .qring import (
     q_binom,
 )
 
-FAMILY_RANGES = {
-    "A": lambda n: range(1, n + 1),
-    "a": lambda n: range(1, (n + 1) // 2 + 1),
-    "B": lambda n: range(0, n + 1),
-    "b": lambda n: range(0, n // 2 + 1),
-}
 
-FAMILY_FIRST_ROW = {"A": 1, "a": 1, "B": 0, "b": 1}
+@dataclasses.dataclass(frozen=True)
+class Family:
+    """One triangle of the two-term recurrence (see the module docstring)."""
+
+    first_n: int
+    seed_n: int
+    krange: Callable[[int], range]
+    alpha: Callable[[int, int], QPoly]
+    beta: Callable[[int, int], QPoly]
+
+
+FAMILIES = {
+    "A": Family(
+        first_n=1,
+        seed_n=1,
+        krange=lambda n: range(1, n + 1),
+        alpha=lambda n, k: q_int(k),
+        beta=lambda n, k: QPoly.monomial(k - 1) * q_int(n + 1 - k),
+    ),
+    "a": Family(
+        first_n=1,
+        seed_n=1,
+        krange=lambda n: range(1, (n + 1) // 2 + 1),
+        alpha=lambda n, k: q_int(k),
+        beta=lambda n, k: (
+            (QPoly.one() + QPoly.monomial(k - 1)) * QPoly.monomial(k - 1) * q_int(n + 2 - 2 * k)
+        ),
+    ),
+    "B": Family(
+        first_n=0,
+        seed_n=0,
+        krange=lambda n: range(0, n + 1),
+        alpha=lambda n, k: q_int(2 * k + 1),
+        beta=lambda n, k: QPoly.monomial(2 * k - 1) * q_int(2 * n - 2 * k + 1),
+    ),
+    "b": Family(
+        first_n=1,
+        seed_n=0,
+        krange=lambda n: range(0, n // 2 + 1),
+        alpha=lambda n, k: q_int(2 * k + 1),
+        beta=lambda n, k: (
+            QPoly([1, 1])
+            * (QPoly.one() + QPoly.monomial(2 * k - 1))
+            * QPoly.monomial(2 * k - 1)
+            * q_int(n + 1 - 2 * k, step=2)
+        ),
+    ),
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,7 +110,7 @@ class Triangle:
     rows: tuple[tuple[QPoly, ...], ...]
 
     def krange(self, n: int) -> range:
-        return FAMILY_RANGES[self.family](n)
+        return FAMILIES[self.family].krange(n)
 
     @property
     def max_n(self) -> int:
@@ -80,133 +130,99 @@ class Triangle:
 
 
 # ---------------------------------------------------------------------------
-# Cached row builders
+# The row engine
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _carlitz_row(n: int) -> tuple[QPoly, ...]:
-    if n < 1:
-        raise ValueError(f"family A rows start at n=1, got {n}")
-    if n == 1:
-        return (QPoly.one(),)
-    prev = _carlitz_row(n - 1)
+def _row_builder(family: str) -> Callable[[int], tuple[QPoly, ...]]:
+    """The cached ``row(n)`` of ``family``, entries in ``krange(n)`` order."""
+    fam = FAMILIES[family]
 
-    def at(k: int) -> QPoly:
-        return prev[k - 1] if 1 <= k <= n - 1 else QPoly.zero()
+    @lru_cache(maxsize=None)
+    def row(n: int) -> tuple[QPoly, ...]:
+        if n < fam.seed_n:
+            raise ValueError(f"family {family} rows start at n={fam.seed_n}, got {n}")
+        if n == fam.seed_n:
+            return (QPoly.one(),)
+        # The cache holds rows seed_n, seed_n+1, ... without a gap, so the rows
+        # missing below n are built bottom up, each finding its predecessor
+        # cached: the call depth stays constant whatever n is.
+        for m in range(fam.seed_n + row.cache_info().currsize, n):
+            row(m)
+        prev, pk = row(n - 1), fam.krange(n - 1)
+        out = []
+        for k in fam.krange(n):
+            term = fam.alpha(n, k) * prev[k - pk.start] if k in pk else QPoly.zero()
+            if k - 1 in pk:
+                term = term + fam.beta(n, k) * prev[k - 1 - pk.start]
+            out.append(term)
+        return tuple(out)
 
-    return tuple(
-        q_int(k) * at(k) + QPoly.monomial(k - 1) * q_int(n + 1 - k) * at(k - 1)
-        for k in range(1, n + 1)
-    )
-
-
-@lru_cache(maxsize=None)
-def _gamma_a_row(n: int) -> tuple[QPoly, ...]:
-    if n < 1:
-        raise ValueError(f"family a rows start at n=1, got {n}")
-    if n == 1:
-        return (QPoly.one(),)
-    prev = _gamma_a_row(n - 1)
-
-    def at(k: int) -> QPoly:
-        return prev[k - 1] if 1 <= k <= n // 2 else QPoly.zero()
-
-    row = []
-    for k in range(1, (n + 1) // 2 + 1):
-        gamma = (QPoly.one() + QPoly.monomial(k - 1)) * QPoly.monomial(k - 1)
-        row.append(q_int(k) * at(k) + gamma * q_int(n + 2 - 2 * k) * at(k - 1))
-    return tuple(row)
+    return row
 
 
-@lru_cache(maxsize=None)
-def _typeB_row(n: int) -> tuple[QPoly, ...]:
-    if n < 0:
-        raise ValueError(f"family B rows start at n=0, got {n}")
-    if n == 0:
-        return (QPoly.one(),)
-    prev = _typeB_row(n - 1)
-
-    def at(k: int) -> QPoly:
-        return prev[k] if 0 <= k <= n - 1 else QPoly.zero()
-
-    row = []
-    for k in range(0, n + 1):
-        term = q_int(2 * k + 1) * at(k)
-        if k >= 1:
-            term = term + QPoly.monomial(2 * k - 1) * q_int(2 * n - 2 * k + 1) * at(k - 1)
-        row.append(term)
-    return tuple(row)
+# Callers name these module attributes instead of reaching them through the
+# table, so a profiler that rebinds them (perfbench/tracing.py) sees every call.
+_carlitz_row = _row_builder("A")
+_gamma_a_row = _row_builder("a")
+_typeB_row = _row_builder("B")
+_gamma_b_row = _row_builder("b")
 
 
-@lru_cache(maxsize=None)
-def _gamma_b_row(n: int) -> tuple[QPoly, ...]:
-    # Row 0 is the natural seed (B_0(t,q) = 1 forces b[0,0] = 1); the public
-    # triangle starts at n=1 with the stated b[1,0] = 1.
-    if n < 0:
-        raise ValueError(f"family b rows start at n=0, got {n}")
-    if n == 0:
-        return (QPoly.one(),)
-    prev = _gamma_b_row(n - 1)
-
-    def at(k: int) -> QPoly:
-        return prev[k] if 0 <= k <= (n - 1) // 2 else QPoly.zero()
-
-    row = []
-    for k in range(0, n // 2 + 1):
-        term = q_int(2 * k + 1) * at(k)
-        if k >= 1:
-            gamma = (
-                QPoly([1, 1])
-                * (QPoly.one() + QPoly.monomial(2 * k - 1))
-                * QPoly.monomial(2 * k - 1)
-            )
-            term = term + gamma * q_int(n + 1 - 2 * k, step=2) * at(k - 1)
-        row.append(term)
-    return tuple(row)
-
-
-def _build(family: str, row_fn, N: int) -> Triangle:
-    first = FAMILY_FIRST_ROW[family]
+def _triangle(family: str, row, N: int) -> Triangle:
+    first = FAMILIES[family].first_n
     if N < first:
         raise ValueError(f"family {family} needs N >= {first}, got {N}")
-    return Triangle(family, first, tuple(row_fn(n) for n in range(first, N + 1)))
+    return Triangle(family, first, tuple(row(n) for n in range(first, N + 1)))
+
+
+def _entry(family: str, row, n: int, k: int) -> QPoly:
+    kr = FAMILIES[family].krange(n)
+    return row(n)[k - kr.start] if k in kr else QPoly.zero()
 
 
 def carlitz_triangle(N: int) -> Triangle:
     """Rows 1..N of the Carlitz coefficients ``A[n,k](q)``."""
-    return _build("A", _carlitz_row, N)
+    return _triangle("A", _carlitz_row, N)
 
 
 def gamma_a_triangle(N: int) -> Triangle:
     """Rows 1..N of the type-A gamma coefficients ``a[n,k](q)``."""
-    return _build("a", _gamma_a_row, N)
+    return _triangle("a", _gamma_a_row, N)
 
 
 def typeB_triangle(N: int) -> Triangle:
     """Rows 0..N of the Chow-Gessel coefficients ``B[n,k](q)``."""
-    return _build("B", _typeB_row, N)
+    return _triangle("B", _typeB_row, N)
 
 
 def gamma_b_triangle(N: int) -> Triangle:
     """Rows 1..N of the type-B gamma coefficients ``b[n,k](q)``."""
-    return _build("b", _gamma_b_row, N)
+    return _triangle("b", _gamma_b_row, N)
+
+
+TRIANGLES = {
+    "A": carlitz_triangle,
+    "a": gamma_a_triangle,
+    "B": typeB_triangle,
+    "b": gamma_b_triangle,
+}
 
 
 def carlitz_entry(n: int, k: int) -> QPoly:
-    return _carlitz_row(n)[k - 1] if 1 <= k <= n else QPoly.zero()
+    return _entry("A", _carlitz_row, n, k)
 
 
 def gamma_a_entry(n: int, k: int) -> QPoly:
-    return _gamma_a_row(n)[k - 1] if 1 <= k <= (n + 1) // 2 else QPoly.zero()
+    return _entry("a", _gamma_a_row, n, k)
 
 
 def typeB_entry(n: int, k: int) -> QPoly:
-    return _typeB_row(n)[k] if 0 <= k <= n else QPoly.zero()
+    return _entry("B", _typeB_row, n, k)
 
 
 def gamma_b_entry(n: int, k: int) -> QPoly:
-    return _gamma_b_row(n)[k] if 0 <= k <= n // 2 else QPoly.zero()
+    return _entry("b", _gamma_b_row, n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +288,7 @@ def gamma_expand_A(n: int) -> TQPoly:
     if n < 1:
         raise ValueError(f"gamma expansion needs n >= 1, got {n}")
     acc = TQPoly.zero()
-    for k in range(1, (n + 1) // 2 + 1):
+    for k in FAMILIES["a"].krange(n):
         factor = poch_t(k, n + 1 - 2 * k, sign=-1)
         acc = acc + (gamma_a_entry(n, k) * factor).t_shift(k - 1)
     return acc
@@ -284,7 +300,7 @@ def gamma_expand_B(n: int) -> TQPoly:
     if n < 1:
         raise ValueError(f"gamma expansion needs n >= 1, got {n}")
     acc = TQPoly.zero()
-    for k in range(0, n // 2 + 1):
+    for k in FAMILIES["b"].krange(n):
         factor = poch_t(2 * k + 1, n - 2 * k, sign=-1, step=2)
         acc = acc + (gamma_b_entry(n, k) * factor).t_shift(k)
     return acc
@@ -293,10 +309,10 @@ def gamma_expand_B(n: int) -> TQPoly:
 def basis_change_A(n: int, k: int) -> QPoly:
     """``A[n,k](q)`` computed from the gamma row:
     ``sum_s [n+1-2s choose k-s]_q q^((k-s)s + C(k-s,2)) a[n,s](q)``."""
-    if not 1 <= k <= n:
+    if k not in FAMILIES["A"].krange(n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     acc = QPoly.zero()
-    for s in range(1, (n + 1) // 2 + 1):
+    for s in FAMILIES["a"].krange(n):
         if s > k:
             break
         d = k - s
@@ -309,10 +325,10 @@ def basis_change_B(n: int, k: int) -> QPoly:
     """``B[n,k](q)`` from the gamma row, with the Gaussian binomial taken in
     the variable ``q^2``:
     ``sum_s [n-2s choose k-s]_{q^2} q^(k^2 - s^2) b[n,s](q)``."""
-    if not 0 <= k <= n:
+    if k not in FAMILIES["B"].krange(n):
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     acc = QPoly.zero()
-    for s in range(0, n // 2 + 1):
+    for s in FAMILIES["b"].krange(n):
         if s > k:
             break
         acc = acc + (

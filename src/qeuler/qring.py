@@ -51,6 +51,38 @@ class NotDivisible:
 NOT_DIVISIBLE = NotDivisible()
 
 
+def _fmt(coeffs: tuple[int, ...], offset: int = 0) -> str:
+    """Ascending text of ``q^offset * sum coeffs[i] q^i``: explicit signs,
+    ``q^e`` exponents, ``0`` for no terms."""
+    parts = []
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        e = i + offset
+        sign = " - " if c < 0 else (" + " if parts else "")
+        if not parts and c < 0:
+            sign = "-"
+        mag = abs(c)
+        if e == 0:
+            body = str(mag)
+        else:
+            var = "q" if e == 1 else f"q^{e}"
+            body = var if mag == 1 else f"{mag}{var}"
+        parts.append(sign + body)
+    return "".join(parts) or "0"
+
+
+def _power(base, n: int, one):
+    """``base ** n`` for ``n >= 0`` by square-and-multiply."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
 @dataclasses.dataclass(init=False, eq=True, unsafe_hash=True)
 class QPoly:
     """A polynomial in ``q`` with integer coefficients, stored densely:
@@ -159,14 +191,7 @@ class QPoly:
     def __pow__(self, n: int) -> QPoly:
         if n < 0:
             raise ValueError("negative powers leave Z[q]; use QLaurent")
-        result = QPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, QPoly.one())
 
     def shift(self, e: int) -> QPoly:
         """Multiply by ``q^e`` (``e >= 0``)."""
@@ -191,23 +216,7 @@ class QPoly:
         return f"QPoly('{self._fmt()}')"
 
     def _fmt(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            sign = " - " if c < 0 else (" + " if parts else "")
-            if not parts and c < 0:
-                sign = "-"
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                var = "q" if i == 1 else f"q^{i}"
-                body = var if mag == 1 else f"{mag}{var}"
-            parts.append(sign + body)
-        return "".join(parts)
+        return _fmt(self.coeffs)
 
 
 @dataclasses.dataclass(init=False, eq=True, unsafe_hash=True)
@@ -328,24 +337,7 @@ class QLaurent:
         return f"QLaurent('{self._fmt()}')"
 
     def _fmt(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i, c in enumerate(self.base.coeffs):
-            if c == 0:
-                continue
-            e = i + self.offset
-            sign = " - " if c < 0 else (" + " if parts else "")
-            if not parts and c < 0:
-                sign = "-"
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                var = "q" if e == 1 else f"q^{e}"
-                body = var if mag == 1 else f"{mag}{var}"
-            parts.append(sign + body)
-        return "".join(parts)
+        return _fmt(self.base.coeffs, self.offset)
 
 
 @dataclasses.dataclass(init=False, eq=True, unsafe_hash=True)
@@ -450,14 +442,7 @@ class TQPoly:
     def __pow__(self, n: int) -> TQPoly:
         if n < 0:
             raise ValueError("negative t-powers are not supported")
-        result = TQPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, TQPoly.one())
 
     def __repr__(self) -> str:
         return f"TQPoly('{self._fmt()}')"

@@ -13,10 +13,11 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import comb
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .eulerian import carlitz_poly, gamma_a_entry, typeB_poly
+from .eulerian import FAMILIES, carlitz_poly, gamma_a_entry, typeB_poly
 from .qring import (
     NotDivisible,
     QLaurent,
@@ -64,7 +65,7 @@ def a_star(n: int, k: int) -> QPoly:
     statements of this rescaling fails to produce polynomials (guarded by a
     test).  ``a_star(2n+1, n+1) == q_tangent(n)``.
     """
-    if not 1 <= k <= (n + 1) // 2:
+    if k not in FAMILIES["a"].krange(n):
         raise ValueError(f"need 1 <= k <= (n+1)//2, got k={k}, n={n}")
     value = QLaurent.q_power(-(k * (k - 1) // 2)) * gamma_a_entry(n, k)
     return _as_poly(value, f"a*[{n},{k}]")
@@ -124,28 +125,26 @@ def f_eval(n: int, q0: RatLike) -> Fraction:
     )
 
 
+def _equals_at_points(p: QPoly, rhs: Callable[[Fraction], Fraction]) -> bool:
+    """``p(q0) == rhs(q0)`` at ``deg(p) + 1`` admissible points; when ``rhs``
+    is known to be a polynomial of degree at most ``deg(p)``, that many exact
+    agreements prove the two equal."""
+    return all(p(q0) == rhs(q0) for q0 in islice(admissible_points(), p.degree() + 1))
+
+
 def verify_d_identity(n: int) -> bool:
     """Check ``d_n(q) = (-1)^(n+1) (-1;q)_{n+2} / (1-q)^(2n+1) * f_n(q)``
     at ``deg(d_n) + 1`` admissible rational points; since both sides are the
     same polynomial of known degree, that many exact agreements prove it."""
     dn = d_poly(n)
-    npoints = dn.degree() + 1
-    pts = admissible_points()
     minus_one_poch = poch_num(-1, n + 2).to_qpoly()
-    checked = 0
-    while checked < npoints:
-        q0 = next(pts)
-        lhs = dn(q0)
-        rhs = (
-            Fraction((-1) ** (n + 1))
-            * minus_one_poch(q0)
-            / (1 - q0) ** (2 * n + 1)
-            * f_eval(n, q0)
-        )
-        if lhs != rhs:
-            return False
-        checked += 1
-    return True
+    return _equals_at_points(
+        dn,
+        lambda q0: Fraction((-1) ** (n + 1))
+        * minus_one_poch(q0)
+        / (1 - q0) ** (2 * n + 1)
+        * f_eval(n, q0),
+    )
 
 
 def even_quotient(n: int) -> TQPoly:
@@ -224,25 +223,16 @@ def verify_gstar_identity(n: int) -> bool:
     ``G*_{2n}(q) = (-1)^n q^(-n-1) (-q;q^2)_{n+1} / ((1+q)^n (1-q)^(2n)) * f*_n(q)``
     at ``deg(G*) + 1`` admissible points."""
     g = g_star(n)
-    npoints = g.degree() + 1
-    pts = admissible_points()
     odd_poch = poch_num(QLaurent.q_power(1, -1), n + 1, step=2).to_qpoly()
     one_plus_q = QPoly([1, 1])
-    checked = 0
-    while checked < npoints:
-        q0 = next(pts)
-        lhs = g(q0)
-        rhs = (
-            Fraction((-1) ** n)
-            * q0 ** (-n - 1)
-            * odd_poch(q0)
-            / (one_plus_q(q0) ** n * (1 - q0) ** (2 * n))
-            * f_star_eval(n, q0)
-        )
-        if lhs != rhs:
-            return False
-        checked += 1
-    return True
+    return _equals_at_points(
+        g,
+        lambda q0: Fraction((-1) ** n)
+        * q0 ** (-n - 1)
+        * odd_poch(q0)
+        / (one_plus_q(q0) ** n * (1 - q0) ** (2 * n))
+        * f_star_eval(n, q0),
+    )
 
 
 def e_q_secant(n: int) -> QPoly:
@@ -254,35 +244,27 @@ def e_q_secant(n: int) -> QPoly:
 
 
 # ---------------------------------------------------------------------------
-# Classical secant numbers, from the q = 1 type-B recurrence
+# Classical secant numbers, by Seidel's boustrophedon
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _typeB_row_q1(n: int) -> tuple[int, ...]:
-    if n == 0:
-        return (1,)
-    prev = _typeB_row_q1(n - 1)
-
-    def at(k: int) -> int:
-        return prev[k] if 0 <= k <= n - 1 else 0
-
-    return tuple(
-        (2 * k + 1) * at(k) + (2 * n - 2 * k + 1) * at(k - 1) for k in range(n + 1)
-    )
-
-
 def secant_number(n: int) -> int:
-    """The classical secant number ``E_{2n}`` (1, 1, 5, 61, 1385, ...),
-    computed from the q=1 type-B row via ``B_{2n}(-1) = (-1)^n 4^n E_{2n}``."""
+    """The classical secant number ``E_{2n}`` (1, 1, 5, 61, 1385, ...).
+
+    Seidel's boustrophedon: each row is the running sum of the previous row
+    read backwards, starting from 0; the last entry of row ``m`` is the zigzag
+    number of ``m``, and ``E_{2n}`` is that of ``2n``.  No q-Eulerian triangle
+    is involved, so ``G*_{2n}(1) == secant_number(n)`` is an independent check.
+    """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    row = _typeB_row_q1(2 * n)
-    b_at_minus1 = sum(c * (-1) ** k for k, c in enumerate(row))
-    value, rem = divmod((-1) ** n * b_at_minus1, 4**n)
-    if rem:
-        raise ArithmeticError(f"B_{2*n}(-1) not divisible by 4^{n}")
-    return value
+    row = [1]
+    for _ in range(2 * n):
+        acc = [0]
+        for x in reversed(row):
+            acc.append(acc[-1] + x)
+        row = acc
+    return row[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .eulerian import carlitz_entry, typeB_entry
+from .eulerian import FAMILIES, TRIANGLES, carlitz_entry, typeB_entry
 from .qring import (
     QLaurent,
     RatLike,
@@ -27,7 +27,7 @@ def reciprocity_A(n: int) -> bool:
     shift = QLaurent.q_power(n * (n - 1) // 2)
     return all(
         QLaurent(carlitz_entry(n, n - k + 1)) == shift * subst_q_recip(carlitz_entry(n, k))
-        for k in range(1, n + 1)
+        for k in FAMILIES["A"].krange(n)
     )
 
 
@@ -38,7 +38,7 @@ def reciprocity_B(n: int) -> bool:
     shift = QLaurent.q_power(n * n)
     return all(
         QLaurent(typeB_entry(n, n - k)) == shift * subst_q_recip(typeB_entry(n, k))
-        for k in range(0, n + 1)
+        for k in FAMILIES["B"].krange(n)
     )
 
 
@@ -84,10 +84,8 @@ def q1_unimodality(family: str, N: int) -> bool:
     palindromic unimodal integer sequence."""
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
-    if family == "A":
-        rows = ([spec_q1(carlitz_entry(n, k)) for k in range(1, n + 1)] for n in range(1, N + 1))
-    elif family == "B":
-        rows = ([spec_q1(typeB_entry(n, k)) for k in range(0, n + 1)] for n in range(1, N + 1))
-    else:
+    if family not in ("A", "B"):
         raise ValueError(f"family must be 'A' or 'B', got {family!r}")
+    tri = TRIANGLES[family](N)
+    rows = ([spec_q1(p) for p in tri.row(n)] for n in range(1, N + 1))
     return all(is_unimodal_ints(row) and row == row[::-1] for row in rows)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -144,6 +145,35 @@ def test_byte_identical_output(args):
     second = run_cli(*args, binary=True)
     assert first.returncode == second.returncode
     assert first.stdout == second.stdout
+
+
+# Reference digests of data output: the row engine and the renderers must
+# keep these bytes.
+GOLDEN_SHA256 = {
+    ("table", "A", "--max-n", "16", "--format", "json"):
+        "d487233236b782e5875d72242ee9c27c365388241332e4e24872d6634debb93b",
+    ("table", "a", "--max-n", "16", "--format", "json"):
+        "2a2aabcb8e3ed67a581ed5ee9faa6b06ec529718535a678d2713e03a48e5acbf",
+    ("table", "B", "--max-n", "16", "--format", "json"):
+        "a95f5276e617b29f3caa7382a30928ddf262644b3dbf7ae80bf8d9025c09e6fd",
+    ("table", "b", "--max-n", "16", "--format", "json"):
+        "d856cbb1d62e28ecd419c9cd966d26c6f886bc90435ff63c9aa380625ef8bd40",
+    ("table", "A", "--max-n", "16"):
+        "901ba4270414f11d6655ac679524400c44ad2010559ea7fac269d64cd7f0e56f",
+    ("table", "b", "--max-n", "16"):
+        "dfdee6455fed88e57973682fd90ba077f6246c644a1680e6b84894fd0c38dfb4",
+    ("poly", "A", "--n", "8"):
+        "3820c31c9d0d16dd9244d89fc1e0a0576ce797e2f111423749d275e170d2b3ba",
+    ("poly", "B", "--n", "7"):
+        "fa6db582f555dd47a4e7950ea485e91d6117f45858a770accafca1ad6256b2ab",
+}
+
+
+@pytest.mark.parametrize("args", list(GOLDEN_SHA256), ids=lambda a: " ".join(a))
+def test_golden_output_digest(args):
+    proc = run_cli(*args, binary=True)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_SHA256[args]
 
 
 # ---------------------------------------------------------------------------

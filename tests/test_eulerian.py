@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -275,3 +277,18 @@ def test_builders_reject_bad_n():
         carlitz_triangle(0)
     with pytest.raises(ValueError):
         gamma_a_triangle(-1)
+
+
+def test_rows_build_without_recursion():
+    # Row 48 of a cold cache needs every row below it; the engine builds them
+    # bottom up, so a recursion limit far below 48 frames is no obstacle.
+    code = (
+        "import sys\n"
+        "import qeuler\n"
+        "from qeuler.eulerian import gamma_a_entry\n"
+        "sys.setrecursionlimit(40)\n"
+        "print(gamma_a_entry(48, 1))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "QPoly('1')\n"

@@ -208,7 +208,11 @@ def test_e_q_secant_values():
 
 
 def test_secant_numbers():
-    assert [secant_number(n) for n in range(5)] == [1, 1, 5, 61, 1385]
+    # OEIS A000364
+    assert [secant_number(n) for n in range(13)] == [
+        1, 1, 5, 61, 1385, 50521, 2702765, 199360981, 19391512145, 2404879675441,
+        370371188237525, 69348874393137901, 15514534163557086905,
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import dataclasses
 import json
 import sys
 import time
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -49,18 +50,6 @@ DEFAULT_POINTS = (
 
 OEIS_SEQUENCES = ("A101280", "A008971")
 
-SUITE_DEFAULT_MAX_N = {
-    "expansionA": 14,
-    "expansionB": 14,
-    "series": 10,
-    "tangent": 6,
-    "secant": 5,
-    "doubloon": 3,
-    "reciprocity": 12,
-    "monotone": 10,
-    "brackets": 12,
-}
-
 
 # ---------------------------------------------------------------------------
 # Reports
@@ -83,9 +72,6 @@ class Report:
     def check(self, name: str, ok: bool, detail: str = "") -> bool:
         self.items.append(ReportItem(name, "pass" if ok else "fail", detail))
         return ok
-
-    def note(self, name: str, detail: str = "") -> None:
-        self.items.append(ReportItem(name, "reported", detail))
 
     @property
     def ok(self) -> bool:
@@ -138,159 +124,147 @@ def _timed(fn):
 # ---------------------------------------------------------------------------
 
 
-@_timed
-def suite_expansionA(max_n: int = 14, points=None) -> Report:
-    r = Report("expansionA")
-    for n in range(1, max_n + 1):
-        r.check(f"gamma_expand_A({n}) == carlitz_poly({n})", gamma_expand_A(n) == carlitz_poly(n))
-        r.check(
-            f"basis_change_A rows n={n}",
-            all(basis_change_A(n, k) == carlitz_entry(n, k) for k in FAMILIES["A"].krange(n)),
-        )
-        r.check(
-            f"a[{n},k] nonnegative",
-            all(is_nonneg(gamma_a_entry(n, k)) for k in FAMILIES["a"].krange(n)),
-        )
-    return r
+@dataclasses.dataclass(frozen=True)
+class Block:
+    """One loop of a suite.  ``items(*index)`` gives the ``(name, ok[,
+    detail])`` checks made at one index, in report order; the indices are
+    ``(n,)`` for ``n = first..min(max_n, cap)``, or ``(q0, n)`` over the
+    sample points and that range when ``by_point``."""
+
+    first: int
+    items: Callable[..., Iterable[tuple]]
+    cap: int | None = None
+    by_point: bool = False
 
 
-@_timed
-def suite_expansionB(max_n: int = 14, points=None) -> Report:
-    r = Report("expansionB")
-    for n in range(1, max_n + 1):
-        r.check(f"gamma_expand_B({n}) == typeB_poly({n})", gamma_expand_B(n) == typeB_poly(n))
-        r.check(
-            f"basis_change_B rows n={n}",
-            all(basis_change_B(n, k) == typeB_entry(n, k) for k in FAMILIES["B"].krange(n)),
-        )
-        r.check(
-            f"b[{n},k] nonnegative",
-            all(is_nonneg(gamma_b_entry(n, k)) for k in FAMILIES["b"].krange(n)),
-        )
-    return r
+@dataclasses.dataclass(frozen=True)
+class Suite:
+    default_max_n: int
+    blocks: tuple[Block, ...]
+
+    def indices(self, max_n: int | None, points) -> list[tuple[Block, tuple]]:
+        """Every ``(block, index)`` the suite checks, in report order: the
+        one place where ``--max-n`` and ``--points`` become work."""
+        max_n = self.default_max_n if max_n is None else max_n
+        out = []
+        for b in self.blocks:
+            ns = range(b.first, (max_n if b.cap is None else min(max_n, b.cap)) + 1)
+            if b.by_point:
+                out += [(b, (q0, n)) for q0 in points or DEFAULT_POINTS for n in ns]
+            else:
+                out += [(b, (n,)) for n in ns]
+        return out
 
 
-@_timed
-def suite_series(max_n: int = 10, points=None) -> Report:
-    r = Report("series")
-    for n in range(1, max_n + 1):
-        r.check(f"carlitz series oracle n={n}", carlitz_series_oracle(n) == carlitz_poly(n))
-    for n in range(0, max_n + 1):
-        r.check(f"type-B series oracle n={n}", typeB_series_oracle(n) == typeB_poly(n))
-    return r
+def _expansion_A(n):
+    yield f"gamma_expand_A({n}) == carlitz_poly({n})", gamma_expand_A(n) == carlitz_poly(n)
+    yield f"basis_change_A rows n={n}", all(
+        basis_change_A(n, k) == carlitz_entry(n, k) for k in FAMILIES["A"].krange(n)
+    )
+    yield f"a[{n},k] nonnegative", all(
+        is_nonneg(gamma_a_entry(n, k)) for k in FAMILIES["a"].krange(n)
+    )
 
 
-@_timed
-def suite_tangent(max_n: int = 6, points=None) -> Report:
-    r = Report("tangent")
-    for n in range(0, max_n + 1):
-        t = special.q_tangent(n)
-        r.check(f"T_{2*n+1} polynomial with nonneg coeffs", is_nonneg(t))
-        r.check(f"T_{2*n+1} == a*[{2*n+1},{n+1}]", t == special.a_star(2 * n + 1, n + 1))
-    for n in range(1, max_n + 1):
-        d = special.d_poly(n)
-        r.check(f"d_{n} in Z[q] with nonneg coeffs", is_nonneg(d))
-        quot = special.even_quotient(n)
-        recon = quot * TQPoly([QLaurent.one(), QLaurent.q_power(n)])
-        r.check(f"A_{2*n}/(1+tq^{n}) reconstructs", recon == carlitz_poly(2 * n))
-    for n in range(1, min(max_n, 5) + 1):
-        r.check(f"d_{n} rational identity", special.verify_d_identity(n))
-    return r
+def _expansion_B(n):
+    yield f"gamma_expand_B({n}) == typeB_poly({n})", gamma_expand_B(n) == typeB_poly(n)
+    yield f"basis_change_B rows n={n}", all(
+        basis_change_B(n, k) == typeB_entry(n, k) for k in FAMILIES["B"].krange(n)
+    )
+    yield f"b[{n},k] nonnegative", all(
+        is_nonneg(gamma_b_entry(n, k)) for k in FAMILIES["b"].krange(n)
+    )
 
 
-@_timed
-def suite_secant(max_n: int = 5, points=None) -> Report:
-    r = Report("secant")
-    for n in range(0, max_n + 1):
-        r.check(f"B_{2*n+1}(-q^-{2*n+1}, q) == 0", special.b_odd_vanish(n))
-        central = gamma_b_entry(2 * n, n)
-        r.check(f"b_central({n}) == b[{2*n},{n}]", special.b_central(n) == central)
-        estar = special.e_star(n)
-        r.check(
-            f"E*_{2*n} q^{n*n} == b[{2*n},{n}]",
-            QLaurent(estar) * QLaurent.q_power(n * n) == QLaurent(central),
-        )
-        g = special.g_star(n)
-        e2n = special.secant_number(n)
-        r.check(f"G*_{2*n}(1) == E_{2*n} == {e2n}", spec_q1(g) == e2n)
-        r.check(
-            f"E_{2*n}(q) at q=1 == 4^{n} E_{2*n}",
-            spec_q1(special.e_q_secant(n)) == 4**n * e2n,
-        )
-    for n in range(0, min(max_n, 4) + 1):
-        r.check(f"G*_{2*n} rational identity", special.verify_gstar_identity(n))
-    return r
+def _tangent(n):
+    t = special.q_tangent(n)
+    yield f"T_{2*n+1} polynomial with nonneg coeffs", is_nonneg(t)
+    yield f"T_{2*n+1} == a*[{2*n+1},{n+1}]", t == special.a_star(2 * n + 1, n + 1)
 
 
-@_timed
-def suite_doubloon(max_n: int = 3, points=None) -> Report:
-    r = Report("doubloon")
-    for n in range(1, max_n + 1):
-        gf = doubloon.interlaced_gf(n, limit=max_n)
-        r.check(
-            f"interlaced gf order {2*n+1} == a[{2*n+1},{n+1}]",
-            gf == gamma_a_entry(2 * n + 1, n + 1),
-            detail=f"count={spec_q1(gf)}",
-        )
-    return r
+def _tangent_quotients(n):
+    yield f"d_{n} in Z[q] with nonneg coeffs", is_nonneg(special.d_poly(n))
+    recon = special.even_quotient(n) * TQPoly([QLaurent.one(), QLaurent.q_power(n)])
+    yield f"A_{2*n}/(1+tq^{n}) reconstructs", recon == carlitz_poly(2 * n)
 
 
-@_timed
-def suite_reciprocity(max_n: int = 12, points=None) -> Report:
-    r = Report("reciprocity")
-    for n in range(1, max_n + 1):
-        r.check(f"A row reversal n={n}", unimodality.reciprocity_A(n))
-    for n in range(0, max_n + 1):
-        r.check(f"B row reversal n={n}", unimodality.reciprocity_B(n))
-    return r
+def _secant(n):
+    yield f"B_{2*n+1}(-q^-{2*n+1}, q) == 0", special.b_odd_vanish(n)
+    central = gamma_b_entry(2 * n, n)
+    yield f"b_central({n}) == b[{2*n},{n}]", special.b_central(n) == central
+    yield f"E*_{2*n} q^{n*n} == b[{2*n},{n}]", (
+        QLaurent(special.e_star(n)) * QLaurent.q_power(n * n) == QLaurent(central)
+    )
+    g = special.g_star(n)
+    e2n = special.secant_number(n)
+    yield f"G*_{2*n}(1) == E_{2*n} == {e2n}", spec_q1(g) == e2n
+    yield f"E_{2*n}(q) at q=1 == 4^{n} E_{2*n}", spec_q1(special.e_q_secant(n)) == 4**n * e2n
 
 
-@_timed
-def suite_monotone(max_n: int = 10, points=None) -> Report:
-    r = Report("monotone")
-    pts = points or DEFAULT_POINTS
-    for q0 in pts:
-        for n in range(2, max_n + 1):
-            r.check(f"A strict growth n={n} q0={q0}", unimodality.monotone_check_A(n, q0))
-            r.check(f"B strict growth n={n} q0={q0}", unimodality.monotone_check_B(n, q0))
-    return r
+def _doubloon(n):
+    gf = doubloon.interlaced_gf(n)
+    yield (
+        f"interlaced gf order {2*n+1} == a[{2*n+1},{n+1}]",
+        gf == gamma_a_entry(2 * n + 1, n + 1),
+        f"count={spec_q1(gf)}",
+    )
 
 
-@_timed
-def suite_brackets(max_n: int = 12, points=None) -> Report:
-    r = Report("brackets")
-    for n in range(1, max_n + 1):
-        r.check(
-            f"type-A bracket identity n={n}",
-            all(
-                eulerian.bracket_identity_A(n, k, s)
-                for k in range(1, n + 1)
-                for s in range(1, k + 1)
-            ),
-        )
-    for n in range(0, max_n + 1):
-        r.check(
-            f"type-B bracket identity n={n}",
-            all(
-                eulerian.bracket_identity_B(n, k, s)
-                for k in range(0, n + 1)
-                for s in range(0, k + 1)
-            ),
-        )
-    return r
+def _monotone(q0, n):
+    yield f"A strict growth n={n} q0={q0}", unimodality.monotone_check_A(n, q0)
+    yield f"B strict growth n={n} q0={q0}", unimodality.monotone_check_B(n, q0)
 
 
+# Each suite's default --max-n and its blocks, in report order.  The caps
+# bound the checks whose cost explodes with n: the d_n and G* rational
+# identities, and the (2n+1)! doubloon enumeration (order 9 at most).
 SUITES = {
-    "expansionA": suite_expansionA,
-    "expansionB": suite_expansionB,
-    "series": suite_series,
-    "tangent": suite_tangent,
-    "secant": suite_secant,
-    "doubloon": suite_doubloon,
-    "reciprocity": suite_reciprocity,
-    "monotone": suite_monotone,
-    "brackets": suite_brackets,
+    "expansionA": Suite(14, (Block(1, _expansion_A),)),
+    "expansionB": Suite(14, (Block(1, _expansion_B),)),
+    "series": Suite(10, (
+        Block(1, lambda n: [(
+            f"carlitz series oracle n={n}", carlitz_series_oracle(n) == carlitz_poly(n)
+        )]),
+        Block(0, lambda n: [(
+            f"type-B series oracle n={n}", typeB_series_oracle(n) == typeB_poly(n)
+        )]),
+    )),
+    "tangent": Suite(6, (
+        Block(0, _tangent),
+        Block(1, _tangent_quotients),
+        Block(1, lambda n: [(f"d_{n} rational identity", special.verify_d_identity(n))], cap=5),
+    )),
+    "secant": Suite(5, (
+        Block(0, _secant),
+        Block(0, lambda n: [(f"G*_{2*n} rational identity", special.verify_gstar_identity(n))],
+              cap=4),
+    )),
+    "doubloon": Suite(3, (Block(1, _doubloon, cap=doubloon.DEFAULT_ORDER_LIMIT),)),
+    "reciprocity": Suite(12, (
+        Block(1, lambda n: [(f"A row reversal n={n}", unimodality.reciprocity_A(n))]),
+        Block(0, lambda n: [(f"B row reversal n={n}", unimodality.reciprocity_B(n))]),
+    )),
+    "monotone": Suite(10, (Block(2, _monotone, by_point=True),)),
+    "brackets": Suite(12, (
+        Block(1, lambda n: [(f"type-A bracket identity n={n}", all(
+            eulerian.bracket_identity_A(n, k, s) for k in range(1, n + 1) for s in range(1, k + 1)
+        ))]),
+        Block(0, lambda n: [(f"type-B bracket identity n={n}", all(
+            eulerian.bracket_identity_B(n, k, s) for k in range(0, n + 1) for s in range(0, k + 1)
+        ))]),
+    )),
 }
+
+
+@_timed
+def run_suite(name: str, max_n: int | None = None, points=None) -> Report:
+    """Run suite ``name`` up to ``max_n`` (default: the suite's own bound),
+    sampling monotonicity at ``points`` (default :data:`DEFAULT_POINTS`)."""
+    r = Report(name)
+    for block, index in SUITES[name].indices(max_n, points):
+        for item in block.items(*index):
+            r.check(*item)
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +426,12 @@ def cmd_poly(args, parser) -> int:
 
 def cmd_verify(args, parser) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    points = args.points
+    for name in names:
+        if not SUITES[name].indices(args.max_n, args.points):
+            parser.error(f"suite {name} makes no check at --max-n {args.max_n}")
     all_ok = True
     for name in names:
-        max_n = args.max_n if args.max_n is not None else SUITE_DEFAULT_MAX_N[name]
-        report = SUITES[name](max_n, points)
+        report = run_suite(name, args.max_n, args.points)
         if args.format == "json":
             print(json.dumps(report.to_dict(), separators=(", ", ": ")))
         else:
@@ -511,7 +486,7 @@ def cmd_oeis_check(args, parser) -> int:
 
 def _points_arg(text: str) -> tuple[Fraction, ...]:
     try:
-        return tuple(Fraction(part) for part in text.split(","))
+        return tuple(unimodality._check_q0(Fraction(part)) for part in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad points list {text!r}: {exc}")
 

@@ -521,6 +521,12 @@ def q_binom(n: int, k: int) -> QPoly:
         return QPoly()
     if k == 0 or k == n:
         return QPoly.one()
+    # The values below [n,k] are built bottom up, row by row over the
+    # columns [n,k] depends on, so each call finds both of its predecessors
+    # cached: the call depth stays constant whatever n is.
+    for m in range(2, n):
+        for j in range(max(1, k - n + m), min(k, m - 1) + 1):
+            q_binom(m, j)
     return q_binom(n - 1, k - 1) + QPoly.monomial(k) * q_binom(n - 1, k)
 
 

@@ -11,8 +11,7 @@ from qeuler.cli import (
     main,
     parse_bfile,
     run_oeis_check,
-    suite_doubloon,
-    suite_monotone,
+    run_suite,
 )
 from qeuler.serialize import from_json
 
@@ -219,9 +218,72 @@ def test_verify_json_report_shape():
 
 def test_all_suites_pass_in_process():
     # quick bounded pass over every registered suite through the library API
-    for name, suite in SUITES.items():
-        report = suite(4 if name != "doubloon" else 2, DEFAULT_POINTS)
+    for name in SUITES:
+        report = run_suite(name, 4 if name != "doubloon" else 2, DEFAULT_POINTS)
         assert report.ok, name
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("monotone", "--points", "1"),
+        ("monotone", "--points", "-2"),
+        ("monotone", "--points", "2,0"),
+        ("expansionA", "--max-n", "-3"),
+        ("tangent", "--max-n", "-1"),
+        ("monotone", "--max-n", "1"),
+        ("all", "--max-n", "1"),
+    ],
+    ids=lambda a: " ".join(a),
+)
+def test_verify_usage_errors_exit_2(args):
+    proc = run_cli("verify", *args)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_verify_smallest_bounds_still_check():
+    proc = run_cli("verify", "series", "--max-n", "0")
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1].startswith("suite series: PASS  pass=1 fail=0")
+    assert [i.name for i in run_suite("tangent", 0).items] == [
+        "T_1 polynomial with nonneg coeffs",
+        "T_1 == a*[1,1]",
+    ]
+
+
+def test_doubloon_order_does_not_follow_max_n():
+    # --max-n 6 reaches order 9 doubloons (n = 4) and no further
+    assert [i for _, i in SUITES["doubloon"].indices(6, None)] == [(1,), (2,), (3,), (4,)]
+    assert [i for _, i in SUITES["doubloon"].indices(2, None)] == [(1,), (2,)]
+
+
+def _report_digest(stdout: bytes) -> str:
+    # verify JSON without its one nondeterministic field, wall_time_s
+    docs = []
+    for line in stdout.decode().splitlines():
+        doc = json.loads(line)
+        doc.pop("wall_time_s", None)
+        docs.append(json.dumps(doc, sort_keys=True))
+    return hashlib.sha256("\n".join(docs).encode()).hexdigest()
+
+
+# Reference digests of verify reports: every item name, detail, order and
+# counter must survive changes to the suite table.
+VERIFY_GOLDEN_SHA256 = {
+    ("verify", "all", "--format", "json"):
+        "71e09d900cd8d766e7a6b807f3a882e38f2c7d1d1a011b2848b3e41833a49637",
+    ("verify", "monotone", "--max-n", "4", "--points", "2,1/2", "--format", "json"):
+        "f4e88ea7c545e25f39998448d3f7ae8f04040a94d61e519ca991c6aa3172d821",
+}
+
+
+@pytest.mark.parametrize("args", list(VERIFY_GOLDEN_SHA256), ids=lambda a: " ".join(a))
+def test_verify_report_golden_digest(args):
+    proc = run_cli(*args, binary=True)
+    assert proc.returncode == 0
+    assert _report_digest(proc.stdout) == VERIFY_GOLDEN_SHA256[args]
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +384,7 @@ def test_main_usage_error_exits_2():
 
 
 def test_suite_functions_report_wall_time():
-    report = suite_doubloon(1)
+    report = run_suite("doubloon", 1)
     assert report.wall_time_s >= 0
-    report = suite_monotone(3, (2,))
+    report = run_suite("monotone", 3, (2,))
     assert report.ok

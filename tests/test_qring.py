@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -118,9 +120,13 @@ def _q_binom_by_division(n, k):
 
 
 def test_q_binom_matches_division_variant():
-    for n in range(0, 9):
-        for k in range(0, n + 1):
-            assert q_binom(n, k) == _q_binom_by_division(n, k)
+    # from a cold cache in a scrambled order, so the bottom-up fill starts
+    # from every kind of partly filled cache
+    pairs = [(n, k) for n in range(0, 9) for k in range(0, n + 1)]
+    random.Random(1).shuffle(pairs)
+    q_binom.cache_clear()
+    for n, k in pairs:
+        assert q_binom(n, k) == _q_binom_by_division(n, k)
 
 
 def test_q_binom_symmetry_and_q1():
@@ -130,6 +136,20 @@ def test_q_binom_symmetry_and_q1():
         for k in range(0, n + 1):
             assert q_binom(n, k) == q_binom(n, n - k)
             assert spec_q1(q_binom(n, k)) == comb(n, k)
+
+
+def test_q_binom_builds_without_recursion():
+    # [300, 1] on a cold cache needs every [m, 1] below it; they are built
+    # bottom up, so a recursion limit far below 300 frames is no obstacle.
+    code = (
+        "import sys\n"
+        "from qeuler.qring import q_binom, q_int\n"
+        "sys.setrecursionlimit(100)\n"
+        "print(q_binom(300, 1) == q_int(300))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
 
 
 def test_poch_t_examples():

@@ -350,9 +350,14 @@ def run_oeis_check(sequence: str, max_n: int, fixture_text: str, skip: int = 0) 
 # ---------------------------------------------------------------------------
 
 
+# At 60 the slowest table (B as csv) takes about 4 s.  The json document is
+# built whole and grows about as n^4: table B as json peaks near 5 GB at 100.
+TABLE_MAX_N = 60
+
+
 def cmd_table(args, parser) -> int:
-    if args.max_n < 1:
-        parser.error("--max-n must be >= 1")
+    if not 1 <= args.max_n <= TABLE_MAX_N:
+        parser.error(f"--max-n must be in 1..{TABLE_MAX_N}")
     tri = TRIANGLES[args.family](args.max_n)
     rows = []
     for n in range(tri.first_n, tri.max_n + 1):
@@ -392,22 +397,23 @@ def cmd_table(args, parser) -> int:
 
 
 POLY_BUILDERS = {
-    # name -> (min n, builder)
-    "A": (1, carlitz_poly),
-    "B": (0, typeB_poly),
-    "T": (0, lambda n: special.q_tangent(n)),
-    "dn": (1, lambda n: special.d_poly(n)),
-    "Estar": (0, lambda n: special.e_star(n)),
-    "Gstar": (0, lambda n: special.g_star(n)),
-    "Eq": (0, lambda n: special.e_q_secant(n)),
-    "central": (0, lambda n: special.b_central(n)),
+    # name -> (min n, max n, builder); the largest n builds rows to 100 or
+    # 101, and the slowest of them, Gstar at 50, takes about 45 s and 0.9 GB.
+    "A": (1, 100, carlitz_poly),
+    "B": (0, 100, typeB_poly),
+    "T": (0, 50, lambda n: special.q_tangent(n)),
+    "dn": (1, 50, lambda n: special.d_poly(n)),
+    "Estar": (0, 50, lambda n: special.e_star(n)),
+    "Gstar": (0, 50, lambda n: special.g_star(n)),
+    "Eq": (0, 50, lambda n: special.e_q_secant(n)),
+    "central": (0, 50, lambda n: special.b_central(n)),
 }
 
 
 def cmd_poly(args, parser) -> int:
-    min_n, builder = POLY_BUILDERS[args.name]
-    if args.n < min_n:
-        parser.error(f"poly {args.name} requires --n >= {min_n}")
+    min_n, max_n, builder = POLY_BUILDERS[args.name]
+    if not min_n <= args.n <= max_n:
+        parser.error(f"poly {args.name} requires --n in {min_n}..{max_n}")
     p = builder(args.n)
     if args.format == "text":
         print(render(p))

@@ -4,22 +4,28 @@ Every triangle is built by one two-term recurrence,
 
     P[n,k] = alpha(n,k) P[n-1,k] + beta(n,k) P[n-1,k-1],
 
-with ``alpha`` a q-integer and ``beta`` a monomial times a q-integer times a
-small fixed factor.  The ``FAMILIES`` table gives, per family, the column
-range ``krange(n)``, the seed row ``(1,)`` at ``seed_n``, the first public
-row ``first_n``, and ``alpha``/``beta``:
+whose factors are each a monomial times a product of q-integers
+``[m]_{q^s}``.  The ``FAMILIES`` table gives, per family, the column range
+``krange(n)``, the seed row ``(1,)`` at ``seed_n``, the first public row
+``first_n``, and ``alpha``/``beta`` as factor specs ``(e, ((m1, s1), ...))``
+meaning ``q^e [m1]_{q^s1} ...`` (``s = 0`` reads ``[m]_{q^0}`` as ``m``):
 
 * ``A`` -- Carlitz q-Eulerian coefficients ``A[n,k]``, ``1 <= k <= n``,
   ``A[n,k] = [k] A[n-1,k] + q^(k-1) [n+1-k] A[n-1,k-1]``.
 * ``a`` -- the gamma coefficients of the type-A expansion,
   ``1 <= k <= (n+1)//2``,
-  ``a[n,k] = [k] a[n-1,k] + (1+q^(k-1)) q^(k-1) [n+2-2k] a[n-1,k-1]``.
+  ``a[n,k] = [k] a[n-1,k] + q^(k-1) [2]_{q^(k-1)} [n+2-2k] a[n-1,k-1]``,
+  where ``[2]_{q^(k-1)} = 1 + q^(k-1)``.
 * ``B`` -- Chow-Gessel type-B q-Eulerian coefficients ``B[n,k]``,
   ``0 <= k <= n``,
   ``B[n,k] = [2k+1] B[n-1,k] + q^(2k-1) [2n-2k+1] B[n-1,k-1]``.
 * ``b`` -- the type-B gamma coefficients, ``0 <= k <= n//2``,
-  ``b[n,k] = [2k+1] b[n-1,k] + (1+q)(1+q^(2k-1)) q^(2k-1) [n+1-2k]_{q^2} b[n-1,k-1]``;
+  ``b[n,k] = [2k+1] b[n-1,k] + q^(2k-1) [2]_q [2]_{q^(2k-1)} [n+1-2k]_{q^2} b[n-1,k-1]``;
   it seeds at ``b[0,0] = 1`` (forced by ``B_0(t,q) = 1``) and is public from n=1.
+
+The row engine applies each q-integer with :meth:`QPoly.mul_q_int` and the
+monomial with :meth:`QPoly.shift`, so each product costs O(degree) rather
+than a full polynomial product.
 
 ``A_n(t,q) = sum_k A[n,k] t^(k-1)`` and ``B_n(t,q) = sum_k B[n,k] t^k`` are
 also definable through their generating series
@@ -50,15 +56,20 @@ from .qring import (
 )
 
 
+# ``(e, ((m1, s1), (m2, s2), ...))`` stands for ``q^e [m1]_{q^s1} [m2]_{q^s2} ...``.
+Factor = tuple[int, tuple[tuple[int, int], ...]]
+
+
 @dataclasses.dataclass(frozen=True)
 class Family:
-    """One triangle of the two-term recurrence (see the module docstring)."""
+    """One triangle of the two-term recurrence (see the module docstring);
+    ``alpha(n, k)`` and ``beta(n, k)`` return :data:`Factor` specs."""
 
     first_n: int
     seed_n: int
     krange: Callable[[int], range]
-    alpha: Callable[[int, int], QPoly]
-    beta: Callable[[int, int], QPoly]
+    alpha: Callable[[int, int], Factor]
+    beta: Callable[[int, int], Factor]
 
 
 FAMILIES = {
@@ -66,38 +77,39 @@ FAMILIES = {
         first_n=1,
         seed_n=1,
         krange=lambda n: range(1, n + 1),
-        alpha=lambda n, k: q_int(k),
-        beta=lambda n, k: QPoly.monomial(k - 1) * q_int(n + 1 - k),
+        alpha=lambda n, k: (0, ((k, 1),)),
+        beta=lambda n, k: (k - 1, ((n + 1 - k, 1),)),
     ),
     "a": Family(
         first_n=1,
         seed_n=1,
         krange=lambda n: range(1, (n + 1) // 2 + 1),
-        alpha=lambda n, k: q_int(k),
-        beta=lambda n, k: (
-            (QPoly.one() + QPoly.monomial(k - 1)) * QPoly.monomial(k - 1) * q_int(n + 2 - 2 * k)
-        ),
+        alpha=lambda n, k: (0, ((k, 1),)),
+        beta=lambda n, k: (k - 1, ((2, k - 1), (n + 2 - 2 * k, 1))),
     ),
     "B": Family(
         first_n=0,
         seed_n=0,
         krange=lambda n: range(0, n + 1),
-        alpha=lambda n, k: q_int(2 * k + 1),
-        beta=lambda n, k: QPoly.monomial(2 * k - 1) * q_int(2 * n - 2 * k + 1),
+        alpha=lambda n, k: (0, ((2 * k + 1, 1),)),
+        beta=lambda n, k: (2 * k - 1, ((2 * n - 2 * k + 1, 1),)),
     ),
     "b": Family(
         first_n=1,
         seed_n=0,
         krange=lambda n: range(0, n // 2 + 1),
-        alpha=lambda n, k: q_int(2 * k + 1),
-        beta=lambda n, k: (
-            QPoly([1, 1])
-            * (QPoly.one() + QPoly.monomial(2 * k - 1))
-            * QPoly.monomial(2 * k - 1)
-            * q_int(n + 1 - 2 * k, step=2)
-        ),
+        alpha=lambda n, k: (0, ((2 * k + 1, 1),)),
+        beta=lambda n, k: (2 * k - 1, ((2, 1), (2, 2 * k - 1), (n + 1 - 2 * k, 2))),
     ),
 }
+
+
+def _apply_factor(factor: Factor, p: QPoly) -> QPoly:
+    """``factor * p``, one :meth:`QPoly.mul_q_int` per q-integer and one shift."""
+    e, q_ints = factor
+    for m, step in q_ints:
+        p = p.mul_q_int(m, step)
+    return p.shift(e)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -152,9 +164,9 @@ def _row_builder(family: str) -> Callable[[int], tuple[QPoly, ...]]:
         prev, pk = row(n - 1), fam.krange(n - 1)
         out = []
         for k in fam.krange(n):
-            term = fam.alpha(n, k) * prev[k - pk.start] if k in pk else QPoly.zero()
+            term = _apply_factor(fam.alpha(n, k), prev[k - pk.start]) if k in pk else QPoly.zero()
             if k - 1 in pk:
-                term = term + fam.beta(n, k) * prev[k - 1 - pk.start]
+                term = term + _apply_factor(fam.beta(n, k), prev[k - 1 - pk.start])
             out.append(term)
         return tuple(out)
 
@@ -317,7 +329,7 @@ def basis_change_A(n: int, k: int) -> QPoly:
             break
         d = k - s
         exp = d * s + d * (d - 1) // 2
-        acc = acc + q_binom(n + 1 - 2 * s, d) * QPoly.monomial(exp) * gamma_a_entry(n, s)
+        acc = acc + (q_binom(n + 1 - 2 * s, d) * gamma_a_entry(n, s)).shift(exp)
     return acc
 
 
@@ -331,10 +343,8 @@ def basis_change_B(n: int, k: int) -> QPoly:
     for s in FAMILIES["b"].krange(n):
         if s > k:
             break
-        acc = acc + (
-            subst_q_power(q_binom(n - 2 * s, k - s), 2)
-            * QPoly.monomial(k * k - s * s)
-            * gamma_b_entry(n, s)
+        acc = acc + (subst_q_power(q_binom(n - 2 * s, k - s), 2) * gamma_b_entry(n, s)).shift(
+            k * k - s * s
         )
     return acc
 

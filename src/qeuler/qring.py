@@ -20,8 +20,11 @@ so everything here is safe to share across threads.
 from __future__ import annotations
 
 import dataclasses
+import threading
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import sub
 from typing import Iterable, Sequence, Union
 
 Rat = Fraction
@@ -55,20 +58,20 @@ def _fmt(coeffs: tuple[int, ...], offset: int = 0) -> str:
     """Ascending text of ``q^offset * sum coeffs[i] q^i``: explicit signs,
     ``q^e`` exponents, ``0`` for no terms."""
     parts = []
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        e = i + offset
-        sign = " - " if c < 0 else (" + " if parts else "")
-        if not parts and c < 0:
-            sign = "-"
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
+    for e, c in enumerate(coeffs, offset):
+        if c > 0:
+            sign = " + " if parts else ""
+        elif c < 0:
+            sign = " - " if parts else "-"
+            c = -c
         else:
-            var = "q" if e == 1 else f"q^{e}"
-            body = var if mag == 1 else f"{mag}{var}"
-        parts.append(sign + body)
+            continue
+        if e == 0:
+            parts.append(f"{sign}{c}")
+        elif c == 1:
+            parts.append(f"{sign}q" if e == 1 else f"{sign}q^{e}")
+        else:
+            parts.append(f"{sign}{c}q" if e == 1 else f"{sign}{c}q^{e}")
     return "".join(parts) or "0"
 
 
@@ -197,9 +200,35 @@ class QPoly:
         """Multiply by ``q^e`` (``e >= 0``)."""
         if e < 0:
             raise ValueError("negative shift leaves Z[q]")
-        if self.is_zero():
+        if e == 0 or self.is_zero():
             return self
         return QPoly((0,) * e + self.coeffs)
+
+    def mul_q_int(self, m: int, step: int = 1) -> QPoly:
+        """``[m]_{q^step} * self`` in O(deg + step*m): the prefix sums of
+        ``self - q^(step*m) self`` along each residue class mod ``step``.
+        ``step=0`` reads ``[m]_{q^0}`` as the integer ``m``.
+
+        >>> QPoly([1, 1]).mul_q_int(3)
+        QPoly('1 + 2q + 2q^2 + q^3')
+        >>> QPoly([1, -1]).mul_q_int(2, step=2)
+        QPoly('1 - q + q^2 - q^3')
+        >>> QPoly([1, 1]).mul_q_int(2, step=0)
+        QPoly('2 + 2q')
+        """
+        if m < 0 or step < 0:
+            raise ValueError(f"mul_q_int needs m >= 0 and step >= 0, got {m}, {step}")
+        if step == 0:
+            return self * m
+        if m == 0 or self.is_zero():
+            return QPoly()
+        pad = (0,) * (step * m)
+        out = list(map(sub, self.coeffs + pad, pad + self.coeffs))
+        for r in range(step):
+            out[r::step] = accumulate(out[r::step])
+        # The last ``step`` sums have run through a whole residue class of
+        # ``self - q^(step*m) self`` and are zero.
+        return QPoly(out)
 
     def __call__(self, x: RatLike) -> Fraction:
         """Exact evaluation by Horner's rule.
@@ -505,6 +534,12 @@ def subst_q_power(p: QPoly, e: int) -> QPoly:
     return QPoly(out)
 
 
+# ``filling`` is set while a q_binom call on this thread fills the values
+# below it bottom up, so that each value it visits finds its predecessors
+# already cached.
+_q_binom_fill = threading.local()
+
+
 @lru_cache(maxsize=None)
 def q_binom(n: int, k: int) -> QPoly:
     """Gaussian binomial coefficient, by the division-free Pascal recurrence
@@ -521,13 +556,19 @@ def q_binom(n: int, k: int) -> QPoly:
         return QPoly()
     if k == 0 or k == n:
         return QPoly.one()
-    # The values below [n,k] are built bottom up, row by row over the
-    # columns [n,k] depends on, so each call finds both of its predecessors
-    # cached: the call depth stays constant whatever n is.
-    for m in range(2, n):
-        for j in range(max(1, k - n + m), min(k, m - 1) + 1):
-            q_binom(m, j)
-    return q_binom(n - 1, k - 1) + QPoly.monomial(k) * q_binom(n - 1, k)
+    # The outermost miss visits the values below [n,k] row by row over the
+    # columns [n,k] depends on, so each finds both of its predecessors cached
+    # and the call depth stays constant whatever n is; the values it visits
+    # skip that walk, so a cold call makes O(1) cache hits per miss.
+    if not getattr(_q_binom_fill, "filling", False):
+        _q_binom_fill.filling = True
+        try:
+            for m in range(2, n):
+                for j in range(max(1, k - n + m), min(k, m - 1) + 1):
+                    q_binom(m, j)
+        finally:
+            _q_binom_fill.filling = False
+    return q_binom(n - 1, k - 1) + q_binom(n - 1, k).shift(k)
 
 
 def poch_t(k_exp: int, m: int, sign: int = -1, step: int = 1) -> TQPoly:

@@ -124,6 +124,28 @@ def test_poly_out_of_range_usage_error():
     assert run_cli("poly", "nosuch", "--n", "1").returncode == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("table", "A", "--max-n", "61"),
+        ("table", "b", "--max-n", "0"),
+        ("table", "B", "--max-n", "100000"),
+        ("poly", "A", "--n", "101"),
+        ("poly", "A", "--n", "1100"),
+        ("poly", "B", "--n", "101"),
+        ("poly", "T", "--n", "51"),
+        ("poly", "Gstar", "--n", "51"),
+    ],
+    ids=lambda a: " ".join(a),
+)
+def test_data_command_bounds_exit_2(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "--max-n must be in 1..60" in proc.stderr or "--n in " in proc.stderr
+    assert proc.stdout == ""
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from qeuler.eulerian import (
     typeB_series_oracle,
     typeB_triangle,
 )
-from qeuler.qring import QPoly, TQPoly, is_nonneg, poch_t, spec_q1
+from qeuler.qring import QPoly, TQPoly, is_nonneg, poch_t, q_int, spec_q1
 
 
 def P(*coeffs):
@@ -292,3 +292,64 @@ def test_rows_build_without_recursion():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "QPoly('1')\n"
+
+
+# ---------------------------------------------------------------------------
+# the row engine against a plain reference recurrence
+# ---------------------------------------------------------------------------
+
+
+def _reference_rows(N, first_n, krange, alpha, beta):
+    # P[n,k] = alpha(n,k) P[n-1,k] + beta(n,k) P[n-1,k-1], with both factors
+    # expanded into QPoly values and applied by the schoolbook product.
+    rows = {first_n: {k: P(1) for k in krange(first_n)}}
+    for n in range(first_n + 1, N + 1):
+        prev = rows[n - 1]
+        rows[n] = {
+            k: alpha(n, k) * prev.get(k, QPoly()) + beta(n, k) * prev.get(k - 1, QPoly())
+            for k in krange(n)
+        }
+    return rows
+
+
+def _mono(e):
+    return QPoly.monomial(e)
+
+
+REFERENCE = {
+    "A": (
+        20,
+        carlitz_entry,
+        (1, lambda n: range(1, n + 1), lambda n, k: q_int(k),
+         lambda n, k: _mono(k - 1) * q_int(n + 1 - k)),
+    ),
+    "a": (
+        24,
+        gamma_a_entry,
+        (1, lambda n: range(1, (n + 1) // 2 + 1), lambda n, k: q_int(k),
+         lambda n, k: (P(1) + _mono(k - 1)) * _mono(k - 1) * q_int(n + 2 - 2 * k)),
+    ),
+    "B": (
+        16,
+        typeB_entry,
+        (0, lambda n: range(0, n + 1), lambda n, k: q_int(2 * k + 1),
+         lambda n, k: _mono(2 * k - 1) * q_int(2 * n - 2 * k + 1) if k else QPoly()),
+    ),
+    "b": (
+        20,
+        gamma_b_entry,
+        (0, lambda n: range(0, n // 2 + 1), lambda n, k: q_int(2 * k + 1),
+         lambda n, k: (ONE_PLUS_Q * (P(1) + _mono(2 * k - 1)) * _mono(2 * k - 1)
+                       * q_int(n + 1 - 2 * k, step=2)) if k else QPoly()),
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(REFERENCE))
+def test_rows_match_reference_recurrence(family):
+    N, entry, spec = REFERENCE[family]
+    rows = _reference_rows(N, *spec)
+    public = range(1, N + 1) if family != "B" else range(0, N + 1)
+    for n in public:
+        for k, value in rows[n].items():
+            assert entry(n, k) == value, (family, n, k)

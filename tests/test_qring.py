@@ -4,6 +4,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qeuler.qring import (
     NOT_DIVISIBLE,
@@ -150,6 +152,16 @@ def test_q_binom_builds_without_recursion():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "True\n"
+
+
+def test_q_binom_cold_fill_hits_scale_with_misses():
+    # Only the outermost miss walks the values below it; each value it
+    # visits reads its two predecessors, so hits stay near twice the misses.
+    q_binom.cache_clear()
+    assert q_binom(200, 100) == q_binom(200, 100)
+    info = q_binom.cache_info()
+    assert info.misses > 10_000
+    assert info.hits <= 3 * info.misses
 
 
 def test_poch_t_examples():
@@ -316,3 +328,23 @@ def test_ring_axioms_random(make, seed):
         assert p * (r + s) == p * r + p * s
         assert p + (-p) == zero
         assert p - r == p + (-r)
+
+
+# ---------------------------------------------------------------------------
+# mul_q_int against the schoolbook product
+# ---------------------------------------------------------------------------
+
+signed_polys = st.lists(st.integers(-(10**30), 10**30), max_size=30).map(QPoly)
+
+
+@given(signed_polys, st.integers(0, 40), st.integers(0, 5))
+def test_mul_q_int_matches_schoolbook(p, m, step):
+    expected = p * m if step == 0 else q_int(m, step) * p
+    assert p.mul_q_int(m, step) == expected
+
+
+def test_mul_q_int_rejects_negative_arguments():
+    with pytest.raises(ValueError):
+        P(1).mul_q_int(-1)
+    with pytest.raises(ValueError):
+        P(1).mul_q_int(2, step=-1)

@@ -48,7 +48,9 @@ DEFAULT_POINTS = (
     Fraction(2, 3),
 )
 
-OEIS_SEQUENCES = ("A101280", "A008971")
+# sequence -> the triangle whose q=1 values it lists, row by row from n=1
+# (A008971 lists b[n,k](1) / 4^k)
+OEIS_SEQUENCES = {"A101280": "a", "A008971": "b"}
 
 
 # ---------------------------------------------------------------------------
@@ -300,40 +302,47 @@ def refresh_fixture(sequence: str, dest: Path) -> None:
         dest.write_bytes(resp.read())
 
 
+def _oeis_family(sequence: str) -> str:
+    if sequence not in OEIS_SEQUENCES:
+        raise ValueError(f"unknown sequence {sequence}")
+    return OEIS_SEQUENCES[sequence]
+
+
+def oeis_term_count(sequence: str, max_n: int) -> int:
+    """How many fixture terms rows 1..max_n cover, without building a row."""
+    krange = FAMILIES[_oeis_family(sequence)].krange
+    return sum(len(krange(n)) for n in range(1, max_n + 1))
+
+
 def oeis_expected(sequence: str, max_n: int, report: Report) -> list[int]:
     """Reading-order q=1 values the fixture is compared against; for
     A008971 the type-b entries are divided by 4^k (divisibility checked)."""
+    family = _oeis_family(sequence)
+    tri = TRIANGLES[family](max_n)
     out = []
-    if sequence == "A101280":
-        for n in range(1, max_n + 1):
-            for k in FAMILIES["a"].krange(n):
-                out.append(spec_q1(gamma_a_entry(n, k)))
-    elif sequence == "A008971":
-        for n in range(1, max_n + 1):
-            for k in FAMILIES["b"].krange(n):
-                v = spec_q1(gamma_b_entry(n, k))
+    for n in range(1, max_n + 1):
+        for k, p in zip(tri.krange(n), tri.row(n)):
+            v = spec_q1(p)
+            if family == "b":
                 quot, rem = divmod(v, 4**k)
                 if rem:
                     report.check(f"4^{k} divides b[{n},{k}](1)", False, detail=f"value={v}")
-                    quot = 0
-                out.append(quot)
-    else:
-        raise ValueError(f"unknown sequence {sequence}")
+                v = 0 if rem else quot
+            out.append(v)
     return out
 
 
 @_timed
 def run_oeis_check(sequence: str, max_n: int, fixture_text: str, skip: int = 0) -> Report:
     r = Report(f"oeis-{sequence}")
-    expected = oeis_expected(sequence, max_n, r)
     fixture = parse_bfile(fixture_text)[skip:]
-    if len(fixture) < len(expected):
+    needed = oeis_term_count(sequence, max_n)
+    if len(fixture) < needed:
         r.check(
-            "fixture length",
-            False,
-            detail=f"needs {len(expected)} terms, fixture has {len(fixture)}",
+            "fixture length", False, detail=f"needs {needed} terms, fixture has {len(fixture)}"
         )
         return r
+    expected = oeis_expected(sequence, max_n, r)
     mismatches = [
         (i, e, f) for i, (e, f) in enumerate(zip(expected, fixture)) if e != f
     ]
@@ -350,8 +359,9 @@ def run_oeis_check(sequence: str, max_n: int, fixture_text: str, skip: int = 0) 
 # ---------------------------------------------------------------------------
 
 
-# At 60 the slowest table (B as csv) takes about 4 s.  The json document is
-# built whole and grows about as n^4: table B as json peaks near 5 GB at 100.
+# At 60 the slowest table (B as csv) takes about 4 s.  Rows are written as
+# they are formatted, so memory is the cached rows plus one formatted row:
+# table B as json peaks near 140 MB at 60.
 TABLE_MAX_N = 60
 
 
@@ -359,40 +369,28 @@ def cmd_table(args, parser) -> int:
     if not 1 <= args.max_n <= TABLE_MAX_N:
         parser.error(f"--max-n must be in 1..{TABLE_MAX_N}")
     tri = TRIANGLES[args.family](args.max_n)
-    rows = []
-    for n in range(tri.first_n, tri.max_n + 1):
-        kr = tri.krange(n)
-        entries = [tri.entry(n, k) for k in kr]
-        rows.append((n, kr, entries))
-
-    if args.format == "text":
-        for n, kr, entries in rows:
-            if args.q1:
-                print(f"n={n}: " + " ".join(str(spec_q1(p)) for p in entries))
-            else:
-                for k, p in zip(kr, entries):
-                    print(f"{args.family}[{n},{k}] = {render(p)}")
-    elif args.format == "csv":
-        w = csv.writer(sys.stdout, lineterminator="\n")
+    value = spec_q1 if args.q1 else to_json if args.format == "json" else render
+    out = sys.stdout
+    if args.format == "csv":
+        w = csv.writer(out, lineterminator="\n")
         w.writerow(["n", "k", "value"])
-        for n, kr, entries in rows:
-            for k, p in zip(kr, entries):
-                w.writerow([n, k, spec_q1(p) if args.q1 else render(p)])
-    else:
-        doc = {
-            "family": args.family,
-            "max_n": args.max_n,
-            "q1": bool(args.q1),
-            "rows": [
-                {
-                    "n": n,
-                    "kmin": kr.start,
-                    "entries": [spec_q1(p) if args.q1 else to_json(p) for p in entries],
-                }
-                for n, kr, entries in rows
-            ],
-        }
-        print(json.dumps(doc, separators=(", ", ": ")))
+    elif args.format == "json":
+        # the document's own bytes, its "rows" list filled in one row at a time
+        head = {"family": args.family, "max_n": args.max_n, "q1": bool(args.q1), "rows": []}
+        out.write(json.dumps(head, separators=(", ", ": "))[:-2])
+    for n in range(tri.first_n, tri.max_n + 1):
+        kr, values = tri.krange(n), map(value, tri.row(n))
+        if args.format == "csv":
+            w.writerows([n, k, v] for k, v in zip(kr, values))
+        elif args.format == "json":
+            row = {"n": n, "kmin": kr.start, "entries": list(values)}
+            out.write((", " if n > tri.first_n else "") + json.dumps(row, separators=(", ", ": ")))
+        elif args.q1:
+            out.write(f"n={n}: {' '.join(map(str, values))}\n")
+        else:
+            out.writelines(f"{args.family}[{n},{k}] = {v}\n" for k, v in zip(kr, values))
+    if args.format == "json":
+        out.write("]}\n")
     return 0
 
 
@@ -470,8 +468,8 @@ def cmd_conjecture(args, parser) -> int:
 
 
 def cmd_oeis_check(args, parser) -> int:
-    if args.max_n < 1:
-        parser.error("--max-n must be >= 1")
+    if not 1 <= args.max_n <= TABLE_MAX_N:
+        parser.error(f"--max-n must be in 1..{TABLE_MAX_N}")
     path = Path(args.fixture) if args.fixture else default_fixture_path(args.sequence)
     if args.refresh:
         refresh_fixture(args.sequence, path)

@@ -20,7 +20,6 @@ so everything here is safe to share across threads.
 from __future__ import annotations
 
 import dataclasses
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -84,6 +83,18 @@ def _power(base, n: int, one):
         base = base * base
         n >>= 1
     return result
+
+
+def _mul_q_ratio(p: QPoly, a: int, b: int) -> QPoly:
+    """``(1 - q^a) / (1 - q^b) * p`` in O(deg p + a): the prefix sums of
+    ``p - q^a p`` along each residue class mod ``b``.  Valid only when
+    ``1 - q^b`` divides ``(1 - q^a) p``; then the last ``b`` sums have run
+    through a whole residue class and are zero."""
+    pad = (0,) * a
+    out = list(map(sub, p.coeffs + pad, pad + p.coeffs))
+    for r in range(b):
+        out[r::b] = accumulate(out[r::b])
+    return QPoly(out)
 
 
 @dataclasses.dataclass(init=False, eq=True, unsafe_hash=True)
@@ -220,15 +231,7 @@ class QPoly:
             raise ValueError(f"mul_q_int needs m >= 0 and step >= 0, got {m}, {step}")
         if step == 0:
             return self * m
-        if m == 0 or self.is_zero():
-            return QPoly()
-        pad = (0,) * (step * m)
-        out = list(map(sub, self.coeffs + pad, pad + self.coeffs))
-        for r in range(step):
-            out[r::step] = accumulate(out[r::step])
-        # The last ``step`` sums have run through a whole residue class of
-        # ``self - q^(step*m) self`` and are zero.
-        return QPoly(out)
+        return _mul_q_ratio(self, step * m, step)
 
     def __call__(self, x: RatLike) -> Fraction:
         """Exact evaluation by Horner's rule.
@@ -534,16 +537,13 @@ def subst_q_power(p: QPoly, e: int) -> QPoly:
     return QPoly(out)
 
 
-# ``filling`` is set while a q_binom call on this thread fills the values
-# below it bottom up, so that each value it visits finds its predecessors
-# already cached.
-_q_binom_fill = threading.local()
-
-
 @lru_cache(maxsize=None)
 def q_binom(n: int, k: int) -> QPoly:
-    """Gaussian binomial coefficient, by the division-free Pascal recurrence
-    ``[n,k] = [n-1,k-1] + q^k [n-1,k]``.  Zero when ``k < 0`` or ``k > n``.
+    """Gaussian binomial coefficient by the product formula
+    ``[n,k] = prod_{i=1..k} (1 - q^(n-k+i)) / (1 - q^i)``, taken over the
+    smaller of ``k`` and ``n-k``.  Each partial product is ``[n-k+i, i]``, a
+    polynomial, so every factor costs one pass of strided prefix sums.  Zero
+    when ``k < 0`` or ``k > n``.
 
     >>> q_binom(4, 2)
     QPoly('1 + q + 2q^2 + q^3 + q^4')
@@ -554,21 +554,11 @@ def q_binom(n: int, k: int) -> QPoly:
         raise ValueError(f"q_binom requires n >= 0, got {n}")
     if k < 0 or k > n:
         return QPoly()
-    if k == 0 or k == n:
-        return QPoly.one()
-    # The outermost miss visits the values below [n,k] row by row over the
-    # columns [n,k] depends on, so each finds both of its predecessors cached
-    # and the call depth stays constant whatever n is; the values it visits
-    # skip that walk, so a cold call makes O(1) cache hits per miss.
-    if not getattr(_q_binom_fill, "filling", False):
-        _q_binom_fill.filling = True
-        try:
-            for m in range(2, n):
-                for j in range(max(1, k - n + m), min(k, m - 1) + 1):
-                    q_binom(m, j)
-        finally:
-            _q_binom_fill.filling = False
-    return q_binom(n - 1, k - 1) + q_binom(n - 1, k).shift(k)
+    k = min(k, n - k)
+    out = QPoly.one()
+    for i in range(1, k + 1):
+        out = _mul_q_ratio(out, n - k + i, i)
+    return out
 
 
 def poch_t(k_exp: int, m: int, sign: int = -1, step: int = 1) -> TQPoly:
@@ -675,30 +665,30 @@ def subst_t_signed_power(p: TQPoly, sign: int, e: int) -> QLaurent:
 
 
 def _qpoly_exact_div(p: QPoly, d: QPoly) -> QPoly | NotDivisible:
-    # Long division over Q; divisible in Z[q] iff the remainder vanishes and
-    # every quotient coefficient is an integer.
+    # Long division over Z.  The quotient over Q is unique, and it lies in
+    # Z[q] exactly when every leading-term division is exact.  Each exact
+    # step cancels rem[i + dd], so only the dd terms below it change.
     if d.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if p.is_zero():
         return QPoly()
-    rem = [Fraction(c) for c in p.coeffs]
-    lead = Fraction(d.coeffs[-1])
-    dd = d.degree()
+    *low, lead = d.coeffs
+    dd = len(low)
+    rem = list(p.coeffs)
     qd = len(rem) - 1 - dd
     if qd < 0:
         return NOT_DIVISIBLE
-    quot = [Fraction(0)] * (qd + 1)
+    quot = [0] * (qd + 1)
     for i in range(qd, -1, -1):
-        c = rem[i + dd] / lead
-        quot[i] = c
+        c, r = divmod(rem[i + dd], lead)
+        if r:
+            return NOT_DIVISIBLE
         if c:
-            for j, dc in enumerate(d.coeffs):
-                rem[i + j] -= c * dc
-    if any(rem):
+            quot[i] = c
+            rem[i:i + dd] = [x - c * y for x, y in zip(rem[i:i + dd], low)]
+    if any(rem[:dd]):
         return NOT_DIVISIBLE
-    if any(c.denominator != 1 for c in quot):
-        return NOT_DIVISIBLE
-    return QPoly([int(c) for c in quot])
+    return QPoly(quot)
 
 
 def _qlaurent_exact_div(p: QLaurent, d: QLaurent) -> QLaurent | NotDivisible:

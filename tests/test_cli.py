@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from qeuler import eulerian
 from qeuler.cli import (
     DEFAULT_POINTS,
     SUITES,
@@ -168,8 +169,8 @@ def test_byte_identical_output(args):
     assert first.stdout == second.stdout
 
 
-# Reference digests of data output: the row engine and the renderers must
-# keep these bytes.
+# Reference digests of data output: the row engine, the renderers and the
+# streaming table writer must keep these bytes, in every format.
 GOLDEN_SHA256 = {
     ("table", "A", "--max-n", "16", "--format", "json"):
         "d487233236b782e5875d72242ee9c27c365388241332e4e24872d6634debb93b",
@@ -183,6 +184,26 @@ GOLDEN_SHA256 = {
         "901ba4270414f11d6655ac679524400c44ad2010559ea7fac269d64cd7f0e56f",
     ("table", "b", "--max-n", "16"):
         "dfdee6455fed88e57973682fd90ba077f6246c644a1680e6b84894fd0c38dfb4",
+    ("table", "A", "--max-n", "16", "--format", "csv"):
+        "e3440059e49e8ed7da1d0f5b7ee640ac769a2997eec174cfdd0e181014c26c5e",
+    ("table", "a", "--max-n", "16", "--format", "csv"):
+        "8e74196032335d6683fed9e4f9f64f852ff5647c2b07fd870d17a4cbad239b74",
+    ("table", "B", "--max-n", "16", "--format", "csv"):
+        "ed55ba692dc9064026493f2e34a6b7e01309c46c7154dfbbc5b148a9caf79196",
+    ("table", "b", "--max-n", "16", "--format", "csv"):
+        "da8db7a91e9e9ffc709a7d264f93e1e5874fec4fe8e6ad3f57ee22490751dad6",
+    ("table", "A", "--max-n", "16", "--q1"):
+        "498bf431ddc9dd317fd5ae5765d09b4a5532dc211568d04f3f5a34405ae4c66d",
+    ("table", "A", "--max-n", "16", "--q1", "--format", "json"):
+        "a1597f0491b5e8b6ce244734317ef24208189c58dce8a10bf7d0ce465a972108",
+    ("table", "A", "--max-n", "16", "--q1", "--format", "csv"):
+        "55304e3a8811536dc21ba749d6fdc9a5a66c809df1ca37ecad11e98be8a5629b",
+    ("table", "b", "--max-n", "16", "--q1"):
+        "3da631bc603ed3126cbff32f68c0b8f15994d00ee6bf894acb093ee730e8e98f",
+    ("table", "b", "--max-n", "16", "--q1", "--format", "json"):
+        "b9ffaff72ffddcd6deddc575d4aedbadf4c397689cbf1abdfc5115d88c4a7c75",
+    ("table", "b", "--max-n", "16", "--q1", "--format", "csv"):
+        "dff1663faf1d0452c5b585bada59eb53f63192f24a9ee38f74a6c6ae463a4d42",
     ("poly", "A", "--n", "8"):
         "3820c31c9d0d16dd9244d89fc1e0a0576ce797e2f111423749d275e170d2b3ba",
     ("poly", "B", "--n", "7"):
@@ -357,6 +378,23 @@ def test_oeis_check_short_fixture_fails(tmp_path):
     short.write_text("1 1\n2 1\n")
     proc = run_cli("oeis-check", "A101280", "--max-n", "6", "--fixture", str(short))
     assert proc.returncode == 1
+
+
+def test_oeis_check_max_n_bounded_at_parser():
+    proc = run_cli("oeis-check", "A101280", "--max-n", "100")
+    assert proc.returncode == 2
+    assert "--max-n must be in 1..60" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_oeis_check_short_fixture_fails_before_building_rows(capsys):
+    # the bundled A101280 snapshot covers rows 1..12; the length check comes
+    # before any row is built
+    eulerian._gamma_a_row.cache_clear()
+    assert main(["oeis-check", "A101280", "--max-n", "60"]) == 1
+    assert "needs 930 terms, fixture has 42" in capsys.readouterr().out
+    assert eulerian._gamma_a_row.cache_info().currsize == 0
 
 
 def test_oeis_check_missing_fixture_usage_error(tmp_path):

@@ -2,6 +2,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -122,8 +123,8 @@ def _q_binom_by_division(n, k):
 
 
 def test_q_binom_matches_division_variant():
-    # from a cold cache in a scrambled order, so the bottom-up fill starts
-    # from every kind of partly filled cache
+    # from a cold cache in a scrambled order, so no value can lean on one
+    # computed before it
     pairs = [(n, k) for n in range(0, 9) for k in range(0, n + 1)]
     random.Random(1).shuffle(pairs)
     q_binom.cache_clear()
@@ -132,8 +133,6 @@ def test_q_binom_matches_division_variant():
 
 
 def test_q_binom_symmetry_and_q1():
-    from math import comb
-
     for n in range(0, 21):
         for k in range(0, n + 1):
             assert q_binom(n, k) == q_binom(n, n - k)
@@ -141,8 +140,8 @@ def test_q_binom_symmetry_and_q1():
 
 
 def test_q_binom_builds_without_recursion():
-    # [300, 1] on a cold cache needs every [m, 1] below it; they are built
-    # bottom up, so a recursion limit far below 300 frames is no obstacle.
+    # [300, 1] on a cold cache is one product-formula loop and calls no other
+    # q_binom value, so a recursion limit far below 300 frames is no obstacle.
     code = (
         "import sys\n"
         "from qeuler.qring import q_binom, q_int\n"
@@ -154,14 +153,14 @@ def test_q_binom_builds_without_recursion():
     assert proc.stdout == "True\n"
 
 
-def test_q_binom_cold_fill_hits_scale_with_misses():
-    # Only the outermost miss walks the values below it; each value it
-    # visits reads its two predecessors, so hits stay near twice the misses.
+def test_q_binom_cold_call_is_one_miss():
+    # the product formula builds [200, 100] without visiting any other value
     q_binom.cache_clear()
-    assert q_binom(200, 100) == q_binom(200, 100)
+    value = q_binom(200, 100)
     info = q_binom.cache_info()
-    assert info.misses > 10_000
-    assert info.hits <= 3 * info.misses
+    assert (info.hits, info.misses) == (0, 1)
+    assert is_palindromic(value)
+    assert spec_q1(value) == comb(200, 100)
 
 
 def test_poch_t_examples():
@@ -265,6 +264,45 @@ def test_exact_div_random_roundtrip():
         if d.is_zero():
             continue
         assert exact_div(p * d, d) == p
+
+
+def _fraction_exact_div(p, d):
+    # Reference: long division over Q, divisible in Z[q] iff the remainder
+    # vanishes and every quotient coefficient is an integer.
+    if p.is_zero():
+        return QPoly()
+    rem = [Fraction(c) for c in p.coeffs]
+    dd = d.degree()
+    qd = len(rem) - 1 - dd
+    if qd < 0:
+        return NOT_DIVISIBLE
+    quot = [Fraction(0)] * (qd + 1)
+    for i in range(qd, -1, -1):
+        c = rem[i + dd] / d.coeffs[-1]
+        quot[i] = c
+        for j, dc in enumerate(d.coeffs):
+            rem[i + j] -= c * dc
+    if any(rem) or any(c.denominator != 1 for c in quot):
+        return NOT_DIVISIBLE
+    return QPoly([int(c) for c in quot])
+
+
+small_polys = st.lists(st.integers(-50, 50), max_size=12).map(QPoly)
+# nonzero divisors, leading coefficient +-1, +-2 or +-3
+divisors = st.builds(
+    lambda low, lead: QPoly(low + [lead]),
+    st.lists(st.integers(-9, 9), max_size=5),
+    st.sampled_from([1, -1, 2, -2, 3, -3]),
+)
+
+
+@given(small_polys, divisors, st.sampled_from(["any", "multiple", "rational multiple"]))
+def test_exact_div_matches_fraction_long_division(p, d, how):
+    if how == "multiple":
+        p = p * d
+    elif how == "rational multiple":  # p / 2 over Q: in Z[q] only when p is even
+        p, d = p * d, d * 2
+    assert repr(exact_div(p, d)) == repr(_fraction_exact_div(p, d))
 
 
 # ---------------------------------------------------------------------------

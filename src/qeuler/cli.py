@@ -141,7 +141,11 @@ class Block:
 
 @dataclasses.dataclass(frozen=True)
 class Suite:
+    """A suite's blocks, its default ``--max-n`` and the largest
+    ``--max-n`` the CLI accepts for it."""
+
     default_max_n: int
+    max_n_limit: int
     blocks: tuple[Block, ...]
 
     def indices(self, max_n: int | None, points) -> list[tuple[Block, tuple]]:
@@ -217,13 +221,18 @@ def _monotone(q0, n):
     yield f"B strict growth n={n} q0={q0}", unimodality.monotone_check_B(n, q0)
 
 
-# Each suite's default --max-n and its blocks, in report order.  The caps
-# bound the checks whose cost explodes with n: the d_n and G* rational
-# identities, and the (2n+1)! doubloon enumeration (order 9 at most).
+# Each suite's default --max-n, its --max-n limit and its blocks, in report
+# order.  The caps bound the checks whose cost explodes with n: the d_n and
+# G* rational identities, and the (2n+1)! doubloon enumeration (order 9 at
+# most), so the doubloon suite costs the same at any --max-n from 4 on.  At
+# each limit a cold run takes about 10 s or less and at most 0.25 GB on a
+# 2 vCPU VM: series 5.0 s, expansionA 6.4 s, expansionB 5.7 s, tangent
+# 4.3 s / 232 MB, secant 2.8 s, monotone 3.2 s, brackets 5.9 s,
+# reciprocity 2.0 s / 138 MB, doubloon 1.8 s.
 SUITES = {
-    "expansionA": Suite(14, (Block(1, _expansion_A),)),
-    "expansionB": Suite(14, (Block(1, _expansion_B),)),
-    "series": Suite(10, (
+    "expansionA": Suite(14, 35, (Block(1, _expansion_A),)),
+    "expansionB": Suite(14, 30, (Block(1, _expansion_B),)),
+    "series": Suite(10, 30, (
         Block(1, lambda n: [(
             f"carlitz series oracle n={n}", carlitz_series_oracle(n) == carlitz_poly(n)
         )]),
@@ -231,23 +240,23 @@ SUITES = {
             f"type-B series oracle n={n}", typeB_series_oracle(n) == typeB_poly(n)
         )]),
     )),
-    "tangent": Suite(6, (
+    "tangent": Suite(6, 40, (
         Block(0, _tangent),
         Block(1, _tangent_quotients),
         Block(1, lambda n: [(f"d_{n} rational identity", special.verify_d_identity(n))], cap=5),
     )),
-    "secant": Suite(5, (
+    "secant": Suite(5, 30, (
         Block(0, _secant),
         Block(0, lambda n: [(f"G*_{2*n} rational identity", special.verify_gstar_identity(n))],
               cap=4),
     )),
-    "doubloon": Suite(3, (Block(1, _doubloon, cap=doubloon.DEFAULT_ORDER_LIMIT),)),
-    "reciprocity": Suite(12, (
+    "doubloon": Suite(3, 60, (Block(1, _doubloon, cap=doubloon.DEFAULT_ORDER_LIMIT),)),
+    "reciprocity": Suite(12, 60, (
         Block(1, lambda n: [(f"A row reversal n={n}", unimodality.reciprocity_A(n))]),
         Block(0, lambda n: [(f"B row reversal n={n}", unimodality.reciprocity_B(n))]),
     )),
-    "monotone": Suite(10, (Block(2, _monotone, by_point=True),)),
-    "brackets": Suite(12, (
+    "monotone": Suite(10, 30, (Block(2, _monotone, by_point=True),)),
+    "brackets": Suite(12, 40, (
         Block(1, lambda n: [(f"type-A bracket identity n={n}", all(
             eulerian.bracket_identity_A(n, k, s) for k in range(1, n + 1) for s in range(1, k + 1)
         ))]),
@@ -396,7 +405,8 @@ def cmd_table(args, parser) -> int:
 
 POLY_BUILDERS = {
     # name -> (min n, max n, builder); the largest n builds rows to 100 or
-    # 101, and the slowest of them, Gstar at 50, takes about 45 s and 0.9 GB.
+    # 101, and the slowest of them, Gstar and Estar at 50, take about 8 s and
+    # 0.86 GB.
     "A": (1, 100, carlitz_poly),
     "B": (0, 100, typeB_poly),
     "T": (0, 50, lambda n: special.q_tangent(n)),
@@ -431,7 +441,10 @@ def cmd_poly(args, parser) -> int:
 def cmd_verify(args, parser) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
-        if not SUITES[name].indices(args.max_n, args.points):
+        suite = SUITES[name]
+        if args.max_n is not None and args.max_n > suite.max_n_limit:
+            parser.error(f"suite {name} takes --max-n up to {suite.max_n_limit}")
+        if not suite.indices(args.max_n, args.points):
             parser.error(f"suite {name} makes no check at --max-n {args.max_n}")
     all_ok = True
     for name in names:
@@ -444,9 +457,14 @@ def cmd_verify(args, parser) -> int:
     return 0 if all_ok else 1
 
 
+# At 40 the scan takes about 5 s and 0.3 GB (rows of B to 80 stay cached);
+# at 50 it takes 12 s and 0.86 GB.
+CONJECTURE_MAX_N = 40
+
+
 def cmd_conjecture(args, parser) -> int:
-    if args.max_n < 0:
-        parser.error("--max-n must be >= 0")
+    if not 0 <= args.max_n <= CONJECTURE_MAX_N:
+        parser.error(f"--max-n must be in 0..{CONJECTURE_MAX_N}")
     scan = special.conjecture_scan_gstar(args.max_n)
     if args.format == "json":
         doc = {

@@ -34,7 +34,12 @@ also definable through their generating series
     sum_{k>=0} [2k+1]^n t^k = B_n(t,q) / (t;q^2)_{n+1}
 
 which the ``*_series_oracle`` functions implement as independent
-cross-checks of the recurrence route.
+cross-checks of the recurrence route.  They share one body: each column
+``[m]^n`` is ``n`` calls of :meth:`QPoly.mul_q_int`, and the Pochhammer
+product is applied one factor ``1 - t q^e`` at a time, as ``c_d - q^e c_(d-1)``
+on the truncated columns, so no two polynomials are multiplied.  The oracles
+read neither ``FAMILIES`` nor the row builders, so they stay independent of
+the recurrences they check.
 
 Rows are built once, bottom up, and cached; triangles are immutable views.
 """
@@ -43,6 +48,7 @@ from __future__ import annotations
 
 import dataclasses
 from functools import lru_cache
+from operator import sub
 from typing import Callable
 
 from .qring import (
@@ -252,6 +258,37 @@ def typeB_poly(n: int) -> TQPoly:
     return TQPoly(_typeB_row(n))
 
 
+def _q_int_power(m: int, n: int) -> QPoly:
+    """``[m]^n``, one :meth:`QPoly.mul_q_int` per factor."""
+    p = QPoly.one()
+    for _ in range(n):
+        p = p.mul_q_int(m)
+    return p
+
+
+def _sub_coeffs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The trimmed coefficients of ``a - b`` in one pass (``(0,) * m`` is
+    empty for ``m <= 0``, so only the shorter side is padded)."""
+    return QPoly(map(sub, a + (0,) * (len(b) - len(a)), b + (0,) * (len(a) - len(b)))).coeffs
+
+
+def _series_oracle(n: int, W: int, step: int, keep: int) -> TQPoly:
+    """Truncate ``(t;q^step)_{n+1} * sum_{k=0}^{W} [step*k+1]^n t^k`` at
+    ``t^W``, demand that every t-coefficient from ``keep`` through ``W``
+    vanishes, and return the ones below.  Each Pochhammer factor
+    ``1 - t q^e`` maps column ``c_d`` to ``c_d - q^e c_(d-1)``, walking ``d``
+    downwards, so no two polynomials are ever multiplied."""
+    cols = [_q_int_power(step * k + 1, n).coeffs for k in range(W + 1)]
+    for j in range(n + 1):
+        pad = (0,) * (step * j)
+        for d in range(W, 0, -1):
+            cols[d] = _sub_coeffs(cols[d], pad + cols[d - 1])
+    for j in range(keep, W + 1):
+        if cols[j]:
+            raise ArithmeticError(f"series tail nonzero at t^{j} (n={n})")
+    return TQPoly(map(QPoly, cols[:keep]))
+
+
 def carlitz_series_oracle(n: int, tdeg_window: int | None = None) -> TQPoly:
     """Recover ``A_n(t,q)`` from its defining series: truncate
     ``(t;q)_{n+1} * sum_{k=0}^{W} [k+1]^n t^k`` and demand that every
@@ -264,12 +301,7 @@ def carlitz_series_oracle(n: int, tdeg_window: int | None = None) -> TQPoly:
     W = 2 * n if tdeg_window is None else tdeg_window
     if W < n:
         raise ValueError(f"tdeg_window must be >= {n}, got {W}")
-    series = TQPoly([q_int(k + 1) ** n for k in range(W + 1)])
-    prod = poch_t(0, n + 1, sign=+1) * series
-    for j in range(n, W + 1):
-        if not prod.coeff(j).is_zero():
-            raise ArithmeticError(f"series tail nonzero at t^{j} (n={n})")
-    return TQPoly(prod.terms[:n])
+    return _series_oracle(n, W, 1, n)
 
 
 def typeB_series_oracle(n: int, tdeg_window: int | None = None) -> TQPoly:
@@ -281,12 +313,7 @@ def typeB_series_oracle(n: int, tdeg_window: int | None = None) -> TQPoly:
     W = max(2 * n, n + 1) if tdeg_window is None else tdeg_window
     if W < n + 1:
         raise ValueError(f"tdeg_window must be >= {n + 1}, got {W}")
-    series = TQPoly([q_int(2 * k + 1) ** n for k in range(W + 1)])
-    prod = poch_t(0, n + 1, sign=+1, step=2) * series
-    for j in range(n + 1, W + 1):
-        if not prod.coeff(j).is_zero():
-            raise ArithmeticError(f"series tail nonzero at t^{j} (n={n})")
-    return TQPoly(prod.terms[: n + 1])
+    return _series_oracle(n, W, 2, n + 1)
 
 
 # ---------------------------------------------------------------------------

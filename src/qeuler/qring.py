@@ -733,6 +733,38 @@ def _tqpoly_exact_div(p: TQPoly, d: TQPoly) -> TQPoly | NotDivisible:
     return TQPoly([quot.get(i, QLaurent.zero()) for i in range(n)])
 
 
+def _div_one_plus_q_powers(p: QPoly, exps: Iterable[int]) -> QPoly | NotDivisible:
+    """``p / prod_{e in exps} (1 + q^e)`` (every ``e >= 1``), one factor at
+    a time in O(deg p + e), or :data:`NOT_DIVISIBLE`.  Since
+    ``1 / (1 + q^e) = (1 - q^e) / (1 - q^(2e))``, :func:`_mul_q_ratio` gives
+    the power series quotient through degree ``deg p + e``.  Past ``deg p``
+    its coefficients obey ``s_N = -s_(N-e)``, so the quotient is a
+    polynomial, of degree ``deg p - e``, exactly when the truncation has
+    that degree."""
+    if p.is_zero():
+        return p
+    for e in exps:
+        quot = _mul_q_ratio(p, e, 2 * e)
+        if quot.degree() != p.degree() - e:
+            return NOT_DIVISIBLE
+        p = quot
+    return p
+
+
+def _div_one_plus_t_q_power(p: TQPoly, e: int) -> TQPoly | NotDivisible:
+    """``p / (1 + t q^e)``, or :data:`NOT_DIVISIBLE`, by the recurrence
+    ``c_d = p_d - q^e c_(d-1)``: the step past the last quotient
+    coefficient is the remainder, which must vanish."""
+    c = QLaurent.zero()
+    quot = []
+    for pd in p.terms:
+        c = pd - QLaurent(c.base, c.offset + e)
+        quot.append(c)
+    if quot and not quot.pop().is_zero():
+        return NOT_DIVISIBLE
+    return TQPoly(quot)
+
+
 def exact_div(p, d):
     """Exact ring quotient ``p / d``, or :data:`NOT_DIVISIBLE` when ``d`` does
     not divide ``p`` in the respective ring.  Division by zero raises.

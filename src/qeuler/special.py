@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from functools import lru_cache
 from itertools import islice
 from math import comb
 from typing import Callable, Iterator
@@ -24,7 +23,8 @@ from .qring import (
     QPoly,
     RatLike,
     TQPoly,
-    exact_div,
+    _div_one_plus_q_powers,
+    _div_one_plus_t_q_power,
     is_nonneg,
     is_palindromic,
     poch_num,
@@ -71,12 +71,6 @@ def a_star(n: int, k: int) -> QPoly:
     return _as_poly(value, f"a*[{n},{k}]")
 
 
-@lru_cache(maxsize=None)
-def _odd_poch(n: int) -> QPoly:
-    # (1+q)(1+q^2)...(1+q^n)
-    return poch_num(QLaurent.q_power(1, -1), n).to_qpoly()
-
-
 def d_poly(n: int) -> QPoly:
     """``d_n(q) = T_{2n+1}(q) / ((1+q)(1+q^2)...(1+q^n))``, exactly.
 
@@ -84,7 +78,7 @@ def d_poly(n: int) -> QPoly:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    quot = exact_div(q_tangent(n), _odd_poch(n))
+    quot = _div_one_plus_q_powers(q_tangent(n), range(1, n + 1))
     if isinstance(quot, NotDivisible):
         raise ArithmeticError(f"T_{2*n+1} not divisible by (1+q)...(1+q^{n})")
     return quot
@@ -152,8 +146,7 @@ def even_quotient(n: int) -> TQPoly:
     coefficients all have nonnegative offset and coefficients."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    divisor = TQPoly([QLaurent.one(), QLaurent.q_power(n)])
-    quot = exact_div(carlitz_poly(2 * n), divisor)
+    quot = _div_one_plus_t_q_power(carlitz_poly(2 * n), n)
     if isinstance(quot, NotDivisible):
         raise ArithmeticError(f"A_{2*n}(t,q) not divisible by 1 + t q^{n}")
     for d, c in enumerate(quot.terms):
@@ -189,18 +182,12 @@ def e_star(n: int) -> QPoly:
     return _as_poly(QLaurent.q_power(n * (n + 1), (-1) ** n) * sub, f"E*_{2*n}")
 
 
-@lru_cache(maxsize=None)
-def _even_odd_poch(n: int) -> QPoly:
-    # (1+q)(1+q^3)...(1+q^(2n-1)) * (1+q)^n
-    return (poch_num(QLaurent.q_power(1, -1), n, step=2) * QPoly([1, 1]) ** n).to_qpoly()
-
-
 def g_star(n: int) -> QPoly:
     """``G*_{2n}(q) = E*_{2n}(q) / ((1+q)(1+q^3)...(1+q^(2n-1)) (1+q)^n)``,
     exactly; ``G*_{2n}(1) = E_{2n}``, the classical secant number."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    quot = exact_div(e_star(n), _even_odd_poch(n))
+    quot = _div_one_plus_q_powers(e_star(n), [*range(1, 2 * n, 2)] + [1] * n)
     if isinstance(quot, NotDivisible):
         raise ArithmeticError(f"E*_{2*n} not divisible by its odd-Pochhammer factor")
     return quot

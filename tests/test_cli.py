@@ -2,11 +2,13 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from qeuler import eulerian
 from qeuler.cli import (
+    CONJECTURE_MAX_N,
     DEFAULT_POINTS,
     SUITES,
     main,
@@ -284,6 +286,38 @@ def test_verify_usage_errors_exit_2(args):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+OVER_LIMIT_ARGVS = [
+    *[("verify", name, "--max-n", str(suite.max_n_limit + 1)) for name, suite in SUITES.items()],
+    ("verify", "all", "--max-n", str(min(s.max_n_limit for s in SUITES.values()) + 1)),
+    ("verify", "series", "--max-n", "1000000", "--format", "json"),
+    ("conjecture", "--max-n", str(CONJECTURE_MAX_N + 1)),
+    ("conjecture", "--max-n", "-1"),
+]
+
+
+@pytest.mark.parametrize("args", OVER_LIMIT_ARGVS, ids=lambda a: " ".join(a))
+def test_max_n_limits_exit_2(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "--max-n" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_benchmark_argvs_within_max_n_limits():
+    digests = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+    argvs = [a.split() for a in json.loads(digests.read_text())]
+    checked = 0
+    for argv in argvs:
+        if argv[0] not in ("verify", "conjecture"):
+            continue
+        n = int(argv[argv.index("--max-n") + 1])
+        limit = SUITES[argv[1]].max_n_limit if argv[0] == "verify" else CONJECTURE_MAX_N
+        assert n <= limit, argv
+        checked += 1
+    assert checked > 0
 
 
 def test_verify_smallest_bounds_still_check():

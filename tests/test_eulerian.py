@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from qeuler import eulerian
 from qeuler.eulerian import (
     Triangle,
     basis_change_A,
@@ -141,6 +142,58 @@ def test_series_oracle_window_validation():
         carlitz_series_oracle(3, tdeg_window=2)
     with pytest.raises(ValueError):
         typeB_series_oracle(3, tdeg_window=3)
+
+
+# The dense oracle bodies: a schoolbook TQPoly product of the Pochhammer
+# polynomial and the series, with square-and-multiply powers.
+def dense_carlitz_series_oracle(n, W):
+    series = TQPoly([q_int(k + 1) ** n for k in range(W + 1)])
+    prod = poch_t(0, n + 1, sign=+1) * series
+    assert all(prod.coeff(j).is_zero() for j in range(n, W + 1))
+    return TQPoly(prod.terms[:n])
+
+
+def dense_typeB_series_oracle(n, W):
+    series = TQPoly([q_int(2 * k + 1) ** n for k in range(W + 1)])
+    prod = poch_t(0, n + 1, sign=+1, step=2) * series
+    assert all(prod.coeff(j).is_zero() for j in range(n + 1, W + 1))
+    return TQPoly(prod.terms[: n + 1])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_carlitz_series_oracle_matches_dense_product(n):
+    assert carlitz_series_oracle(n) == dense_carlitz_series_oracle(n, 2 * n)
+    assert carlitz_series_oracle(n, 3 * n + 2) == dense_carlitz_series_oracle(n, 3 * n + 2)
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_typeB_series_oracle_matches_dense_product(n):
+    W = max(2 * n, n + 1)
+    assert typeB_series_oracle(n) == dense_typeB_series_oracle(n, W)
+    assert typeB_series_oracle(n, 3 * n + 3) == dense_typeB_series_oracle(n, 3 * n + 3)
+
+
+@pytest.mark.parametrize(
+    "oracle, n, m",
+    [
+        (carlitz_series_oracle, 5, 1),
+        (carlitz_series_oracle, 5, 3),
+        (carlitz_series_oracle, 5, 11),
+        (typeB_series_oracle, 4, 1),
+        (typeB_series_oracle, 4, 5),
+        (typeB_series_oracle, 4, 17),
+    ],
+    ids=lambda a: getattr(a, "__name__", str(a)),
+)
+def test_series_oracle_catches_a_wrong_column(monkeypatch, oracle, n, m):
+    # one series column [m]^n off by q^0: the product gains the Pochhammer
+    # polynomial shifted to that column, which reaches the checked tail
+    power = eulerian._q_int_power
+    monkeypatch.setattr(
+        eulerian, "_q_int_power", lambda m_, n_: power(m_, n_) + (1 if m_ == m else 0)
+    )
+    with pytest.raises(ArithmeticError, match="series tail nonzero"):
+        oracle(n)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from qeuler.qring import (
     QLaurent,
     QPoly,
     TQPoly,
+    _div_one_plus_q_powers,
+    _div_one_plus_t_q_power,
     eval_rat,
     exact_div,
     is_nonneg,
@@ -386,3 +388,43 @@ def test_mul_q_int_rejects_negative_arguments():
         P(1).mul_q_int(-1)
     with pytest.raises(ValueError):
         P(1).mul_q_int(2, step=-1)
+
+
+# ---------------------------------------------------------------------------
+# quotients by 1 + q^e and 1 + t q^e against exact_div
+# ---------------------------------------------------------------------------
+
+
+@given(signed_polys, st.lists(st.integers(1, 12), max_size=4))
+def test_div_one_plus_q_powers_matches_exact_div(p, exps):
+    divisor = P(1)
+    for e in exps:
+        divisor = divisor * (P(1) + QPoly.monomial(e))
+    assert _div_one_plus_q_powers(p * divisor, exps) == exact_div(p * divisor, divisor)
+
+
+@given(small_polys, st.integers(1, 12))
+def test_div_one_plus_q_powers_agrees_on_divisibility(p, e):
+    assert _div_one_plus_q_powers(p, [e]) == exact_div(p, P(1) + QPoly.monomial(e))
+
+
+def test_div_one_plus_q_powers_rejects_other_factors():
+    assert _div_one_plus_q_powers(P(1, 0, 1), [1]) is NOT_DIVISIBLE
+    assert _div_one_plus_q_powers(P(1, 1), [2]) is NOT_DIVISIBLE
+    assert _div_one_plus_q_powers(P(1, 1), [1, 1]) is NOT_DIVISIBLE
+    assert _div_one_plus_q_powers(P(1), [1]) is NOT_DIVISIBLE
+    assert _div_one_plus_q_powers(P(0, 1, 1), [1]) == P(0, 1)
+    assert _div_one_plus_q_powers(P(), [1, 2]) == P()
+
+
+tq_polys = st.lists(
+    st.builds(QLaurent, small_polys, st.integers(-3, 3)), max_size=6
+).map(TQPoly)
+
+
+@given(tq_polys, st.integers(0, 6), st.booleans())
+def test_div_one_plus_t_q_power_matches_exact_div(p, e, multiply):
+    d = TQPoly([1, QLaurent.q_power(e)])
+    if multiply:
+        p = p * d
+    assert _div_one_plus_t_q_power(p, e) == exact_div(p, d)

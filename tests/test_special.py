@@ -2,8 +2,20 @@ from fractions import Fraction
 
 import pytest
 
+from qeuler import eulerian, special
+from qeuler.cli import run_suite
 from qeuler.eulerian import carlitz_poly, gamma_a_entry, gamma_b_entry
-from qeuler.qring import QLaurent, QPoly, TQPoly, is_nonneg, spec_q1
+from qeuler.qring import (
+    NOT_DIVISIBLE,
+    QLaurent,
+    QPoly,
+    TQPoly,
+    exact_div,
+    is_nonneg,
+    poch_num,
+    q_int,
+    spec_q1,
+)
 from qeuler.special import (
     a_star,
     b_central,
@@ -245,3 +257,72 @@ def test_negative_n_rejected():
         d_poly(0)
     with pytest.raises(ValueError):
         even_quotient(0)
+
+
+# ---------------------------------------------------------------------------
+# structured quotients: exact_div is the reference, a wrong dividend raises,
+# and no product of two multi-term operands is made
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_d_poly_matches_exact_div(n):
+    divisor = poch_num(QLaurent.q_power(1, -1), n).to_qpoly()
+    assert d_poly(n) == exact_div(q_tangent(n), divisor)
+
+
+@pytest.mark.parametrize("n", range(0, 13))
+def test_g_star_matches_exact_div(n):
+    divisor = poch_num(QLaurent.q_power(1, -1), n, step=2) * P(1, 1) ** n
+    assert g_star(n) == exact_div(e_star(n), divisor.to_qpoly())
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_even_quotient_matches_exact_div(n):
+    expected = exact_div(carlitz_poly(2 * n), TQPoly([1, QLaurent.q_power(n)]))
+    assert expected is not NOT_DIVISIBLE
+    assert even_quotient(n) == expected
+
+
+@pytest.mark.parametrize(
+    "fn, dividend, n",
+    [(d_poly, "q_tangent", 4), (g_star, "e_star", 3), (even_quotient, "carlitz_poly", 3)],
+    ids=["d_poly", "g_star", "even_quotient"],
+)
+def test_quotient_of_a_wrong_dividend_raises(monkeypatch, fn, dividend, n):
+    original = getattr(special, dividend)
+    monkeypatch.setattr(special, dividend, lambda m: original(m) + 1)
+    with pytest.raises(ArithmeticError, match="not divisible"):
+        fn(n)
+
+
+def _monomials(x):
+    if isinstance(x, int):
+        return 1 if x else 0
+    if isinstance(x, QPoly):
+        return len(x.coeffs) - x.coeffs.count(0)
+    if isinstance(x, QLaurent):
+        return _monomials(x.base)
+    return sum(_monomials(c) for c in x.terms)
+
+
+def test_series_and_quotients_make_no_dense_product(monkeypatch):
+    dense = []
+    for cls in (QPoly, TQPoly):
+
+        def counted(self, other, mul=cls.__mul__):
+            if _monomials(self) > 1 and _monomials(other) > 1:
+                dense.append((self, other))
+            return mul(self, other)
+
+        monkeypatch.setattr(cls, "__mul__", counted)
+        monkeypatch.setattr(cls, "__rmul__", counted)
+    eulerian._carlitz_row.cache_clear()
+    eulerian._typeB_row.cache_clear()
+    assert run_suite("series", 10).ok
+    d_poly(13)
+    g_star(13)
+    even_quotient(6)
+    assert dense == []
+    q_int(3) * q_int(2)  # the counter sees a dense product
+    assert len(dense) == 1

@@ -199,7 +199,7 @@ def _secant(n):
     central = gamma_b_entry(2 * n, n)
     yield f"b_central({n}) == b[{2*n},{n}]", special.b_central(n) == central
     yield f"E*_{2*n} q^{n*n} == b[{2*n},{n}]", (
-        QLaurent(special.e_star(n)) * QLaurent.q_power(n * n) == QLaurent(central)
+        QLaurent(special.e_star(n)).shift(n * n) == QLaurent(central)
     )
     g = special.g_star(n)
     e2n = special.secant_number(n)
@@ -291,10 +291,11 @@ def parse_bfile(text: str) -> list[int]:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed b-file line: {line!r}")
-        values.append(int(parts[1]))
+        try:
+            _, value = line.split()
+            values.append(int(value))
+        except ValueError:
+            raise ValueError(f"malformed b-file line: {line!r}") from None
     return values
 
 
@@ -488,12 +489,19 @@ def cmd_conjecture(args, parser) -> int:
 def cmd_oeis_check(args, parser) -> int:
     if not 1 <= args.max_n <= TABLE_MAX_N:
         parser.error(f"--max-n must be in 1..{TABLE_MAX_N}")
+    if args.skip < 0:
+        parser.error("--skip must be >= 0")
     path = Path(args.fixture) if args.fixture else default_fixture_path(args.sequence)
     if args.refresh:
         refresh_fixture(args.sequence, path)
     if not path.exists():
         parser.error(f"fixture file not found: {path}")
-    report = run_oeis_check(args.sequence, args.max_n, path.read_text(), skip=args.skip)
+    try:
+        text = path.read_text()
+        parse_bfile(text)
+    except (OSError, ValueError) as exc:
+        parser.error(f"unreadable fixture {path}: {exc}")
+    report = run_oeis_check(args.sequence, args.max_n, text, skip=args.skip)
     if args.format == "json":
         print(json.dumps(report.to_dict(), separators=(", ", ": ")))
     else:

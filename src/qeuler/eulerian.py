@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import dataclasses
 from functools import lru_cache
-from operator import sub
 from typing import Callable
 
 from .qring import (
@@ -266,27 +265,20 @@ def _q_int_power(m: int, n: int) -> QPoly:
     return p
 
 
-def _sub_coeffs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """The trimmed coefficients of ``a - b`` in one pass (``(0,) * m`` is
-    empty for ``m <= 0``, so only the shorter side is padded)."""
-    return QPoly(map(sub, a + (0,) * (len(b) - len(a)), b + (0,) * (len(a) - len(b)))).coeffs
-
-
 def _series_oracle(n: int, W: int, step: int, keep: int) -> TQPoly:
     """Truncate ``(t;q^step)_{n+1} * sum_{k=0}^{W} [step*k+1]^n t^k`` at
     ``t^W``, demand that every t-coefficient from ``keep`` through ``W``
     vanishes, and return the ones below.  Each Pochhammer factor
     ``1 - t q^e`` maps column ``c_d`` to ``c_d - q^e c_(d-1)``, walking ``d``
     downwards, so no two polynomials are ever multiplied."""
-    cols = [_q_int_power(step * k + 1, n).coeffs for k in range(W + 1)]
+    cols = [_q_int_power(step * k + 1, n) for k in range(W + 1)]
     for j in range(n + 1):
-        pad = (0,) * (step * j)
         for d in range(W, 0, -1):
-            cols[d] = _sub_coeffs(cols[d], pad + cols[d - 1])
+            cols[d] = cols[d] - cols[d - 1].shift(step * j)
     for j in range(keep, W + 1):
         if cols[j]:
             raise ArithmeticError(f"series tail nonzero at t^{j} (n={n})")
-    return TQPoly(map(QPoly, cols[:keep]))
+    return TQPoly(cols[:keep])
 
 
 def carlitz_series_oracle(n: int, tdeg_window: int | None = None) -> TQPoly:
@@ -425,7 +417,7 @@ def q_int_ext(m: int, step: int = 1) -> QLaurent:
     integers ``m``; for ``m < 0`` this is ``-q^(step*m) [\\,-m\\,]``."""
     if m >= 0:
         return QLaurent(q_int(m, step=step))
-    return QLaurent(q_int(-m, step=step), step * m) * -1
+    return -QLaurent(q_int(-m, step=step)).shift(step * m)
 
 
 def bracket_identity_A(n: int, k: int, s: int) -> bool:

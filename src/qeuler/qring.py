@@ -23,7 +23,7 @@ import dataclasses
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from operator import sub
+from operator import add, sub
 from typing import Iterable, Sequence, Union
 
 Rat = Fraction
@@ -178,7 +178,13 @@ class QPoly:
         return QPoly(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: int | QPoly) -> QPoly:
-        return self + (-other)
+        if isinstance(other, int):
+            other = QPoly((other,))
+        if not isinstance(other, QPoly):
+            return NotImplemented  # the richer type's __rsub__ runs
+        a, b = self.coeffs, other.coeffs
+        # ``(0,) * m`` is empty for ``m <= 0``: only the shorter side is padded
+        return QPoly(map(sub, a + (0,) * (len(b) - len(a)), b + (0,) * (len(a) - len(b))))
 
     def __rsub__(self, other: int) -> QPoly:
         return (-self) + other
@@ -305,6 +311,16 @@ class QLaurent:
     def degree(self) -> int:
         return self.offset + self.base.degree()
 
+    def shift(self, e: int) -> QLaurent:
+        """Multiply by ``q^e`` for any integer ``e``: only the offset moves.
+
+        >>> QLaurent(QPoly([1, 1])).shift(-2)
+        QLaurent('q^-2 + q^-1')
+        """
+        if e == 0 or self.is_zero():
+            return self
+        return QLaurent(self.base, self.offset + e)
+
     def to_qpoly(self) -> QPoly:
         """Lossless conversion; requires ``offset >= 0``.
 
@@ -321,6 +337,8 @@ class QLaurent:
         return not self.is_zero()
 
     def __add__(self, other: int | QPoly | QLaurent) -> QLaurent:
+        if isinstance(other, TQPoly):
+            return NotImplemented
         other = QLaurent.coerce(other)
         if self.is_zero():
             return other
@@ -338,6 +356,8 @@ class QLaurent:
         return QLaurent(-self.base, self.offset)
 
     def __sub__(self, other: int | QPoly | QLaurent) -> QLaurent:
+        if isinstance(other, TQPoly):
+            return NotImplemented
         return self + (-QLaurent.coerce(other))
 
     def __rsub__(self, other: int | QPoly) -> QLaurent:
@@ -598,7 +618,7 @@ def poch_num(a: int | QPoly | QLaurent, m: int, step: int = 1) -> QLaurent:
     a = QLaurent.coerce(a)
     out = QLaurent.one()
     for j in range(m):
-        out = out * (QLaurent.one() - a * QLaurent.q_power(step * j))
+        out = out * (QLaurent.one() - a.shift(step * j))
     return out
 
 
@@ -646,17 +666,24 @@ def subst_q_recip(p: QPoly | QLaurent) -> QLaurent:
 
 
 def subst_t_signed_power(p: TQPoly, sign: int, e: int) -> QLaurent:
-    """Substitute ``t -> sign * q^e`` into ``p``, exactly.
+    """Substitute ``t -> sign * q^e`` into ``p``, exactly, in one pass over
+    the coefficients and with no product.
 
     >>> subst_t_signed_power(TQPoly([1, QPoly([0, 1])]), -1, -1)   # 1+qt at t=-1/q
     QLaurent('0')
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    acc = QLaurent.zero()
-    for d, c in enumerate(p.terms):
-        acc = acc + c * QLaurent.q_power(e * d, sign**d)
-    return acc
+    # ``sign^d c_d q^(e*d)`` is ``c_d``'s coefficients from exponent
+    # ``c_d.offset + e*d``, added or (for sign^d = -1) subtracted in place.
+    terms = [(c.offset + e * d, c.base.coeffs, sub if sign**d < 0 else add)
+             for d, c in enumerate(p.terms) if c]
+    low = min((off for off, _, _ in terms), default=0)
+    out = [0] * max((off + len(cs) - low for off, cs, _ in terms), default=0)
+    for off, cs, op in terms:
+        i = off - low
+        out[i:i + len(cs)] = map(op, out[i:i + len(cs)], cs)
+    return QLaurent(QPoly(out), low)
 
 
 # ---------------------------------------------------------------------------
@@ -758,7 +785,7 @@ def _div_one_plus_t_q_power(p: TQPoly, e: int) -> TQPoly | NotDivisible:
     c = QLaurent.zero()
     quot = []
     for pd in p.terms:
-        c = pd - QLaurent(c.base, c.offset + e)
+        c = pd - c.shift(e)
         quot.append(c)
     if quot and not quot.pop().is_zero():
         return NOT_DIVISIBLE

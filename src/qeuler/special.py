@@ -40,6 +40,12 @@ def _as_poly(value: QLaurent, what: str) -> QPoly:
         raise ArithmeticError(f"{what} is not a polynomial: {exc}") from None
 
 
+def _signed_value(p: TQPoly, n: int, E: int, e: int, what: str) -> QPoly:
+    """``(-1)^n q^E p(-q^(-e), q)``, which must be a polynomial."""
+    value = subst_t_signed_power(p, -1, -e).shift(E)
+    return _as_poly(-value if n % 2 else value, what)
+
+
 def q_tangent(n: int) -> QPoly:
     """The q-tangent number ``T_{2n+1}(q) = (-1)^n q^C(n,2) A_{2n+1}(-q^-n, q)``,
     a polynomial with nonnegative integer coefficients.
@@ -48,9 +54,7 @@ def q_tangent(n: int) -> QPoly:
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    sub = subst_t_signed_power(carlitz_poly(2 * n + 1), -1, -n)
-    value = QLaurent.q_power(n * (n - 1) // 2, (-1) ** n) * sub
-    poly = _as_poly(value, f"T_{2*n+1}")
+    poly = _signed_value(carlitz_poly(2 * n + 1), n, n * (n - 1) // 2, n, f"T_{2*n+1}")
     if not is_nonneg(poly):
         raise ArithmeticError(f"T_{2*n+1} has a negative coefficient: {poly!r}")
     return poly
@@ -67,7 +71,7 @@ def a_star(n: int, k: int) -> QPoly:
     """
     if k not in FAMILIES["a"].krange(n):
         raise ValueError(f"need 1 <= k <= (n+1)//2, got k={k}, n={n}")
-    value = QLaurent.q_power(-(k * (k - 1) // 2)) * gamma_a_entry(n, k)
+    value = QLaurent(gamma_a_entry(n, k)).shift(-(k * (k - 1) // 2))
     return _as_poly(value, f"a*[{n},{k}]")
 
 
@@ -169,8 +173,7 @@ def b_central(n: int) -> QPoly:
     gamma coefficient ``b[2n,n](q)``."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    sub = subst_t_signed_power(typeB_poly(2 * n), -1, -(2 * n + 1))
-    return _as_poly(QLaurent.q_power(n * (2 * n + 1), (-1) ** n) * sub, f"b[{2*n},{n}]")
+    return _signed_value(typeB_poly(2 * n), n, n * (2 * n + 1), 2 * n + 1, f"b[{2*n},{n}]")
 
 
 def e_star(n: int) -> QPoly:
@@ -178,8 +181,7 @@ def e_star(n: int) -> QPoly:
     satisfies ``E*_{2n}(q) = q^(-n^2) b[2n,n](q)`` and ``E*_{2n}(1) = 4^n E_{2n}``."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    sub = subst_t_signed_power(typeB_poly(2 * n), -1, -(2 * n + 1))
-    return _as_poly(QLaurent.q_power(n * (n + 1), (-1) ** n) * sub, f"E*_{2*n}")
+    return _signed_value(typeB_poly(2 * n), n, n * (n + 1), 2 * n + 1, f"E*_{2*n}")
 
 
 def g_star(n: int) -> QPoly:
@@ -226,8 +228,7 @@ def e_q_secant(n: int) -> QPoly:
     """The alternative q-secant ``E_{2n}(q) = (-1)^n q^(n^2) B_{2n}(-q^(-2n), q)``."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    sub = subst_t_signed_power(typeB_poly(2 * n), -1, -2 * n)
-    return _as_poly(QLaurent.q_power(n * n, (-1) ** n) * sub, f"E_{2*n}(q)")
+    return _signed_value(typeB_poly(2 * n), n, n * n, 2 * n, f"E_{2*n}(q)")
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,9 @@ def reciprocity_A(n: int) -> bool:
     """``A[n, n-k+1](q) == q^(n(n-1)/2) A[n,k](1/q)`` for every k, exactly."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    shift = QLaurent.q_power(n * (n - 1) // 2)
+    e = n * (n - 1) // 2
     return all(
-        QLaurent(carlitz_entry(n, n - k + 1)) == shift * subst_q_recip(carlitz_entry(n, k))
+        QLaurent(carlitz_entry(n, n - k + 1)) == subst_q_recip(carlitz_entry(n, k)).shift(e)
         for k in FAMILIES["A"].krange(n)
     )
 
@@ -35,9 +35,8 @@ def reciprocity_B(n: int) -> bool:
     """``B[n, n-k](q) == q^(n^2) B[n,k](1/q)`` for every k, exactly."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    shift = QLaurent.q_power(n * n)
     return all(
-        QLaurent(typeB_entry(n, n - k)) == shift * subst_q_recip(typeB_entry(n, k))
+        QLaurent(typeB_entry(n, n - k)) == subst_q_recip(typeB_entry(n, k)).shift(n * n)
         for k in FAMILIES["B"].krange(n)
     )
 

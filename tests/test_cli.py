@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -320,6 +321,22 @@ def test_benchmark_argvs_within_max_n_limits():
     assert checked > 0
 
 
+def test_benchmark_tracer_finds_every_wrapped_name():
+    # perfbench/tracing.py wraps package functions and kernel methods by
+    # name; a rename would leave a traced benchmark run without its layer.
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import qeuler, tracing\n"
+        "tracer = tracing.Tracer()\n"
+        "tracing.install(tracer, qeuler)\n"
+        "print(tracer.missing)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "perfbench")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_verify_smallest_bounds_still_check():
     proc = run_cli("verify", "series", "--max-n", "0")
     assert proc.returncode == 0
@@ -434,6 +451,26 @@ def test_oeis_check_short_fixture_fails_before_building_rows(capsys):
 def test_oeis_check_missing_fixture_usage_error(tmp_path):
     proc = run_cli("oeis-check", "A101280", "--fixture", str(tmp_path / "nope.txt"))
     assert proc.returncode == 2
+
+
+BAD_FIXTURES = {"bad value": "1 1\n2 x\n", "three columns": "1 1 1\n"}
+
+
+@pytest.mark.parametrize("case", ["negative skip", *BAD_FIXTURES, "directory"])
+def test_oeis_check_bad_input_exits_2(tmp_path, case):
+    args = ["oeis-check", "A101280", "--max-n", "3"]
+    if case == "negative skip":
+        args += ["--skip", "-5"]
+    elif case == "directory":
+        args += ["--fixture", str(tmp_path)]
+    else:
+        path = tmp_path / "fixture.txt"
+        path.write_text(BAD_FIXTURES[case])
+        args += ["--fixture", str(path)]
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
 
 
 def test_oeis_check_skip_alignment(tmp_path):

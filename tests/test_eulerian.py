@@ -1,6 +1,8 @@
+import itertools
 import math
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -120,6 +122,49 @@ def test_typeB_entries():
     assert typeB_entry(0, 0) == P(1)
     assert typeB_poly(1) == TQPoly([1, P(0, 1)])
     assert typeB_entry(2, 1) == P(0, 2, 2, 2)
+
+
+# ---------------------------------------------------------------------------
+# statistic oracles: the generating functions of (des, maj) over S_n and of
+# (des_B, fmaj) over the signed permutations B_n, enumerated directly
+# ---------------------------------------------------------------------------
+
+
+def _descent_positions(word):
+    """1-based positions i with word[i] > word[i+1] (1-based indexing)."""
+    return [i for i in range(1, len(word)) if word[i - 1] > word[i]]
+
+
+def _tally(pairs):
+    """``sum t^a q^b`` over the (a, b) pairs."""
+    count = Counter(pairs)
+    top_a, top_b = max(a for a, _ in count), max(b for _, b in count)
+    return TQPoly([QPoly([count[a, b] for b in range(top_b + 1)]) for a in range(top_a + 1)])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_carlitz_poly_is_des_maj_distribution(n):
+    # Carlitz: A_n(t,q) = sum over S_n of t^des q^maj
+    pairs = []
+    for sigma in itertools.permutations(range(1, n + 1)):
+        desc = _descent_positions(sigma)
+        pairs.append((len(desc), sum(desc)))
+    assert carlitz_poly(n) == _tally(pairs)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_typeB_poly_is_desB_fmaj_distribution(n):
+    # Chow-Gessel: B_n(t,q) = sum over B_n of t^des_B q^fmaj, where des_B
+    # counts the descents of 0, pi(1), ..., pi(n) and fmaj = 2 maj + neg,
+    # maj summing the descent positions of pi(1..n) alone
+    pairs = []
+    for sigma in itertools.permutations(range(1, n + 1)):
+        for signs in itertools.product((1, -1), repeat=n):
+            pi = tuple(s * v for s, v in zip(signs, sigma))
+            des_b = len(_descent_positions((0,) + pi))
+            fmaj = 2 * sum(_descent_positions(pi)) + signs.count(-1)
+            pairs.append((des_b, fmaj))
+    assert typeB_poly(n) == _tally(pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import operator
 import random
 import subprocess
 import sys
@@ -219,6 +220,30 @@ def test_subst_q_recip_involution():
         assert subst_q_recip(subst_q_recip(p)) == QLaurent(p)
 
 
+def _accumulated_subst(p, sign, e):
+    # Reference: the substitution as a sum of products, each t-coefficient
+    # times the monomial ``sign^d q^(e*d)`` added into one accumulator.
+    acc = QLaurent.zero()
+    for d, c in enumerate(p.terms):
+        acc = acc + c * QLaurent.q_power(e * d, sign**d)
+    return acc
+
+
+laurents = st.builds(
+    QLaurent, st.lists(st.integers(-50, 50), max_size=10).map(QPoly), st.integers(-8, 8)
+)
+laurent_terms = st.one_of(st.just(QLaurent.zero()), laurents)
+
+
+@given(
+    st.lists(laurent_terms, max_size=8).map(TQPoly), st.sampled_from([1, -1]), st.integers(-8, 8)
+)
+def test_subst_t_signed_power_matches_accumulated_products(p, sign, e):
+    got = subst_t_signed_power(p, sign, e)
+    assert repr(got) == repr(_accumulated_subst(p, sign, e))
+    assert got == _accumulated_subst(p, sign, e)
+
+
 def test_subst_t_signed_power():
     b2 = TQPoly([1, P(0, 1, 0, 1), QPoly.monomial(4)])  # 1 + (q+q^3)t + q^4 t^2
     got = subst_t_signed_power(b2, -1, -2)
@@ -368,6 +393,59 @@ def test_ring_axioms_random(make, seed):
         assert p * (r + s) == p * r + p * s
         assert p + (-p) == zero
         assert p - r == p + (-r)
+
+
+# ---------------------------------------------------------------------------
+# shifts, subtraction and mixed-type operators
+# ---------------------------------------------------------------------------
+
+@given(laurents, st.integers(-12, 12))
+def test_laurent_shift_is_monomial_product(x, e):
+    assert x.shift(e) == x * QLaurent.q_power(e)
+    assert repr(x.shift(e)) == repr(x * QLaurent.q_power(e))
+
+
+def test_shift_of_zero_is_canonical_zero():
+    for e in (-3, 0, 4):
+        z = QLaurent.zero().shift(e)
+        assert (z.base, z.offset) == (QPoly(), 0)
+        assert z == QLaurent.zero()
+
+
+poly_or_int = st.one_of(st.integers(-(10**20), 10**20), small_polys)
+
+
+@given(poly_or_int, poly_or_int)
+def test_qpoly_sub_is_add_of_negation(a, b):
+    if isinstance(a, int) and isinstance(b, int):
+        a = QPoly((a,))
+    assert a - b == a + (-b)
+    assert isinstance(a - b, QPoly)
+
+
+# A nonzero and a zero sample of each operand type, richest type last.  The
+# table also covers the reflected QPoly - QLaurent and QPoly - TQPoly.
+OPERAND_SAMPLES = {
+    int: (3, 0),
+    QPoly: (P(1, 2), P()),
+    QLaurent: (QLaurent(P(1, -1), -2), QLaurent()),
+    TQPoly: (TQPoly([1, QLaurent(P(0, 1), -1)]), TQPoly()),
+}
+RANK = list(OPERAND_SAMPLES)
+OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+@pytest.mark.parametrize("op", list(OPS))
+@pytest.mark.parametrize("left", RANK, ids=lambda t: t.__name__)
+@pytest.mark.parametrize("right", RANK, ids=lambda t: t.__name__)
+def test_mixed_operators_return_richer_type(left, right, op):
+    fn = OPS[op]
+    want = max(left, right, key=RANK.index)
+    for a in OPERAND_SAMPLES[left]:
+        for b in OPERAND_SAMPLES[right]:
+            got = fn(a, b)
+            assert type(got) is want, (a, op, b, got)
+            assert TQPoly.coerce(got) == fn(TQPoly.coerce(a), TQPoly.coerce(b)), (a, op, b)
 
 
 # ---------------------------------------------------------------------------

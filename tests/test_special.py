@@ -33,6 +33,7 @@ from qeuler.special import (
     verify_d_identity,
     verify_gstar_identity,
 )
+from qeuler.unimodality import reciprocity_A, reciprocity_B
 
 
 def P(*coeffs):
@@ -326,3 +327,37 @@ def test_series_and_quotients_make_no_dense_product(monkeypatch):
     assert dense == []
     q_int(3) * q_int(2)  # the counter sees a dense product
     assert len(dense) == 1
+
+
+def _signed_families(n):
+    # every family that scales by +-q^e or substitutes t -> +-q^e, with rows warm
+    q_tangent(n)
+    d_poly(n + 1)
+    e_star(n)
+    g_star(n)
+    b_central(n)
+    e_q_secant(n)
+    assert b_odd_vanish(n)
+    for k in eulerian.FAMILIES["a"].krange(2 * n + 1):
+        a_star(2 * n + 1, k)
+    assert reciprocity_A(2 * n + 1)
+    assert reciprocity_B(2 * n)
+
+
+def test_signed_families_make_no_product(monkeypatch):
+    calls = []
+    for n in range(8):
+        _signed_families(n)  # warms the rows
+    for cls in (QPoly, QLaurent):
+
+        def counted(self, other, mul=cls.__mul__):
+            calls.append((self, other))
+            return mul(self, other)
+
+        monkeypatch.setattr(cls, "__mul__", counted)
+        monkeypatch.setattr(cls, "__rmul__", counted)
+    for n in range(8):
+        _signed_families(n)
+    assert calls == []
+    QLaurent.one() * 2  # the counter sees this product and the QPoly one inside it
+    assert len(calls) == 2

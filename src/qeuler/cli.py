@@ -209,11 +209,12 @@ def _secant(n):
 
 def _doubloon(n):
     gf = doubloon.interlaced_gf(n)
-    yield (
-        f"interlaced gf order {2*n+1} == a[{2*n+1},{n+1}]",
-        gf == gamma_a_entry(2 * n + 1, n + 1),
-        f"count={spec_q1(gf)}",
-    )
+    want = gamma_a_entry(2 * n + 1, n + 1)
+    detail = f"count={spec_q1(gf)}"
+    if gf != want:
+        i = next(i for i in range(max(len(gf.coeffs), len(want.coeffs))) if gf[i] != want[i])
+        detail += f"; first difference at q^{i}: expected {want[i]}, got {gf[i]}"
+    yield f"interlaced gf order {2*n+1} == a[{2*n+1},{n+1}]", gf == want, detail
 
 
 def _monotone(q0, n):
@@ -223,12 +224,12 @@ def _monotone(q0, n):
 
 # Each suite's default --max-n, its --max-n limit and its blocks, in report
 # order.  The caps bound the checks whose cost explodes with n: the d_n and
-# G* rational identities, and the (2n+1)! doubloon enumeration (order 9 at
-# most), so the doubloon suite costs the same at any --max-n from 4 on.  At
-# each limit a cold run takes about 10 s or less and at most 0.25 GB on a
-# 2 vCPU VM: series 5.0 s, expansionA 6.4 s, expansionB 5.7 s, tangent
-# 4.3 s / 232 MB, secant 2.8 s, monotone 3.2 s, brackets 5.9 s,
-# reciprocity 2.0 s / 138 MB, doubloon 1.8 s.
+# G* rational identities, and the doubloon enumeration, whose leaves are the
+# tangent numbers (order 9 at most), so the doubloon suite costs the same at
+# any --max-n from 4 on.  At each limit a cold run takes about 10 s or less
+# and at most 0.25 GB on a 2 vCPU VM: series 5.0 s, expansionA 6.4 s,
+# expansionB 5.7 s, tangent 4.3 s / 232 MB, secant 2.8 s, monotone 3.2 s,
+# brackets 5.9 s, reciprocity 2.0 s / 138 MB, doubloon 0.13 s.
 SUITES = {
     "expansionA": Suite(14, 35, (Block(1, _expansion_A),)),
     "expansionB": Suite(14, 30, (Block(1, _expansion_B),)),

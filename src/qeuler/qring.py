@@ -240,15 +240,22 @@ class QPoly:
         return _mul_q_ratio(self, step * m, step)
 
     def __call__(self, x: RatLike) -> Fraction:
-        """Exact evaluation by Horner's rule.
+        """Exact evaluation at ``x = a/b`` in Z: homogeneous Horner builds
+        ``N = sum c_i a^i b^(d-i)`` with a running ``b^(d-i)``, and the value
+        is the one fraction ``N / b^d``.
 
         >>> QPoly([1, 1])(Fraction(1, 2))
         Fraction(3, 2)
+        >>> QPoly([1, 0, 2])(-3)
+        Fraction(19, 1)
         """
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        a, b = x.numerator, x.denominator
+        coeffs = reversed(self.coeffs)
+        acc, power = next(coeffs, 0), 1
+        for c in coeffs:
+            power *= b
+            acc = acc * a + c * power
+        return Fraction(acc, power)
 
     def __repr__(self) -> str:
         return f"QPoly('{self._fmt()}')"

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qeuler import eulerian
+from qeuler import doubloon, eulerian
 from qeuler.cli import (
     CONJECTURE_MAX_N,
     DEFAULT_POINTS,
@@ -237,6 +237,18 @@ def test_verify_doubloon_counts():
     assert proc.returncode == 0
     assert "count=2" in proc.stdout
     assert "count=16" in proc.stdout
+
+
+def test_doubloon_failure_names_the_first_difference(monkeypatch):
+    original = doubloon.interlaced_gf
+    monkeypatch.setattr(doubloon, "interlaced_gf", lambda n: original(n) + 1)
+    report = run_suite("doubloon", 2)
+    assert not report.ok
+    bad = report.items[-1]
+    assert bad.name == "interlaced gf order 5 == a[5,3]"
+    assert bad.detail == "count=17; first difference at q^0: expected 0, got 1"
+    monkeypatch.undo()
+    assert run_suite("doubloon", 2).items[-1].detail == "count=16"
 
 
 def test_verify_monotone_with_points():

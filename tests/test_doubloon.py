@@ -3,6 +3,8 @@ import doctest
 import pytest
 
 import qeuler.doubloon
+from qeuler import eulerian
+from qeuler.cli import run_suite
 from qeuler.doubloon import (
     Doubloon,
     cmaj_prime,
@@ -14,6 +16,20 @@ from qeuler.doubloon import (
 )
 from qeuler.eulerian import gamma_a_entry
 from qeuler.qring import QPoly, spec_q1
+
+
+def _brute_gf(n):
+    # the definition, tested on every rooted filling: the reference for the
+    # pruned enumeration in interlaced_gf
+    counts = {}
+    for d in iter_doubloons(n):
+        if is_interlaced(d):
+            stat = cmaj_prime(d)
+            counts[stat] = counts.get(stat, 0) + 1
+    out = [0] * (max(counts) + 1)
+    for stat, c in counts.items():
+        out[stat] = c
+    return QPoly(out)
 
 
 def test_word_statistics():
@@ -68,8 +84,8 @@ def test_interlaced_gf_matches_central_gamma(n):
 
 
 def test_interlaced_counts_at_q1():
-    assert spec_q1(interlaced_gf(1)) == 2
-    assert spec_q1(interlaced_gf(2)) == 16
+    # the tangent numbers
+    assert [spec_q1(interlaced_gf(n)) for n in (1, 2, 3, 4)] == [2, 16, 272, 7936]
 
 
 def test_cmaj_range_within_gamma_support():
@@ -89,8 +105,31 @@ def test_guard_overridable():
 
 
 def test_order9_when_explicitly_enabled():
-    # (2*4+1)! = 362880 candidates; explicit limit raise per the guard contract
+    # 7936 interlaced doubloons; explicit limit raise per the guard contract
     assert interlaced_gf(4, limit=4) == gamma_a_entry(9, 5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pruned_enumeration_matches_brute_force(n):
+    assert interlaced_gf(n) == _brute_gf(n)
+
+
+def test_order11_when_explicitly_enabled():
+    # 353,792 interlaced doubloons, past the default guard
+    assert interlaced_gf(5, limit=5) == gamma_a_entry(11, 6)
+
+
+def test_doubloon_suite_tests_no_candidate(monkeypatch):
+    # the suite enumerates interlaced doubloons only: it neither builds nor
+    # tests the (2n+1)! fillings of the definition
+    def refuse(*args, **kwargs):
+        raise AssertionError("brute-force doubloon enumeration")
+
+    monkeypatch.setattr(qeuler.doubloon, "is_interlaced", refuse)
+    monkeypatch.setattr(qeuler.doubloon, "iter_doubloons", refuse)
+    for row in ("_carlitz_row", "_gamma_a_row"):
+        getattr(eulerian, row).cache_clear()
+    assert run_suite("doubloon", 4).ok
 
 
 def test_doctests():

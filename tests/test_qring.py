@@ -207,6 +207,37 @@ def test_eval_rat():
         eval_rat(QLaurent.q_power(-1), 0)
 
 
+def _fraction_horner(p, x):
+    # the reference: Horner's rule in Fraction arithmetic
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+eval_polys = st.lists(st.integers(-(10**30), 10**30), max_size=61).map(QPoly)
+nonzero_points = st.one_of(
+    st.integers(-(10**6), 10**6).filter(bool),
+    st.builds(Fraction, st.integers(-(10**6), 10**6).filter(bool), st.integers(1, 10**6)),
+)
+eval_points = st.one_of(st.just(0), st.just(Fraction(0)), nonzero_points)
+
+
+@given(eval_polys, eval_points)
+def test_integer_evaluation_matches_fraction_horner(p, x):
+    value = p(x)
+    assert type(value) is Fraction
+    assert value == _fraction_horner(p, x)
+
+
+@given(eval_polys, st.integers(-8, 8), st.data())
+def test_laurent_evaluation_matches_fraction_horner(p, offset, data):
+    x = data.draw(nonzero_points if offset < 0 else eval_points)
+    value = QLaurent(p, offset)(x)
+    assert type(value) is Fraction
+    assert value == _fraction_horner(p, x) * Fraction(x) ** offset
+
+
 def test_subst_q_recip():
     assert subst_q_recip(P(5)) == QLaurent(P(5))
     assert subst_q_recip(P(0, 1, 1)) == QLaurent(P(1, 1), -2)  # q+q^2 -> q^-2+q^-1

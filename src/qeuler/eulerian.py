@@ -420,27 +420,57 @@ def q_int_ext(m: int, step: int = 1) -> QLaurent:
     return -QLaurent(q_int(-m, step=step)).shift(step * m)
 
 
+# The bracket identities are checked with their denominators cleared: since
+# ``[m]_{q^s} = (1 - q^(s m)) / (1 - q^s)`` for every integer ``m``, each side
+# times ``(1 - q)^2`` (type A) or ``(1 - q)(1 - q^2)`` (type B) is a sum of
+# products of binomials ``1 +- q^e``.  ``Z[q, q^-1]`` has no zero divisors, so
+# the cleared identity holds exactly when the bracket identity does.
+
+
+def _binomial_terms(factors: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
+    """The signed monomials ``(e, sign)`` of ``prod (1 + sign_i q^(e_i))``
+    over ``factors = ((sign_i, e_i), ...)``, one per subset of the factors
+    and before any cancellation.
+
+    >>> _binomial_terms(((-1, 2), (1, 3)))          # (1 - q^2)(1 + q^3)
+    [(0, 1), (2, -1), (3, 1), (5, -1)]
+    """
+    terms = [(0, 1)]
+    for sign, e in factors:
+        terms += [(x + e, c * sign) for x, c in terms]
+    return terms
+
+
+def _cancels(lhs, rhs) -> bool:
+    """True when ``sum(lhs) == sum(rhs)``, each side a list of products of
+    binomials given as :func:`_binomial_terms` factors: every exponent has
+    as many ``+`` terms as ``-`` terms on ``lhs - rhs``."""
+    plus, minus = [], []
+    for side, (pos, neg) in ((lhs, (plus, minus)), (rhs, (minus, plus))):
+        for factors in side:
+            for e, c in _binomial_terms(factors):
+                (pos if c > 0 else neg).append(e)
+    return sorted(plus) == sorted(minus)
+
+
 def bracket_identity_A(n: int, k: int, s: int) -> bool:
     """Exact identity behind the type-A gamma recurrence:
     ``[n+1-2s][s] + [n-k-s+1](1+q^s)[k-s] = [k][n-k-s+1] + [n+1-k][k-s]``.
     Brackets with negative arguments take the Laurent extension, so the
     check covers every triple ``1 <= s <= k <= n``."""
-    lhs = q_int_ext(n + 1 - 2 * s) * q_int_ext(s) + q_int_ext(n - k - s + 1) * (
-        QLaurent.one() + QLaurent.q_power(s)
-    ) * q_int_ext(k - s)
-    rhs = q_int_ext(k) * q_int_ext(n - k - s + 1) + q_int_ext(n + 1 - k) * q_int_ext(k - s)
-    return lhs == rhs
+    a, b = n - k - s + 1, k - s
+    return _cancels(
+        [((-1, n + 1 - 2 * s), (-1, s)), ((-1, a), (1, s), (-1, b))],
+        [((-1, k), (-1, a)), ((-1, n + 1 - k), (-1, b))],
+    )
 
 
 def bracket_identity_B(n: int, k: int, s: int) -> bool:
     """Type-B analogue:
     ``[n-2s]_{q^2}[2s+1] + [n-k-s]_{q^2}(1+q)(1+q^(2s+1))[k-s]_{q^2}
       = [2k+1][n-k-s]_{q^2} + [2n+1-2k][k-s]_{q^2}``."""
-    gamma = QLaurent(QPoly([1, 1])) * (QLaurent.one() + QLaurent.q_power(2 * s + 1))
-    lhs = q_int_ext(n - 2 * s, step=2) * q_int_ext(2 * s + 1) + q_int_ext(
-        n - k - s, step=2
-    ) * gamma * q_int_ext(k - s, step=2)
-    rhs = q_int_ext(2 * k + 1) * q_int_ext(n - k - s, step=2) + q_int_ext(
-        2 * n + 1 - 2 * k
-    ) * q_int_ext(k - s, step=2)
-    return lhs == rhs
+    a, b = 2 * (n - k - s), 2 * (k - s)
+    return _cancels(
+        [((-1, 2 * (n - 2 * s)), (-1, 2 * s + 1)), ((-1, a), (1, 2 * s + 1), (-1, b))],
+        [((-1, 2 * k + 1), (-1, a)), ((-1, 2 * n + 1 - 2 * k), (-1, b))],
+    )

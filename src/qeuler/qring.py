@@ -23,7 +23,7 @@ import dataclasses
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from operator import add, sub
+from operator import add, indexOf, sub
 from typing import Iterable, Sequence, Union
 
 Rat = Fraction
@@ -143,12 +143,18 @@ class QPoly:
         """Degree of the polynomial, or -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
+    @staticmethod
+    def _trimmed(coeffs: tuple[int, ...]) -> QPoly:
+        """A ``QPoly`` on a tuple whose last entry is already nonzero (or
+        that is empty), without the copy and trim of ``__init__``."""
+        p = object.__new__(QPoly)
+        p.coeffs = coeffs
+        return p
+
     def valuation(self) -> int:
         """Lowest exponent with nonzero coefficient, or 0 for zero."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return 0
+        # a nonzero QPoly ends in a nonzero coefficient, so the scan finds one
+        return indexOf(map(bool, self.coeffs), True) if self.coeffs else 0
 
     def __getitem__(self, i: int) -> int:
         """Coefficient of ``q^i`` (zero out of range)."""
@@ -165,12 +171,8 @@ class QPoly:
         if not isinstance(other, QPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly(out)
+        # ``(0,) * m`` is empty for ``m <= 0``: only the shorter side is padded
+        return QPoly(map(add, a + (0,) * (len(b) - len(a)), b + (0,) * (len(a) - len(b))))
 
     __radd__ = __add__
 
@@ -183,7 +185,6 @@ class QPoly:
         if not isinstance(other, QPoly):
             return NotImplemented  # the richer type's __rsub__ runs
         a, b = self.coeffs, other.coeffs
-        # ``(0,) * m`` is empty for ``m <= 0``: only the shorter side is padded
         return QPoly(map(sub, a + (0,) * (len(b) - len(a)), b + (0,) * (len(a) - len(b))))
 
     def __rsub__(self, other: int) -> QPoly:
@@ -274,6 +275,9 @@ class QLaurent:
     QLaurent('1 + q')
     >>> QLaurent(QPoly([1, 2, 1]), -3)
     QLaurent('q^-3 + 2q^-2 + q^-1')
+
+    A base with a nonzero constant term is kept as it is; any other nonzero
+    base loses its leading zeros by one slice, which needs no re-trim.
     """
 
     base: QPoly
@@ -287,7 +291,7 @@ class QLaurent:
             self.offset = 0
         else:
             v = base.valuation()
-            self.base = QPoly(base.coeffs[v:])
+            self.base = QPoly._trimmed(base.coeffs[v:]) if v else base
             self.offset = offset + v
 
     @staticmethod
@@ -797,6 +801,13 @@ def _div_one_plus_t_q_power(p: TQPoly, e: int) -> TQPoly | NotDivisible:
     if quot and not quot.pop().is_zero():
         return NOT_DIVISIBLE
     return TQPoly(quot)
+
+
+def _mul_one_plus_t_q_power(p: TQPoly, e: int) -> TQPoly:
+    """``p * (1 + t q^e)`` as ``c_d = p_d + q^e p_(d-1)``, with no product:
+    the inverse of :func:`_div_one_plus_t_q_power`."""
+    zero = (QLaurent.zero(),)
+    return TQPoly(map(add, p.terms + zero, zero + tuple(c.shift(e) for c in p.terms)))
 
 
 def exact_div(p, d):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qeuler import doubloon, eulerian
+from qeuler import cli, doubloon, eulerian
 from qeuler.cli import (
     CONJECTURE_MAX_N,
     DEFAULT_POINTS,
@@ -17,6 +17,7 @@ from qeuler.cli import (
     run_oeis_check,
     run_suite,
 )
+from qeuler.qring import QPoly
 from qeuler.serialize import from_json
 
 
@@ -249,6 +250,31 @@ def test_doubloon_failure_names_the_first_difference(monkeypatch):
     assert bad.detail == "count=17; first difference at q^0: expected 0, got 1"
     monkeypatch.undo()
     assert run_suite("doubloon", 2).items[-1].detail == "count=16"
+
+
+def test_bracket_failure_names_the_first_triple(monkeypatch):
+    original = eulerian.bracket_identity_A
+    monkeypatch.setattr(
+        eulerian, "bracket_identity_A", lambda n, k, s: (n, k, s) != (4, 3, 2) and original(n, k, s)
+    )
+    report = run_suite("brackets", 5)
+    assert [(i.name, i.detail) for i in report.items if i.status == "fail"] == [
+        ("type-A bracket identity n=4", "first failing (k, s) = (3, 2)")
+    ]
+    assert all(i.detail == "" for i in report.items if i.status == "pass")
+
+
+@pytest.mark.parametrize("family, entry", [("A", "carlitz_entry"), ("B", "typeB_entry")])
+def test_basis_change_failure_names_n_and_k(monkeypatch, family, entry):
+    original = getattr(cli, entry)
+    monkeypatch.setattr(
+        cli, entry, lambda n, k: original(n, k) + (QPoly.monomial(2) if (n, k) == (5, 3) else 0)
+    )
+    report = run_suite(f"expansion{family}", 6)
+    bad = [i for i in report.items if i.status == "fail"]
+    assert [i.name for i in bad] == [f"basis_change_{family} rows n=5"]
+    want = original(5, 3)[2]
+    assert bad[0].detail == f"k=3; first difference at q^2: expected {want + 1}, got {want}"
 
 
 def test_verify_monotone_with_points():

@@ -25,12 +25,13 @@ from qeuler.eulerian import (
     gamma_b_triangle,
     gamma_expand_A,
     gamma_expand_B,
+    q_int_ext,
     typeB_entry,
     typeB_poly,
     typeB_series_oracle,
     typeB_triangle,
 )
-from qeuler.qring import QPoly, TQPoly, is_nonneg, poch_t, q_int, spec_q1
+from qeuler.qring import QLaurent, QPoly, TQPoly, is_nonneg, poch_t, q_int, spec_q1
 
 
 def P(*coeffs):
@@ -344,6 +345,62 @@ def test_bracket_identity_B(n):
     for k in range(0, n + 1):
         for s in range(0, k + 1):
             assert bracket_identity_B(n, k, s), (n, k, s)
+
+
+# The dense bodies the cleared-denominator checks replaced: the reference.
+def _dense_bracket_A(n, k, s):
+    lhs = q_int_ext(n + 1 - 2 * s) * q_int_ext(s) + q_int_ext(n - k - s + 1) * (
+        QLaurent.one() + QLaurent.q_power(s)
+    ) * q_int_ext(k - s)
+    rhs = q_int_ext(k) * q_int_ext(n - k - s + 1) + q_int_ext(n + 1 - k) * q_int_ext(k - s)
+    return lhs == rhs
+
+
+def _dense_bracket_B(n, k, s):
+    gamma = QLaurent(QPoly([1, 1])) * (QLaurent.one() + QLaurent.q_power(2 * s + 1))
+    lhs = q_int_ext(n - 2 * s, step=2) * q_int_ext(2 * s + 1) + q_int_ext(
+        n - k - s, step=2
+    ) * gamma * q_int_ext(k - s, step=2)
+    rhs = q_int_ext(2 * k + 1) * q_int_ext(n - k - s, step=2) + q_int_ext(
+        2 * n + 1 - 2 * k
+    ) * q_int_ext(k - s, step=2)
+    return lhs == rhs
+
+
+@pytest.mark.parametrize("n", range(0, 15))
+def test_bracket_identities_match_dense_reference(n):
+    # s = 0 and the triples where n-k-s or n-2s is negative are Laurent cases
+    for k in range(0, n + 1):
+        for s in range(0, k + 1):
+            assert bracket_identity_A(n, k, s) == _dense_bracket_A(n, k, s), (n, k, s)
+            assert bracket_identity_B(n, k, s) == _dense_bracket_B(n, k, s), (n, k, s)
+
+
+@pytest.mark.parametrize(
+    "identity, triple",
+    [
+        (bracket_identity_A, (9, 7, 4)),  # n-k-s+1 = -1
+        (bracket_identity_A, (12, 5, 2)),
+        (bracket_identity_B, (7, 6, 2)),  # n-k-s = -1
+        (bracket_identity_B, (11, 5, 1)),
+    ],
+)
+def test_bracket_check_fails_when_any_exponent_changes(monkeypatch, identity, triple):
+    # every binomial of these triples is nonzero, so no product vanishes
+    sides = []
+    original = eulerian._cancels
+    monkeypatch.setattr(eulerian, "_cancels", lambda lhs, rhs: sides.append((lhs, rhs)) or True)
+    identity(*triple)
+    ((lhs, rhs),) = sides
+    assert original(lhs, rhs)
+    for side in (0, 1):
+        for i, factors in enumerate((lhs, rhs)[side]):
+            for j, (sign, e) in enumerate(factors):
+                assert e != 0
+                for changed in (e - 1, e + 1):
+                    products = [list(lhs), list(rhs)]
+                    products[side][i] = factors[:j] + ((sign, changed),) + factors[j + 1:]
+                    assert not original(*products), (side, i, j, changed)
 
 
 # ---------------------------------------------------------------------------

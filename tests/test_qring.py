@@ -17,6 +17,7 @@ from qeuler.qring import (
     TQPoly,
     _div_one_plus_q_powers,
     _div_one_plus_t_q_power,
+    _mul_one_plus_t_q_power,
     eval_rat,
     exact_div,
     is_nonneg,
@@ -68,6 +69,29 @@ def test_laurent_canonical_constant_term():
     v = QLaurent(P(0, 0, 3, 1), -5)
     assert v.base.coeffs[0] != 0
     assert v.offset == -3
+
+
+def test_laurent_slices_leading_zeros_and_keeps_a_canonical_base():
+    v = QLaurent(P(0, 0, 1, 2), -1)
+    assert v.offset == 1
+    assert v.base.coeffs == (1, 2)
+    base = P(3, 0, 1)
+    assert QLaurent(base, 4).base is base
+
+
+def _valuation_loop(p):
+    for i, c in enumerate(p.coeffs):
+        if c != 0:
+            return i
+    return 0
+
+
+@pytest.mark.parametrize(
+    "coeffs", [(), (0, 0), (7,), (-2,), (0, 1), (0, 0, 1, 2), (0, 0, 0, 0, -5, 0, 3)]
+)
+def test_valuation_matches_the_loop(coeffs):
+    p = QPoly(coeffs)
+    assert p.valuation() == _valuation_loop(p)
 
 
 def test_laurent_to_qpoly_roundtrip():
@@ -454,6 +478,31 @@ def test_qpoly_sub_is_add_of_negation(a, b):
     assert isinstance(a - b, QPoly)
 
 
+def _add_elementwise(a, b):
+    out = [0] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += c
+    return QPoly(out)
+
+
+@given(
+    st.lists(st.integers(-(10**20), 10**20), max_size=12),
+    st.lists(st.integers(-(10**20), 10**20), max_size=12),
+    st.integers(0, 4),
+)
+def test_qpoly_add_matches_elementwise(a, b, cancel):
+    # the top ``cancel`` coefficients of ``b`` (padded to ``a``) negate those of ``a``
+    b = b + [0] * (len(a) - len(b))
+    for i in range(max(len(a) - cancel, 0), len(a)):
+        b[i] = -a[i]
+    got = QPoly(a) + QPoly(b)
+    assert got == _add_elementwise(QPoly(a).coeffs, QPoly(b).coeffs)
+    assert got == QPoly(b) + QPoly(a)
+    assert not got.coeffs or got.coeffs[-1] != 0
+
+
 # A nonzero and a zero sample of each operand type, richest type last.  The
 # table also covers the reflected QPoly - QLaurent and QPoly - TQPoly.
 OPERAND_SAMPLES = {
@@ -537,3 +586,10 @@ def test_div_one_plus_t_q_power_matches_exact_div(p, e, multiply):
     if multiply:
         p = p * d
     assert _div_one_plus_t_q_power(p, e) == exact_div(p, d)
+
+
+@given(tq_polys, st.integers(-4, 6))
+def test_mul_one_plus_t_q_power_matches_product_and_division(p, e):
+    got = _mul_one_plus_t_q_power(p, e)
+    assert got == p * TQPoly([1, QLaurent.q_power(e)])
+    assert _div_one_plus_t_q_power(got, e) == p

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from qeuler import eulerian, special
+from qeuler import cli, eulerian, special
 from qeuler.cli import run_suite
 from qeuler.eulerian import carlitz_poly, gamma_a_entry, gamma_b_entry
 from qeuler.qring import (
@@ -361,3 +361,23 @@ def test_signed_families_make_no_product(monkeypatch):
     assert calls == []
     QLaurent.one() * 2  # the counter sees this product and the QPoly one inside it
     assert len(calls) == 2
+
+
+def test_brackets_and_tangent_reconstruction_make_no_product(monkeypatch):
+    calls = []
+    for n in range(1, 8):
+        list(cli._tangent_quotients(n))  # warms the rows
+    for cls in (QPoly, QLaurent, TQPoly):
+
+        def counted(self, other, mul=cls.__mul__):
+            calls.append((self, other))
+            return mul(self, other)
+
+        monkeypatch.setattr(cls, "__mul__", counted)
+        monkeypatch.setattr(cls, "__rmul__", counted)
+    assert run_suite("brackets", 12).ok
+    for n in range(1, 8):
+        assert [ok for _, ok in cli._tangent_quotients(n)] == [True, True]
+    assert calls == []
+    TQPoly([1]) * 2  # the counter sees this product and the two inside it
+    assert len(calls) == 3

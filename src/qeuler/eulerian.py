@@ -319,9 +319,9 @@ def gamma_expand_A(n: int) -> TQPoly:
     if n < 1:
         raise ValueError(f"gamma expansion needs n >= 1, got {n}")
     acc = TQPoly.zero()
-    for k in FAMILIES["a"].krange(n):
+    for k, a in zip(FAMILIES["a"].krange(n), _gamma_a_row(n)):
         factor = poch_t(k, n + 1 - 2 * k, sign=-1)
-        acc = acc + (gamma_a_entry(n, k) * factor).t_shift(k - 1)
+        acc = acc + (a * factor).t_shift(k - 1)
     return acc
 
 
@@ -331,9 +331,9 @@ def gamma_expand_B(n: int) -> TQPoly:
     if n < 1:
         raise ValueError(f"gamma expansion needs n >= 1, got {n}")
     acc = TQPoly.zero()
-    for k in FAMILIES["b"].krange(n):
+    for k, b in zip(FAMILIES["b"].krange(n), _gamma_b_row(n)):
         factor = poch_t(2 * k + 1, n - 2 * k, sign=-1, step=2)
-        acc = acc + (gamma_b_entry(n, k) * factor).t_shift(k)
+        acc = acc + (b * factor).t_shift(k)
     return acc
 
 
@@ -343,12 +343,12 @@ def basis_change_A(n: int, k: int) -> QPoly:
     if k not in FAMILIES["A"].krange(n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     acc = QPoly.zero()
-    for s in FAMILIES["a"].krange(n):
+    for s, a in zip(FAMILIES["a"].krange(n), _gamma_a_row(n)):
         if s > k:
             break
         d = k - s
         exp = d * s + d * (d - 1) // 2
-        acc = acc + (q_binom(n + 1 - 2 * s, d) * gamma_a_entry(n, s)).shift(exp)
+        acc = acc + (q_binom(n + 1 - 2 * s, d) * a).shift(exp)
     return acc
 
 
@@ -359,12 +359,10 @@ def basis_change_B(n: int, k: int) -> QPoly:
     if k not in FAMILIES["B"].krange(n):
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     acc = QPoly.zero()
-    for s in FAMILIES["b"].krange(n):
+    for s, b in zip(FAMILIES["b"].krange(n), _gamma_b_row(n)):
         if s > k:
             break
-        acc = acc + (subst_q_power(q_binom(n - 2 * s, k - s), 2) * gamma_b_entry(n, s)).shift(
-            k * k - s * s
-        )
+        acc = acc + (subst_q_power(q_binom(n - 2 * s, k - s), 2) * b).shift(k * k - s * s)
     return acc
 
 
@@ -373,38 +371,30 @@ def basis_change_B(n: int, k: int) -> QPoly:
 # ---------------------------------------------------------------------------
 
 
-def classical_gamma_a(N: int) -> list[list[int]]:
-    """Integer rows 1..N by ``a[n,k] = k a[n-1,k] + 2(n+2-2k) a[n-1,k-1]``."""
+def _classical_rows(N: int, krange, alpha, beta) -> list[list[int]]:
+    """Integer rows 1..N of ``P[n,k] = alpha(n,k) P[n-1,k] + beta(n,k) P[n-1,k-1]``
+    from ``P[1] = [1]``, row ``n`` over ``krange(n)``; every row starts at the
+    same ``k``, so entry ``j`` reads row ``n-1``, zero-padded, at ``j+1`` and ``j``."""
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     rows = [[1]]
     for n in range(2, N + 1):
-        prev = rows[-1]
+        prev = [0, *rows[-1], 0]
+        rows.append([alpha(n, k) * prev[j + 1] + beta(n, k) * prev[j]
+                     for j, k in enumerate(krange(n))])
+    return rows
 
-        def at(k: int) -> int:
-            return prev[k - 1] if 1 <= k <= n // 2 else 0
 
-        rows.append(
-            [k * at(k) + 2 * (n + 2 - 2 * k) * at(k - 1) for k in range(1, (n + 1) // 2 + 1)]
-        )
-    return rows[:N]
+def classical_gamma_a(N: int) -> list[list[int]]:
+    """Integer rows 1..N by ``a[n,k] = k a[n-1,k] + 2(n+2-2k) a[n-1,k-1]``."""
+    return _classical_rows(N, lambda n: range(1, (n + 1) // 2 + 1),
+                           lambda n, k: k, lambda n, k: 2 * (n + 2 - 2 * k))
 
 
 def classical_gamma_b(N: int) -> list[list[int]]:
     """Integer rows 1..N by ``b[n,k] = (2k+1) b[n-1,k] + 4(n+1-2k) b[n-1,k-1]``."""
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
-    rows = [[1]]
-    for n in range(2, N + 1):
-        prev = rows[-1]
-
-        def at(k: int) -> int:
-            return prev[k] if 0 <= k <= (n - 1) // 2 else 0
-
-        rows.append(
-            [(2 * k + 1) * at(k) + 4 * (n + 1 - 2 * k) * at(k - 1) for k in range(0, n // 2 + 1)]
-        )
-    return rows[:N]
+    return _classical_rows(N, lambda n: range(0, n // 2 + 1),
+                           lambda n, k: 2 * k + 1, lambda n, k: 4 * (n + 1 - 2 * k))
 
 
 # ---------------------------------------------------------------------------

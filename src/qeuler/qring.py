@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import add, indexOf, sub
 from typing import Iterable, Sequence, Union
 
@@ -114,10 +114,13 @@ class QPoly:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        # built from a list at its final size: a tuple grown from an iterator
+        # is resized as it grows, which fragments a long-running process's heap
+        cs = coeffs if type(coeffs) is tuple else tuple([*coeffs])
+        if cs and not cs[-1]:
+            # one slice, to the last nonzero coefficient found by a C-level scan
+            cs = cs[: next(compress(range(len(cs), 0, -1), reversed(cs)), 0)]
+        self.coeffs = cs
 
     @staticmethod
     def zero() -> QPoly:
@@ -142,14 +145,6 @@ class QPoly:
     def degree(self) -> int:
         """Degree of the polynomial, or -1 for the zero polynomial."""
         return len(self.coeffs) - 1
-
-    @staticmethod
-    def _trimmed(coeffs: tuple[int, ...]) -> QPoly:
-        """A ``QPoly`` on a tuple whose last entry is already nonzero (or
-        that is empty), without the copy and trim of ``__init__``."""
-        p = object.__new__(QPoly)
-        p.coeffs = coeffs
-        return p
 
     def valuation(self) -> int:
         """Lowest exponent with nonzero coefficient, or 0 for zero."""
@@ -177,7 +172,7 @@ class QPoly:
     __radd__ = __add__
 
     def __neg__(self) -> QPoly:
-        return QPoly(tuple(-c for c in self.coeffs))
+        return QPoly([-c for c in self.coeffs])
 
     def __sub__(self, other: int | QPoly) -> QPoly:
         if isinstance(other, int):
@@ -192,7 +187,7 @@ class QPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return QPoly(tuple(c * other for c in self.coeffs))
+            return QPoly([c * other for c in self.coeffs])
         if isinstance(other, (QLaurent, TQPoly)):
             return NotImplemented  # let the richer type handle it
         if not isinstance(other, QPoly):
@@ -277,7 +272,8 @@ class QLaurent:
     QLaurent('q^-3 + 2q^-2 + q^-1')
 
     A base with a nonzero constant term is kept as it is; any other nonzero
-    base loses its leading zeros by one slice, which needs no re-trim.
+    base loses its leading zeros by one slice, whose last entry is nonzero,
+    so the constructor keeps it as it is.
     """
 
     base: QPoly
@@ -291,7 +287,7 @@ class QLaurent:
             self.offset = 0
         else:
             v = base.valuation()
-            self.base = QPoly._trimmed(base.coeffs[v:]) if v else base
+            self.base = QPoly(base.coeffs[v:]) if v else base
             self.offset = offset + v
 
     @staticmethod

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from math import comb
 from typing import Callable, Iterator
 
@@ -88,19 +88,13 @@ def d_poly(n: int) -> QPoly:
     return quot
 
 
-def admissible_points(excluded: tuple[Fraction, ...] = ()) -> Iterator[Fraction]:
-    """Deterministic stream of exact rational sample points > 1, skipping
-    0, +-1 and any caller-specified exclusions.  Used to verify identities
-    between rational expressions and known polynomials by evaluating at
-    degree+1 points."""
-    banned = {Fraction(0), Fraction(1), Fraction(-1), *excluded}
-    num, den = 2, 1
-    while True:
-        pt = Fraction(num, den)
-        if pt not in banned:
-            yield pt
-        num += 1
-        den += 1
+def admissible_points() -> Iterator[Fraction]:
+    """Deterministic stream of exact rational sample points
+    ``2, 3/2, 4/3, ...``, all > 1, so none is 0 or +-1.  Used to verify
+    identities between rational expressions and known polynomials by
+    evaluating at degree+1 points."""
+    for k in count(1):
+        yield Fraction(k + 1, k)
 
 
 def _check_f_pole(n: int, q0: Fraction, exps: list[int]) -> None:

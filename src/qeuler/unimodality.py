@@ -9,10 +9,12 @@ points (evidence at the sampled points, not a proof over the interval).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import pairwise
 
-from .eulerian import FAMILIES, TRIANGLES, carlitz_entry, typeB_entry
+from .eulerian import TRIANGLES, _carlitz_row, _typeB_row
 from .qring import (
     QLaurent,
+    QPoly,
     RatLike,
     is_unimodal_ints,
     spec_q1,
@@ -20,25 +22,26 @@ from .qring import (
 )
 
 
+def _reverses(row: tuple[QPoly, ...], e: int) -> bool:
+    """``row[-1-i] == q^e row[i](1/q)`` for every ``i``: read backwards, the
+    row is itself under ``q -> 1/q`` times ``q^e``."""
+    return all(
+        QLaurent(back) == subst_q_recip(p).shift(e) for p, back in zip(row, reversed(row))
+    )
+
+
 def reciprocity_A(n: int) -> bool:
     """``A[n, n-k+1](q) == q^(n(n-1)/2) A[n,k](1/q)`` for every k, exactly."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    e = n * (n - 1) // 2
-    return all(
-        QLaurent(carlitz_entry(n, n - k + 1)) == subst_q_recip(carlitz_entry(n, k)).shift(e)
-        for k in FAMILIES["A"].krange(n)
-    )
+    return _reverses(_carlitz_row(n), n * (n - 1) // 2)
 
 
 def reciprocity_B(n: int) -> bool:
     """``B[n, n-k](q) == q^(n^2) B[n,k](1/q)`` for every k, exactly."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    return all(
-        QLaurent(typeB_entry(n, n - k)) == subst_q_recip(typeB_entry(n, k)).shift(n * n)
-        for k in FAMILIES["B"].krange(n)
-    )
+    return _reverses(_typeB_row(n), n * n)
 
 
 def _check_q0(q0: Fraction) -> Fraction:
@@ -48,6 +51,14 @@ def _check_q0(q0: Fraction) -> Fraction:
     return q0
 
 
+def _rises(row: tuple[QPoly, ...], lo: int, hi: int, q0: Fraction) -> bool:
+    """The values at ``q0`` of ``row[lo:hi]`` rise strictly, the row read as
+    it is when ``q0 > 1`` and backwards when ``0 < q0 < 1``; each entry is
+    evaluated once."""
+    entries = (row if q0 > 1 else row[::-1])[lo:hi]
+    return all(a < b for a, b in pairwise(p(q0) for p in entries))
+
+
 def monotone_check_A(n: int, q0: RatLike) -> bool:
     """Strict growth of the first half of row n at q0 > 1
     (``A[n,k+1](q0) > A[n,k](q0)`` for ``k = 1..j-1``, ``j = (n+1)//2``), or
@@ -55,14 +66,7 @@ def monotone_check_A(n: int, q0: RatLike) -> bool:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     q0 = _check_q0(q0)
-    j = (n + 1) // 2
-    if q0 > 1:
-        return all(
-            carlitz_entry(n, k + 1)(q0) > carlitz_entry(n, k)(q0) for k in range(1, j)
-        )
-    return all(
-        carlitz_entry(n, n - k + 1)(q0) < carlitz_entry(n, n - k)(q0) for k in range(1, j)
-    )
+    return _rises(_carlitz_row(n), 0, (n + 1) // 2, q0)
 
 
 def monotone_check_B(n: int, q0: RatLike) -> bool:
@@ -70,12 +74,7 @@ def monotone_check_B(n: int, q0: RatLike) -> bool:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     q0 = _check_q0(q0)
-    j = n // 2
-    if q0 > 1:
-        return all(typeB_entry(n, k + 1)(q0) > typeB_entry(n, k)(q0) for k in range(1, j))
-    return all(
-        typeB_entry(n, n - k)(q0) < typeB_entry(n, n - k - 1)(q0) for k in range(1, j)
-    )
+    return _rises(_typeB_row(n), 1, n // 2 + 1, q0)
 
 
 def q1_unimodality(family: str, N: int) -> bool:

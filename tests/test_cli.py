@@ -3,11 +3,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from qeuler import cli, doubloon, eulerian
+from qeuler import cli, doubloon, eulerian, special, unimodality
 from qeuler.cli import (
     CONJECTURE_MAX_N,
     DEFAULT_POINTS,
@@ -17,7 +18,7 @@ from qeuler.cli import (
     run_oeis_check,
     run_suite,
 )
-from qeuler.qring import QPoly
+from qeuler.qring import QLaurent, QPoly, TQPoly
 from qeuler.serialize import from_json
 
 
@@ -275,6 +276,90 @@ def test_basis_change_failure_names_n_and_k(monkeypatch, family, entry):
     assert [i.name for i in bad] == [f"basis_change_{family} rows n=5"]
     want = original(5, 3)[2]
     assert bad[0].detail == f"k=3; first difference at q^2: expected {want + 1}, got {want}"
+
+
+@pytest.mark.parametrize("name, poly", [
+    ("gamma_expand_A", "carlitz_poly"), ("gamma_expand_B", "typeB_poly"),
+])
+def test_gamma_expansion_failure_names_t_and_q(monkeypatch, name, poly):
+    original = getattr(cli, name)
+    extra = TQPoly.t_monomial(2, QLaurent.q_power(-1))  # below every q^i of t^2
+    monkeypatch.setattr(cli, name, lambda n: original(n) + (extra if n == 4 else 0))
+    report = run_suite(f"expansion{name[-1]}", 5)
+    bad = [i for i in report.items if i.status == "fail"]
+    assert [(i.name, i.detail) for i in bad] == [
+        (f"{name}(4) == {poly}(4)", "first difference at t^2 q^-1: expected 0, got 1")
+    ]
+    assert all(i.detail == "" for i in report.items if i.status == "pass")
+
+
+@pytest.mark.parametrize("oracle, label", [
+    ("carlitz_series_oracle", "carlitz series oracle"),
+    ("typeB_series_oracle", "type-B series oracle"),
+])
+def test_series_oracle_failure_names_t_and_q(monkeypatch, oracle, label):
+    original = getattr(cli, oracle)
+    extra = TQPoly.t_monomial(1, QPoly.monomial(3, 2))
+    monkeypatch.setattr(cli, oracle, lambda n: original(n) + (extra if n == 3 else 0))
+    report = run_suite("series", 4)
+    bad = [(i.name, i.detail) for i in report.items if i.status == "fail"]
+    want = original(3).coeff(1).to_qpoly()[3]
+    assert bad == [
+        (f"{label} n=3", f"first difference at t^1 q^3: expected {want}, got {want + 2}")
+    ]
+    assert all(i.detail == "" for i in report.items if i.status == "pass")
+
+
+def test_tangent_failure_names_the_first_difference(monkeypatch):
+    original = special.a_star
+    monkeypatch.setattr(special, "a_star", lambda n, k: original(n, k) + QPoly.monomial(1, 5))
+    report = run_suite("tangent", 1)
+    bad = [(i.name, i.detail) for i in report.items if i.status == "fail"]
+    # T_1 = 1 and T_3 = 1 + q
+    assert bad == [
+        ("T_1 == a*[1,1]", "first difference at q^1: expected 5, got 0"),
+        ("T_3 == a*[3,2]", "first difference at q^1: expected 6, got 1"),
+    ]
+
+
+def test_broken_library_claim_is_a_failed_item(monkeypatch, capsys):
+    def broken(n):
+        raise ArithmeticError(f"T_{2*n+1} has a negative coefficient")
+
+    monkeypatch.setattr(special, "q_tangent", broken)
+    assert main(["verify", "tangent", "--max-n", "3", "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "fail"
+
+    def broken_at(n):
+        return "fail", f"ArithmeticError at n={n}", f"T_{2*n+1} has a negative coefficient"
+
+    # both T_{2n+1} checks and the d_n checks (through d_poly) break at each
+    # n; the reconstruction of A_{2n}, which does not use q_tangent, still runs
+    assert [(i["status"], i["name"], i["detail"]) for i in doc["items"]] == (
+        [broken_at(n) for n in range(4) for _ in range(2)]
+        + [x for n in (1, 2, 3)
+           for x in (broken_at(n), ("pass", f"A_{2*n}/(1+tq^{n}) reconstructs", ""))]
+        + [broken_at(n) for n in (1, 2, 3)]
+    )
+    assert doc["counters"] == {"pass": 3, "fail": 14, "reported": 0}
+
+
+def test_broken_library_claim_names_the_point(monkeypatch):
+    original = unimodality.monotone_check_A
+
+    def broken(n, q0):
+        if (n, q0) == (4, Fraction(3, 2)):
+            raise ZeroDivisionError("row entry vanishes at q0")
+        return original(n, q0)
+
+    monkeypatch.setattr(unimodality, "monotone_check_A", broken)
+    report = run_suite("monotone", 5, (Fraction(3, 2), Fraction(1, 2)))
+    assert [(i.name, i.detail) for i in report.items if i.status == "fail"] == [
+        ("ZeroDivisionError at q0=3/2, n=4", "row entry vanishes at q0")
+    ]
+    # the type-B check at the same index still runs
+    assert report.counters()["pass"] == 2 * 2 * 4 - 1
 
 
 def test_verify_monotone_with_points():

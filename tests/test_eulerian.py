@@ -304,6 +304,47 @@ def test_erratum_row_sum_confirms_7664():
     assert row6[2] == 7664
 
 
+def _ref_classical_gamma_a(N):
+    # the per-family body before the two oracles shared one
+    rows = [[1]]
+    for n in range(2, N + 1):
+        prev = rows[-1]
+
+        def at(k):
+            return prev[k - 1] if 1 <= k <= n // 2 else 0
+
+        rows.append(
+            [k * at(k) + 2 * (n + 2 - 2 * k) * at(k - 1) for k in range(1, (n + 1) // 2 + 1)]
+        )
+    return rows[:N]
+
+
+def _ref_classical_gamma_b(N):
+    rows = [[1]]
+    for n in range(2, N + 1):
+        prev = rows[-1]
+
+        def at(k):
+            return prev[k] if 0 <= k <= (n - 1) // 2 else 0
+
+        rows.append(
+            [(2 * k + 1) * at(k) + 4 * (n + 1 - 2 * k) * at(k - 1) for k in range(0, n // 2 + 1)]
+        )
+    return rows[:N]
+
+
+@pytest.mark.parametrize("N", range(1, 15))
+def test_classical_matches_the_per_family_reference(N):
+    assert classical_gamma_a(N) == _ref_classical_gamma_a(N)
+    assert classical_gamma_b(N) == _ref_classical_gamma_b(N)
+
+
+def test_classical_rejects_empty_range():
+    for oracle in (classical_gamma_a, classical_gamma_b):
+        with pytest.raises(ValueError, match="need N >= 1, got 0"):
+            oracle(0)
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_classical_equals_q1_specialization(n):
     assert classical_gamma_a(n)[n - 1] == [

@@ -65,6 +65,33 @@ def test_canonical_trailing_zeros():
     assert QPoly([0, 0]).is_zero()
 
 
+def _pop_trimmed(coeffs):
+    # the constructor's trim before it kept a given tuple: copy, pop, re-tuple
+    cs = list(coeffs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+@given(
+    st.lists(st.integers(-3, 3), max_size=8),
+    st.integers(0, 5),
+    st.sampled_from(["tuple", "list", "map"]),
+)
+def test_constructor_trim_matches_list_and_pop(body, zeros, kind):
+    coeffs = body + [0] * zeros
+    given_as = {"tuple": tuple, "list": list, "map": lambda cs: map(int, cs)}[kind](coeffs)
+    p = QPoly(given_as)
+    assert type(p.coeffs) is tuple
+    assert p.coeffs == _pop_trimmed(coeffs)
+    assert p == QPoly(_pop_trimmed(coeffs)) and hash(p) == hash(QPoly(_pop_trimmed(coeffs)))
+
+
+def test_constructor_keeps_a_trimmed_tuple():
+    cs = (1, 0, 2)
+    assert QPoly(cs).coeffs is cs
+
+
 def test_laurent_canonical_constant_term():
     v = QLaurent(P(0, 0, 3, 1), -5)
     assert v.base.coeffs[0] != 0

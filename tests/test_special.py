@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -18,6 +19,7 @@ from qeuler.qring import (
 )
 from qeuler.special import (
     a_star,
+    admissible_points,
     b_central,
     b_odd_vanish,
     conjecture_scan_gstar,
@@ -116,6 +118,13 @@ def test_d_poly_nonneg(n):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_d_identity(n):
     assert verify_d_identity(n)
+
+
+def test_admissible_points_start_at_two_and_fall_towards_one():
+    assert list(islice(admissible_points(), 5)) == [
+        Fraction(2), Fraction(3, 2), Fraction(4, 3), Fraction(5, 4), Fraction(6, 5)
+    ]
+    assert all(q0 > 1 for q0 in islice(admissible_points(), 200))
 
 
 def test_f_eval_value():
@@ -366,7 +375,7 @@ def test_signed_families_make_no_product(monkeypatch):
 def test_brackets_and_tangent_reconstruction_make_no_product(monkeypatch):
     calls = []
     for n in range(1, 8):
-        list(cli._tangent_quotients(n))  # warms the rows
+        [check() for check in cli._tangent_quotients(n)]  # warms the rows
     for cls in (QPoly, QLaurent, TQPoly):
 
         def counted(self, other, mul=cls.__mul__):
@@ -377,7 +386,7 @@ def test_brackets_and_tangent_reconstruction_make_no_product(monkeypatch):
         monkeypatch.setattr(cls, "__rmul__", counted)
     assert run_suite("brackets", 12).ok
     for n in range(1, 8):
-        assert [ok for _, ok in cli._tangent_quotients(n)] == [True, True]
+        assert [check()[1] for check in cli._tangent_quotients(n)] == [True, True]
     assert calls == []
     TQPoly([1]) * 2  # the counter sees this product and the two inside it
     assert len(calls) == 3

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from qeuler.eulerian import carlitz_entry, typeB_entry
+from qeuler import unimodality
+from qeuler.eulerian import FAMILIES, carlitz_entry, typeB_entry
 from qeuler.qring import QLaurent, QPoly, spec_q1, subst_q_recip
 from qeuler.unimodality import (
     monotone_check_A,
@@ -14,6 +15,9 @@ from qeuler.unimodality import (
 
 HI_POINTS = [Fraction(3, 2), Fraction(2), Fraction(7, 3), Fraction(5)]
 LO_POINTS = [Fraction(1, 2), Fraction(2, 3)]
+# the sample points of the benchmark's monotonicity calls, six on each side of 1
+BENCH_POINTS = [Fraction(p) for p in ("3/2", "2", "7/3", "5/2", "3", "5/4",
+                                      "1/2", "2/3", "3/4", "2/5", "1/3", "4/5")]
 
 
 def test_reciprocity_hand_examples():
@@ -74,3 +78,93 @@ def test_q1_unimodality():
     assert q1_unimodality("A", 1)
     with pytest.raises(ValueError):
         q1_unimodality("a", 4)
+
+
+# ---------------------------------------------------------------------------
+# The shared bodies against the former per-k twins
+# ---------------------------------------------------------------------------
+
+
+def _ref_reciprocity_A(n):
+    e = n * (n - 1) // 2
+    return all(
+        QLaurent(carlitz_entry(n, n - k + 1)) == subst_q_recip(carlitz_entry(n, k)).shift(e)
+        for k in FAMILIES["A"].krange(n)
+    )
+
+
+def _ref_reciprocity_B(n):
+    return all(
+        QLaurent(typeB_entry(n, n - k)) == subst_q_recip(typeB_entry(n, k)).shift(n * n)
+        for k in FAMILIES["B"].krange(n)
+    )
+
+
+def _ref_monotone_A(n, q0):
+    j = (n + 1) // 2
+    if q0 > 1:
+        return all(
+            carlitz_entry(n, k + 1)(q0) > carlitz_entry(n, k)(q0) for k in range(1, j)
+        )
+    return all(
+        carlitz_entry(n, n - k + 1)(q0) < carlitz_entry(n, n - k)(q0) for k in range(1, j)
+    )
+
+
+def _ref_monotone_B(n, q0):
+    j = n // 2
+    if q0 > 1:
+        return all(typeB_entry(n, k + 1)(q0) > typeB_entry(n, k)(q0) for k in range(1, j))
+    return all(
+        typeB_entry(n, n - k)(q0) < typeB_entry(n, n - k - 1)(q0) for k in range(1, j)
+    )
+
+
+@pytest.mark.parametrize("n", range(0, 15))
+def test_reciprocity_matches_the_per_k_reference(n):
+    if n >= 1:
+        assert reciprocity_A(n) == _ref_reciprocity_A(n)
+    assert reciprocity_B(n) == _ref_reciprocity_B(n)
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_monotone_matches_the_per_k_reference(n):
+    for q0 in BENCH_POINTS:
+        assert monotone_check_A(n, q0) == _ref_monotone_A(n, q0)
+        assert monotone_check_B(n, q0) == _ref_monotone_B(n, q0)
+
+
+def _perturbed(monkeypatch, row_name, i, entry):
+    """Make ``row_name`` return its row with entry ``i`` replaced by
+    ``entry(row)``, as the predicates read it."""
+    original = getattr(unimodality, row_name)
+
+    def row(n):
+        r = list(original(n))
+        r[i] = entry(r)
+        return tuple(r)
+
+    monkeypatch.setattr(unimodality, row_name, row)
+
+
+@pytest.mark.parametrize("check, row_name, n", [
+    (reciprocity_A, "_carlitz_row", 6),
+    (reciprocity_B, "_typeB_row", 5),
+])
+def test_reciprocity_sees_one_perturbed_entry(monkeypatch, check, row_name, n):
+    assert check(n)
+    _perturbed(monkeypatch, row_name, 1, lambda r: r[1] + QPoly.monomial(0))
+    assert not check(n)
+
+
+@pytest.mark.parametrize("check, row_name, n, i", [
+    (monotone_check_A, "_carlitz_row", 7, 2),   # A[7,3] against A[7,2]
+    (monotone_check_B, "_typeB_row", 6, 3),     # B[6,3] against B[6,2]
+])
+@pytest.mark.parametrize("q0", [Fraction(2), Fraction(1, 2)])
+def test_monotone_sees_one_perturbed_entry(monkeypatch, check, row_name, n, i, q0):
+    assert check(n, q0)
+    # below 1 the predicates read the row backwards, so flatten the mirror entry
+    j = i if q0 > 1 else -1 - i
+    _perturbed(monkeypatch, row_name, j, lambda r: r[j - 1 if q0 > 1 else j + 1])
+    assert not check(n, q0)

@@ -195,18 +195,20 @@ def _basis_change(family, change, entry, n):
     return name, True
 
 
-def _expansion_A(n):
-    yield lambda: _equal(f"gamma_expand_A({n}) == carlitz_poly({n})",
-                         gamma_expand_A(n), carlitz_poly(n))
-    yield lambda: _basis_change("A", basis_change_A, carlitz_entry, n)
-    yield lambda: (f"a[{n},k] nonnegative", all(map(is_nonneg, _gamma_a_row(n))))
+def _nonnegative(family, row, n):
+    """The ``family[n,k] nonnegative`` item; on failure its detail names the
+    first ``k`` whose entry has a negative coefficient."""
+    bad = next((k for k, p in zip(FAMILIES[family].krange(n), row(n)) if not is_nonneg(p)), None)
+    name = f"{family}[{n},k] nonnegative"
+    return (name, True) if bad is None else (name, False, f"first negative entry at k={bad}")
 
 
-def _expansion_B(n):
-    yield lambda: _equal(f"gamma_expand_B({n}) == typeB_poly({n})",
-                         gamma_expand_B(n), typeB_poly(n))
-    yield lambda: _basis_change("B", basis_change_B, typeB_entry, n)
-    yield lambda: (f"b[{n},k] nonnegative", all(map(is_nonneg, _gamma_b_row(n))))
+def _expansion(family, label, expand, poly, change, entry, gamma_row, n):
+    """The checks of suite ``expansion<family>`` at ``n``, on functions that :data:`SUITES`
+    reads from this module as the suite runs, so a rebound attribute is the one checked."""
+    yield lambda: _equal(f"gamma_expand_{family}({n}) == {label}_poly({n})", expand(n), poly(n))
+    yield lambda: _basis_change(family, change, entry, n)
+    yield lambda: _nonnegative(family.lower(), gamma_row, n)
 
 
 def _tangent(n):
@@ -224,10 +226,11 @@ def _tangent_quotients(n):
 def _secant(n):
     e2n = special.secant_number(n)
     yield lambda: (f"B_{2*n+1}(-q^-{2*n+1}, q) == 0", special.b_odd_vanish(n))
-    yield lambda: (f"b_central({n}) == b[{2*n},{n}]",
-                   special.b_central(n) == gamma_b_entry(2 * n, n))
-    yield lambda: (f"E*_{2*n} q^{n*n} == b[{2*n},{n}]",
-                   QLaurent(special.e_star(n)).shift(n * n) == QLaurent(gamma_b_entry(2 * n, n)))
+    yield lambda: _equal(f"b_central({n}) == b[{2*n},{n}]",
+                         special.b_central(n), gamma_b_entry(2 * n, n))
+    yield lambda: _equal(f"E*_{2*n} q^{n*n} == b[{2*n},{n}]",
+                         QLaurent(special.e_star(n)).shift(n * n),
+                         QLaurent(gamma_b_entry(2 * n, n)))
     yield lambda: (f"G*_{2*n}(1) == E_{2*n} == {e2n}", spec_q1(special.g_star(n)) == e2n)
     yield lambda: (f"E_{2*n}(q) at q=1 == 4^{n} E_{2*n}",
                    spec_q1(special.e_q_secant(n)) == 4**n * e2n)
@@ -266,8 +269,12 @@ def _monotone(q0, n):
 # brackets 0.3 s (cleared denominators; 6.9 s with dense products),
 # reciprocity 2.0 s / 138 MB, doubloon 0.13 s.
 SUITES = {
-    "expansionA": Suite(14, 35, (Block(1, _expansion_A),)),
-    "expansionB": Suite(14, 30, (Block(1, _expansion_B),)),
+    "expansionA": Suite(14, 35, (Block(1, lambda n: _expansion(
+        "A", "carlitz", gamma_expand_A, carlitz_poly, basis_change_A, carlitz_entry,
+        _gamma_a_row, n)),)),
+    "expansionB": Suite(14, 30, (Block(1, lambda n: _expansion(
+        "B", "typeB", gamma_expand_B, typeB_poly, basis_change_B, typeB_entry,
+        _gamma_b_row, n)),)),
     "series": Suite(10, 30, (
         Block(1, lambda n: [lambda: _equal(f"carlitz series oracle n={n}",
                                            carlitz_series_oracle(n), carlitz_poly(n))]),

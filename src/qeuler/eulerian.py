@@ -41,6 +41,15 @@ on the truncated columns, so no two polynomials are multiplied.  The oracles
 read neither ``FAMILIES`` nor the row builders, so they stay independent of
 the recurrences they check.
 
+Both gamma expansions have one shape: with ``s = 1`` and ``g_j = a[n,j+1]``,
+or ``s = 2`` and ``g_j = b[n,j]``, ``A_n(t,q)`` or ``B_n(t,q)`` is
+
+    sum_j g_j t^j (-t q^(s j+1); q^s)_(n+s-2-2j),
+
+and by the q-binomial theorem its ``t^i`` coefficient, ``A[n,i+1]`` or
+``B[n,i]``, is ``sum_{j<=i} [n+s-2-2j choose d]_{q^s} q^(s C(d,2) + (s j+1) d) g_j``
+with ``d = i-j``.  ``gamma_expand_*`` and ``basis_change_*`` use these sums.
+
 Rows are built once, bottom up, and cached; triangles are immutable views.
 """
 
@@ -313,27 +322,35 @@ def typeB_series_oracle(n: int, tdeg_window: int | None = None) -> TQPoly:
 # ---------------------------------------------------------------------------
 
 
-def gamma_expand_A(n: int) -> TQPoly:
-    """Assemble ``sum_k a[n,k](q) t^(k-1) (-t q^k; q)_{n+1-2k}``; equals
-    ``carlitz_poly(n)`` exactly."""
+def _gamma_expand(row, n: int, s: int) -> TQPoly:
+    """The gamma expansion (module docstring) over the gamma row ``row(n)``."""
     if n < 1:
         raise ValueError(f"gamma expansion needs n >= 1, got {n}")
     acc = TQPoly.zero()
-    for k, a in zip(FAMILIES["a"].krange(n), _gamma_a_row(n)):
-        factor = poch_t(k, n + 1 - 2 * k, sign=-1)
-        acc = acc + (a * factor).t_shift(k - 1)
+    for j, g in enumerate(row(n)):
+        acc = acc + (g * poch_t(s * j + 1, n + s - 2 - 2 * j, sign=-1, step=s)).t_shift(j)
     return acc
+
+
+def gamma_expand_A(n: int) -> TQPoly:
+    """Assemble ``sum_k a[n,k](q) t^(k-1) (-t q^k; q)_{n+1-2k}``; equals
+    ``carlitz_poly(n)`` exactly."""
+    return _gamma_expand(_gamma_a_row, n, 1)
 
 
 def gamma_expand_B(n: int) -> TQPoly:
     """Assemble ``sum_k b[n,k](q) t^k (-t q^(2k+1); q^2)_{n-2k}``; equals
     ``typeB_poly(n)`` exactly."""
-    if n < 1:
-        raise ValueError(f"gamma expansion needs n >= 1, got {n}")
-    acc = TQPoly.zero()
-    for k, b in zip(FAMILIES["b"].krange(n), _gamma_b_row(n)):
-        factor = poch_t(2 * k + 1, n - 2 * k, sign=-1, step=2)
-        acc = acc + (b * factor).t_shift(k)
+    return _gamma_expand(_gamma_b_row, n, 2)
+
+
+def _basis_change(row, n: int, i: int, s: int) -> QPoly:
+    """The ``t^i`` coefficient of :func:`_gamma_expand` (module docstring)."""
+    acc = QPoly.zero()
+    for j, g in enumerate(row(n)[: i + 1]):
+        d = i - j
+        binom = subst_q_power(q_binom(n + s - 2 - 2 * j, d), s)
+        acc = acc + (binom * g).shift(s * (d * (d - 1) // 2) + (s * j + 1) * d)
     return acc
 
 
@@ -342,14 +359,7 @@ def basis_change_A(n: int, k: int) -> QPoly:
     ``sum_s [n+1-2s choose k-s]_q q^((k-s)s + C(k-s,2)) a[n,s](q)``."""
     if k not in FAMILIES["A"].krange(n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    acc = QPoly.zero()
-    for s, a in zip(FAMILIES["a"].krange(n), _gamma_a_row(n)):
-        if s > k:
-            break
-        d = k - s
-        exp = d * s + d * (d - 1) // 2
-        acc = acc + (q_binom(n + 1 - 2 * s, d) * a).shift(exp)
-    return acc
+    return _basis_change(_gamma_a_row, n, k - 1, 1)
 
 
 def basis_change_B(n: int, k: int) -> QPoly:
@@ -358,12 +368,7 @@ def basis_change_B(n: int, k: int) -> QPoly:
     ``sum_s [n-2s choose k-s]_{q^2} q^(k^2 - s^2) b[n,s](q)``."""
     if k not in FAMILIES["B"].krange(n):
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    acc = QPoly.zero()
-    for s, b in zip(FAMILIES["b"].krange(n), _gamma_b_row(n)):
-        if s > k:
-            break
-        acc = acc + (subst_q_power(q_binom(n - 2 * s, k - s), 2) * b).shift(k * k - s * s)
-    return acc
+    return _basis_change(_gamma_b_row, n, k, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -553,10 +553,14 @@ def q_int(n: int, step: int = 1) -> QPoly:
 
 
 def subst_q_power(p: QPoly, e: int) -> QPoly:
-    """Substitute ``q -> q^e`` (``e >= 1``) into ``p``."""
+    """Substitute ``q -> q^e`` (``e >= 1``) into ``p``; ``e = 1`` returns ``p``.
+
+    >>> p = q_int(3); subst_q_power(p, 2), subst_q_power(p, 1) is p
+    (QPoly('1 + q^2 + q^4'), True)
+    """
     if e < 1:
         raise ValueError(f"substitution power must be >= 1, got {e}")
-    if p.is_zero():
+    if e == 1 or p.is_zero():
         return p
     out = [0] * (e * p.degree() + 1)
     for i, c in enumerate(p.coeffs):
@@ -643,9 +647,7 @@ def eval_rat(p: QPoly | QLaurent | TQPoly, q0: RatLike, t0: RatLike | None = Non
     Fraction(3, 1)
     """
     q0 = Fraction(q0)
-    if isinstance(p, QPoly):
-        return p(q0)
-    if isinstance(p, QLaurent):
+    if isinstance(p, (QPoly, QLaurent)):
         return p(q0)
     if isinstance(p, TQPoly):
         if t0 is None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 from itertools import count, islice
-from math import comb
+from math import comb, prod
 from typing import Callable, Iterator
 
 from .eulerian import FAMILIES, carlitz_poly, gamma_a_entry, typeB_poly
@@ -27,7 +27,6 @@ from .qring import (
     _div_one_plus_t_q_power,
     is_nonneg,
     is_palindromic,
-    poch_num,
     spec_q1,
     subst_t_signed_power,
 )
@@ -97,24 +96,19 @@ def admissible_points() -> Iterator[Fraction]:
         yield Fraction(k + 1, k)
 
 
-def _check_f_pole(n: int, q0: Fraction, exps: list[int]) -> None:
+def _f_sum(m: int, x: RatLike, a: int, b: int, q0: Fraction) -> Fraction:
+    """``sum_{k=0}^{m} C(m,k) x^k / (1 + q0^(a k + b))``; no denominator vanishes,
+    since a rational ``q0`` other than ``0`` and ``+-1`` has no ``q0^e = -1``."""
     if q0 == 0 or abs(q0) == 1:
         raise ValueError(f"q0={q0} is excluded (0 or a root of unity pole)")
-    for e in exps:
-        if q0**e == -1:
-            raise ValueError(f"pole: q0^{e} = -1 at q0={q0}")
+    return sum(comb(m, k) * x**k / (1 + q0 ** (a * k + b)) for k in range(m + 1))
 
 
 def f_eval(n: int, q0: RatLike) -> Fraction:
     """Exact value of ``f_n(q) = sum_k C(2n+1,k) (-1)^k / (1 + q^(k-n))``."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    q0 = Fraction(q0)
-    _check_f_pole(n, q0, [k - n for k in range(2 * n + 2)])
-    return sum(
-        Fraction(comb(2 * n + 1, k) * (-1) ** k, 1) / (1 + q0 ** (k - n))
-        for k in range(2 * n + 2)
-    )
+    return _f_sum(2 * n + 1, -1, 1, -n, Fraction(q0))
 
 
 def _equals_at_points(p: QPoly, rhs: Callable[[Fraction], Fraction]) -> bool:
@@ -128,12 +122,10 @@ def verify_d_identity(n: int) -> bool:
     """Check ``d_n(q) = (-1)^(n+1) (-1;q)_{n+2} / (1-q)^(2n+1) * f_n(q)``
     at ``deg(d_n) + 1`` admissible rational points; since both sides are the
     same polynomial of known degree, that many exact agreements prove it."""
-    dn = d_poly(n)
-    minus_one_poch = poch_num(-1, n + 2).to_qpoly()
     return _equals_at_points(
-        dn,
-        lambda q0: Fraction((-1) ** (n + 1))
-        * minus_one_poch(q0)
+        d_poly(n),
+        lambda q0: (-1) ** (n + 1)
+        * prod(1 + q0**j for j in range(n + 2))
         / (1 - q0) ** (2 * n + 1)
         * f_eval(n, q0),
     )
@@ -194,26 +186,19 @@ def f_star_eval(n: int, q0: RatLike) -> Fraction:
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     q0 = Fraction(q0)
-    _check_f_pole(n, q0, [2 * k - 2 * n - 1 for k in range(2 * n + 1)])
-    return sum(
-        Fraction(comb(2 * n, k)) * (-q0) ** k / (1 + q0 ** (2 * k - 2 * n - 1))
-        for k in range(2 * n + 1)
-    )
+    return _f_sum(2 * n, -q0, 2, -2 * n - 1, q0)
 
 
 def verify_gstar_identity(n: int) -> bool:
     """Check the closed rational form
     ``G*_{2n}(q) = (-1)^n q^(-n-1) (-q;q^2)_{n+1} / ((1+q)^n (1-q)^(2n)) * f*_n(q)``
     at ``deg(G*) + 1`` admissible points."""
-    g = g_star(n)
-    odd_poch = poch_num(QLaurent.q_power(1, -1), n + 1, step=2).to_qpoly()
-    one_plus_q = QPoly([1, 1])
     return _equals_at_points(
-        g,
-        lambda q0: Fraction((-1) ** n)
+        g_star(n),
+        lambda q0: (-1) ** n
         * q0 ** (-n - 1)
-        * odd_poch(q0)
-        / (one_plus_q(q0) ** n * (1 - q0) ** (2 * n))
+        * prod(1 + q0 ** (2 * j + 1) for j in range(n + 1))
+        / ((1 + q0) ** n * (1 - q0) ** (2 * n))
         * f_star_eval(n, q0),
     )
 

@@ -1,4 +1,7 @@
 import hashlib
+import importlib
+import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -278,6 +281,25 @@ def test_basis_change_failure_names_n_and_k(monkeypatch, family, entry):
     assert bad[0].detail == f"k=3; first difference at q^2: expected {want + 1}, got {want}"
 
 
+@pytest.mark.parametrize("family, row, n, index, k", [
+    ("A", "_gamma_a_row", 5, 1, 2), ("B", "_gamma_b_row", 4, 1, 1),
+])
+def test_gamma_row_nonnegativity_failure_names_k(monkeypatch, family, row, n, index, k):
+    original = getattr(cli, row)
+
+    def perturbed(m):
+        entries = list(original(m))
+        if m == n:
+            entries[index] = entries[index] - 1  # entry k has no q^0 term
+        return tuple(entries)
+
+    monkeypatch.setattr(cli, row, perturbed)
+    report = run_suite(f"expansion{family}", 6)
+    bad = [(i.name, i.detail) for i in report.items if i.status == "fail"]
+    assert bad == [(f"{family.lower()}[{n},k] nonnegative", f"first negative entry at k={k}")]
+    assert all(i.detail == "" for i in report.items if i.status == "pass")
+
+
 @pytest.mark.parametrize("name, poly", [
     ("gamma_expand_A", "carlitz_poly"), ("gamma_expand_B", "typeB_poly"),
 ])
@@ -306,6 +328,22 @@ def test_series_oracle_failure_names_t_and_q(monkeypatch, oracle, label):
     want = original(3).coeff(1).to_qpoly()[3]
     assert bad == [
         (f"{label} n=3", f"first difference at t^1 q^3: expected {want}, got {want + 2}")
+    ]
+    assert all(i.detail == "" for i in report.items if i.status == "pass")
+
+
+def test_secant_central_failures_name_the_first_difference(monkeypatch):
+    # b_central(2) and E*_4 q^4 are both compared against b[4,2]
+    original = cli.gamma_b_entry
+    monkeypatch.setattr(
+        cli, "gamma_b_entry", lambda n, k: original(n, k) + (QPoly.monomial(5, 3) if n == 4 else 0)
+    )
+    report = run_suite("secant", 2)
+    want = original(4, 2)[5]
+    detail = f"first difference at q^5: expected {want + 3}, got {want}"
+    assert [(i.name, i.detail) for i in report.items if i.status == "fail"] == [
+        ("b_central(2) == b[4,2]", detail),
+        ("E*_4 q^4 == b[4,2]", detail),
     ]
     assert all(i.detail == "" for i in report.items if i.status == "pass")
 
@@ -458,6 +496,27 @@ def test_benchmark_tracer_finds_every_wrapped_name():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_benchmark_tracer_tables_name_wrappable_functions():
+    # The tracer wraps a listed name only when it is a function defined in its
+    # module; a table of functions or a functools.partial would hide the calls.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for modname, (_, groups) in tracing.LAYERS.items():
+        mod = importlib.import_module(f"qeuler.{modname}")
+        for attr in groups:
+            obj = vars(mod).get(attr)
+            assert callable(obj) and not inspect.isclass(obj), f"{modname}.{attr}"
+            assert obj.__module__ == mod.__name__, f"{modname}.{attr}"
+            assert not inspect.isgeneratorfunction(obj), f"{modname}.{attr}"
+    for cls_name, meth in tracing.METHODS:
+        assert meth in vars(getattr(importlib.import_module("qeuler.qring"), cls_name)), meth
+    for attr in tracing.ROW_CACHES:
+        assert attr in tracing.LAYERS["eulerian"][1]
+        assert hasattr(vars(eulerian)[attr], "cache_info"), attr
 
 
 def test_verify_smallest_bounds_still_check():

@@ -267,6 +267,33 @@ def test_basis_change_B_examples():
     assert basis_change_B(2, 1) == typeB_entry(2, 1)
 
 
+def _dense_gamma_sum(gammas, n, s):
+    """``sum_j g_j t^j (-t q^(s j+1); q^s)_(n+s-2-2j)``, each Pochhammer
+    product expanded densely by ``poch_t``."""
+    acc = TQPoly.zero()
+    for j, g in enumerate(gammas):
+        acc = acc + (g * poch_t(s * j + 1, n + s - 2 - 2 * j, sign=-1, step=s)).t_shift(j)
+    return acc
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_basis_change_is_the_q_binomial_theorem(n):
+    # every coefficient of the dense product sum is the basis change's
+    # q-binomial sum, with the same t-offset as its own column range
+    cases = (
+        (gamma_expand_A, basis_change_A, [gamma_a_entry(n, k) for k in range(1, (n + 3) // 2)],
+         1, range(1, n + 1), 1),
+        (gamma_expand_B, basis_change_B, [gamma_b_entry(n, k) for k in range(0, n // 2 + 1)],
+         2, range(0, n + 1), 0),
+    )
+    for expand, change, gammas, s, ks, first in cases:
+        dense = _dense_gamma_sum(gammas, n, s)
+        assert expand(n) == dense
+        assert dense.t_degree() == ks[-1] - first
+        for k in ks:
+            assert change(n, k) == dense.coeff(k - first).to_qpoly(), (n, k)
+
+
 @pytest.mark.parametrize("n", range(1, 15))
 def test_basis_change_entrywise(n):
     for k in range(1, n + 1):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import islice
 
@@ -133,12 +134,32 @@ def test_f_eval_value():
 
 
 def test_f_eval_pole_rejected():
-    with pytest.raises(ValueError):
-        f_eval(2, -1)
-    with pytest.raises(ValueError):
-        f_eval(2, 0)
-    with pytest.raises(ValueError):
-        f_eval(2, 1)
+    for q0 in (-1, 0, 1, Fraction(-1), Fraction(0), Fraction(1)):
+        with pytest.raises(ValueError, match="excluded"):
+            f_eval(2, q0)
+        with pytest.raises(ValueError, match="excluded"):
+            f_eval(0, q0)
+
+
+def test_rational_identities_reject_a_perturbed_polynomial(monkeypatch):
+    d, g = special.d_poly, special.g_star
+    monkeypatch.setattr(special, "d_poly", lambda n: d(n) + QPoly.monomial(1))
+    monkeypatch.setattr(special, "g_star", lambda n: g(n) + QPoly.monomial(1))
+    assert not verify_d_identity(3)
+    assert not verify_gstar_identity(3)
+
+
+@pytest.mark.parametrize("q0", [2, Fraction(3, 2), Fraction(1, 3), Fraction(-2), Fraction(-5, 7)])
+@pytest.mark.parametrize("n", range(0, 5))
+def test_f_sums_match_their_literal_sums(n, q0):
+    q = Fraction(q0)
+    f = sum(Fraction(math.comb(2 * n + 1, k) * (-1) ** k) / (1 + q ** (k - n))
+            for k in range(2 * n + 2))
+    f_star = sum(math.comb(2 * n, k) * (-q) ** k / (1 + q ** (2 * k - 2 * n - 1))
+                 for k in range(2 * n + 1))
+    assert f_eval(n, q0) == f
+    assert f_star_eval(n, q0) == f_star
+    assert type(f_eval(n, q0)) is type(f_star_eval(n, q0)) is Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +238,11 @@ def test_gstar_identity(n):
 
 
 def test_f_star_pole_rejected():
-    with pytest.raises(ValueError):
-        f_star_eval(1, 1)
-    with pytest.raises(ValueError):
-        f_star_eval(1, -1)
+    for q0 in (-1, 0, 1, Fraction(-1), Fraction(0), Fraction(1)):
+        with pytest.raises(ValueError, match="excluded"):
+            f_star_eval(1, q0)
+        with pytest.raises(ValueError, match="excluded"):
+            f_star_eval(0, q0)
 
 
 def test_e_q_secant_values():

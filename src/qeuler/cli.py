@@ -41,7 +41,7 @@ from .eulerian import (
     typeB_series_oracle,
 )
 from .qring import QLaurent, TQPoly, _mul_one_plus_t_q_power, is_nonneg, spec_q1
-from .serialize import csv_rows, render, to_json
+from .serialize import csv_rows, dumps, render, to_json
 
 DEFAULT_POINTS = (
     Fraction(3, 2),
@@ -97,6 +97,13 @@ class Report:
             "items": [dataclasses.asdict(i) for i in self.items],
             "wall_time_s": round(self.wall_time_s, 6),
         }
+
+    def write(self, fmt: str) -> None:
+        """Print the report as one JSON line, or as text."""
+        if fmt == "json":
+            print(json.dumps(self.to_dict(), separators=(", ", ": ")))
+        else:
+            self.print_text()
 
     def print_text(self, file=None) -> None:
         file = file or sys.stdout
@@ -180,8 +187,21 @@ def _first_difference(got, want) -> str:
 
 
 def _equal(name, got, want):
-    """The item ``got == want``, whose detail on failure says where they differ."""
-    return (name, True) if got == want else (name, False, _first_difference(got, want))
+    """The item ``got == want``, whose detail on failure says where they
+    differ, or gives both values when they are numbers."""
+    if got == want:
+        return name, True
+    if isinstance(want, int):
+        return name, False, f"expected {want}, got {got}"
+    return name, False, _first_difference(got, want)
+
+
+def _nonnegative_poly(name, p):
+    """The item ``p`` has no negative coefficient; on failure its detail
+    names the first negative ``q^i`` and its coefficient."""
+    i = next((i for i, c in enumerate(p.coeffs) if c < 0), None)
+    return (name, True) if i is None else (
+        name, False, f"first negative coefficient at q^{i}: {p.coeffs[i]}")
 
 
 def _basis_change(family, change, entry, n):
@@ -213,14 +233,14 @@ def _expansion(family, label, expand, poly, change, entry, gamma_row, n):
 
 def _tangent(n):
     t = cache(lambda: special.q_tangent(n))  # made once, by the first check that needs it
-    yield lambda: (f"T_{2*n+1} polynomial with nonneg coeffs", is_nonneg(t()))
+    yield lambda: _nonnegative_poly(f"T_{2*n+1} polynomial with nonneg coeffs", t())
     yield lambda: _equal(f"T_{2*n+1} == a*[{2*n+1},{n+1}]", t(), special.a_star(2 * n + 1, n + 1))
 
 
 def _tangent_quotients(n):
-    yield lambda: (f"d_{n} in Z[q] with nonneg coeffs", is_nonneg(special.d_poly(n)))
-    yield lambda: (f"A_{2*n}/(1+tq^{n}) reconstructs",
-                   _mul_one_plus_t_q_power(special.even_quotient(n), n) == carlitz_poly(2 * n))
+    yield lambda: _nonnegative_poly(f"d_{n} in Z[q] with nonneg coeffs", special.d_poly(n))
+    yield lambda: _equal(f"A_{2*n}/(1+tq^{n}) reconstructs",
+                         _mul_one_plus_t_q_power(special.even_quotient(n), n), carlitz_poly(2 * n))
 
 
 def _secant(n):
@@ -231,9 +251,9 @@ def _secant(n):
     yield lambda: _equal(f"E*_{2*n} q^{n*n} == b[{2*n},{n}]",
                          QLaurent(special.e_star(n)).shift(n * n),
                          QLaurent(gamma_b_entry(2 * n, n)))
-    yield lambda: (f"G*_{2*n}(1) == E_{2*n} == {e2n}", spec_q1(special.g_star(n)) == e2n)
-    yield lambda: (f"E_{2*n}(q) at q=1 == 4^{n} E_{2*n}",
-                   spec_q1(special.e_q_secant(n)) == 4**n * e2n)
+    yield lambda: _equal(f"G*_{2*n}(1) == E_{2*n} == {e2n}", spec_q1(special.g_star(n)), e2n)
+    yield lambda: _equal(f"E_{2*n}(q) at q=1 == 4^{n} E_{2*n}",
+                         spec_q1(special.e_q_secant(n)), 4**n * e2n)
 
 
 def _doubloon(n):
@@ -350,12 +370,20 @@ def default_fixture_path(sequence: str) -> Path:
 
 
 def refresh_fixture(sequence: str, dest: Path) -> None:
-    """Fetch the live OEIS b-file over the network (never used by tests)."""
-    import urllib.request  # only this command needs it; keeps `import qeuler.cli` cheap
+    """Fetch the live OEIS b-file over the network into ``dest``.  Every
+    failure to fetch or write it raises ``OSError``, and ``dest`` is written
+    only once the whole file has arrived."""
+    # only this command needs them; keeps `import qeuler.cli` cheap
+    import http.client
+    import urllib.request
 
     url = f"https://oeis.org/{sequence}/b{sequence[1:]}.txt"
-    with urllib.request.urlopen(url) as resp:
-        dest.write_bytes(resp.read())
+    try:
+        with urllib.request.urlopen(url) as resp:
+            data = resp.read()
+    except http.client.HTTPException as exc:
+        raise OSError(f"{url}: {exc!r}") from exc
+    dest.write_bytes(data)
 
 
 def _oeis_family(sequence: str) -> str:
@@ -481,7 +509,7 @@ def cmd_poly(args, parser) -> int:
         for row in csv_rows(p):
             w.writerow(row)
     else:
-        print(json.dumps(to_json(p), separators=(", ", ": ")))
+        print(dumps(p))
     return 0
 
 
@@ -496,10 +524,7 @@ def cmd_verify(args, parser) -> int:
     all_ok = True
     for name in names:
         report = run_suite(name, args.max_n, args.points)
-        if args.format == "json":
-            print(json.dumps(report.to_dict(), separators=(", ", ": ")))
-        else:
-            report.print_text()
+        report.write(args.format)
         all_ok = all_ok and report.ok
     return 0 if all_ok else 1
 
@@ -537,9 +562,14 @@ def cmd_oeis_check(args, parser) -> int:
         parser.error(f"--max-n must be in 1..{TABLE_MAX_N}")
     if args.skip < 0:
         parser.error("--skip must be >= 0")
+    if args.refresh and not args.fixture:
+        parser.error("--refresh needs --fixture: the bundled snapshot is never overwritten")
     path = Path(args.fixture) if args.fixture else default_fixture_path(args.sequence)
     if args.refresh:
-        refresh_fixture(args.sequence, path)
+        try:
+            refresh_fixture(args.sequence, path)
+        except OSError as exc:
+            parser.error(f"cannot refresh {path}: {exc}")
     if not path.exists():
         parser.error(f"fixture file not found: {path}")
     try:
@@ -548,10 +578,7 @@ def cmd_oeis_check(args, parser) -> int:
     except (OSError, ValueError) as exc:
         parser.error(f"unreadable fixture {path}: {exc}")
     report = run_oeis_check(args.sequence, args.max_n, text, skip=args.skip)
-    if args.format == "json":
-        print(json.dumps(report.to_dict(), separators=(", ", ": ")))
-    else:
-        report.print_text()
+    report.write(args.format)
     return 0 if report.ok else 1
 
 

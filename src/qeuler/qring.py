@@ -700,73 +700,48 @@ def subst_t_signed_power(p: TQPoly, sign: int, e: int) -> QLaurent:
 # ---------------------------------------------------------------------------
 
 
-def _qpoly_exact_div(p: QPoly, d: QPoly) -> QPoly | NotDivisible:
-    # Long division over Z.  The quotient over Q is unique, and it lies in
-    # Z[q] exactly when every leading-term division is exact.  Each exact
-    # step cancels rem[i + dd], so only the dd terms below it change.
-    if d.is_zero():
+def _int_div(a: int, b: int) -> int | NotDivisible:
+    """``a / b`` in Z, or :data:`NOT_DIVISIBLE`."""
+    c, r = divmod(a, b)
+    return NOT_DIVISIBLE if r else c
+
+
+def _long_div(p: Sequence, d: Sequence, div, ring):
+    # Long division from the top over a coefficient sequence, each leading
+    # coefficient divided by ``div`` (quotient or NOT_DIVISIBLE).  The
+    # quotient over the fraction field is unique, and it lies in the ring
+    # exactly when every leading-coefficient division is exact and nothing
+    # is left over.  Each exact step cancels rem[i + dd], so only the dd
+    # terms below it change.
+    if not d:
         raise ZeroDivisionError("polynomial division by zero")
-    if p.is_zero():
-        return QPoly()
-    *low, lead = d.coeffs
+    if not p:
+        return ring()
+    *low, lead = d
     dd = len(low)
-    rem = list(p.coeffs)
+    rem = list(p)
     qd = len(rem) - 1 - dd
     if qd < 0:
         return NOT_DIVISIBLE
     quot = [0] * (qd + 1)
     for i in range(qd, -1, -1):
-        c, r = divmod(rem[i + dd], lead)
-        if r:
+        c = div(rem[i + dd], lead)
+        if c is NOT_DIVISIBLE:
             return NOT_DIVISIBLE
         if c:
             quot[i] = c
             rem[i:i + dd] = [x - c * y for x, y in zip(rem[i:i + dd], low)]
     if any(rem[:dd]):
         return NOT_DIVISIBLE
-    return QPoly(quot)
+    return ring(quot)
 
 
 def _qlaurent_exact_div(p: QLaurent, d: QLaurent) -> QLaurent | NotDivisible:
     # Units in Z[q, q^-1] are +-q^k, so divisibility reduces to the bases.
-    if d.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    if p.is_zero():
-        return QLaurent.zero()
-    base = _qpoly_exact_div(p.base, d.base)
-    if isinstance(base, NotDivisible):
+    base = _long_div(p.base.coeffs, d.base.coeffs, _int_div, QPoly)
+    if base is NOT_DIVISIBLE:
         return NOT_DIVISIBLE
     return QLaurent(base, p.offset - d.offset)
-
-
-def _tqpoly_exact_div(p: TQPoly, d: TQPoly) -> TQPoly | NotDivisible:
-    # Eliminate from the lowest t-degree upward; remainder must vanish.
-    if d.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    if p.is_zero():
-        return TQPoly()
-    dv = d.t_valuation()
-    dlow = d.coeff(dv)
-    # Leading coefficients cannot cancel (integral domain), so an exact
-    # quotient has t-degree exactly deg(p) - deg(d); past that bound the
-    # elimination cannot close and p is not divisible.
-    max_shift = p.t_degree() - d.t_degree()
-    if max_shift < 0:
-        return NOT_DIVISIBLE
-    quot: dict[int, QLaurent] = {}
-    rem = p
-    while not rem.is_zero():
-        rv = rem.t_valuation()
-        shift = rv - dv
-        if shift < 0 or shift > max_shift:
-            return NOT_DIVISIBLE
-        c = _qlaurent_exact_div(rem.coeff(rv), dlow)
-        if isinstance(c, NotDivisible):
-            return NOT_DIVISIBLE
-        quot[shift] = c
-        rem = rem - TQPoly.t_monomial(shift, c) * d
-    n = max(quot) + 1
-    return TQPoly([quot.get(i, QLaurent.zero()) for i in range(n)])
 
 
 def _div_one_plus_q_powers(p: QPoly, exps: Iterable[int]) -> QPoly | NotDivisible:
@@ -818,11 +793,13 @@ def exact_div(p, d):
     NotDivisible
     """
     if isinstance(p, TQPoly) or isinstance(d, TQPoly):
-        return _tqpoly_exact_div(TQPoly.coerce(p), TQPoly.coerce(d))
+        p, d = TQPoly.coerce(p), TQPoly.coerce(d)
+        return _long_div(p.terms, d.terms, _qlaurent_exact_div, TQPoly)
     if isinstance(p, QLaurent) or isinstance(d, QLaurent):
         return _qlaurent_exact_div(QLaurent.coerce(p), QLaurent.coerce(d))
     if isinstance(p, QPoly) and isinstance(d, (QPoly, int)):
-        return _qpoly_exact_div(p, d if isinstance(d, QPoly) else QPoly((d,)))
+        d = d if isinstance(d, QPoly) else QPoly((d,))
+        return _long_div(p.coeffs, d.coeffs, _int_div, QPoly)
     raise TypeError(f"cannot divide {type(p).__name__} by {type(d).__name__}")
 
 

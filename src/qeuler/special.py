@@ -111,23 +111,28 @@ def f_eval(n: int, q0: RatLike) -> Fraction:
     return _f_sum(2 * n + 1, -1, 1, -n, Fraction(q0))
 
 
-def _equals_at_points(p: QPoly, rhs: Callable[[Fraction], Fraction]) -> bool:
-    """``p(q0) == rhs(q0)`` at ``deg(p) + 1`` admissible points; when ``rhs``
-    is known to be a polynomial of degree at most ``deg(p)``, that many exact
-    agreements prove the two equal."""
-    return all(p(q0) == rhs(q0) for q0 in islice(admissible_points(), p.degree() + 1))
+def _equals_at_points(p: QPoly, rhs: Callable[[Fraction], Fraction], degree: int) -> bool:
+    """``p(q0) == rhs(q0)`` at ``max(deg p, degree) + 1`` admissible points;
+    when ``rhs`` is known to be a polynomial of degree at most ``degree``,
+    that many exact agreements prove the two equal.  ``degree`` must not be
+    read off ``p``: a zero or truncated ``p`` would then be checked at too
+    few points, or at none."""
+    points = islice(admissible_points(), max(p.degree(), degree) + 1)
+    return all(p(q0) == rhs(q0) for q0 in points)
 
 
 def verify_d_identity(n: int) -> bool:
     """Check ``d_n(q) = (-1)^(n+1) (-1;q)_{n+2} / (1-q)^(2n+1) * f_n(q)``
-    at ``deg(d_n) + 1`` admissible rational points; since both sides are the
-    same polynomial of known degree, that many exact agreements prove it."""
+    at ``n(n-1)/2 + 1`` admissible rational points (more if ``d_poly(n)`` has
+    a higher degree); the right side is a polynomial of degree ``n(n-1)/2``
+    (``T_{2n+1}`` has degree ``n^2``), so that many exact agreements prove it."""
     return _equals_at_points(
         d_poly(n),
         lambda q0: (-1) ** (n + 1)
         * prod(1 + q0**j for j in range(n + 2))
         / (1 - q0) ** (2 * n + 1)
         * f_eval(n, q0),
+        n * (n - 1) // 2,
     )
 
 
@@ -192,7 +197,9 @@ def f_star_eval(n: int, q0: RatLike) -> Fraction:
 def verify_gstar_identity(n: int) -> bool:
     """Check the closed rational form
     ``G*_{2n}(q) = (-1)^n q^(-n-1) (-q;q^2)_{n+1} / ((1+q)^n (1-q)^(2n)) * f*_n(q)``
-    at ``deg(G*) + 1`` admissible points."""
+    at ``n(n-1) + 1`` admissible points (more if ``g_star(n)`` has a higher
+    degree); the right side is a polynomial of degree ``n(n-1)``
+    (``E*_{2n}`` has degree ``2n^2``)."""
     return _equals_at_points(
         g_star(n),
         lambda q0: (-1) ** n
@@ -200,6 +207,7 @@ def verify_gstar_identity(n: int) -> bool:
         * prod(1 + q0 ** (2 * j + 1) for j in range(n + 1))
         / ((1 + q0) ** n * (1 - q0) ** (2 * n))
         * f_star_eval(n, q0),
+        n * (n - 1),
     )
 
 

@@ -1,11 +1,15 @@
 import hashlib
+import http.client
 import importlib
 import importlib.util
 import inspect
+import io
 import json
 import os
 import subprocess
 import sys
+import urllib.error
+import urllib.request
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +25,7 @@ from qeuler.cli import (
     run_oeis_check,
     run_suite,
 )
+from qeuler.eulerian import carlitz_poly
 from qeuler.qring import QLaurent, QPoly, TQPoly
 from qeuler.serialize import from_json
 
@@ -360,6 +365,55 @@ def test_tangent_failure_names_the_first_difference(monkeypatch):
     ]
 
 
+def test_nonnegativity_failures_name_the_first_negative_coefficient(monkeypatch):
+    # T_{2n+1} and d_n report the first negative q^i and its coefficient
+    # d_poly divides q_tangent, so both are read before either is patched
+    t = {n: special.q_tangent(n) for n in range(3)}
+    d = {n: special.d_poly(n) for n in range(1, 3)}
+    monkeypatch.setattr(special, "q_tangent",
+                        lambda n: t[n] - (QPoly.monomial(2, 7) if n == 2 else 0))
+    monkeypatch.setattr(special, "d_poly",
+                        lambda n: d[n] - (QPoly.monomial(1, 9) if n == 2 else 0))
+    report = run_suite("tangent", 2)
+    # T_5 = 2 + 4q + 4q^2 + 4q^3 + 2q^4 and d_2 = 2 + 2q
+    assert [(i.name, i.detail) for i in report.items if i.status == "fail"] == [
+        ("T_5 polynomial with nonneg coeffs", "first negative coefficient at q^2: -3"),
+        ("T_5 == a*[5,3]", "first difference at q^2: expected 4, got -3"),
+        ("d_2 in Z[q] with nonneg coeffs", "first negative coefficient at q^1: -7"),
+        ("d_2 rational identity", ""),
+    ]
+    assert all(i.detail == "" for i in report.items if i.status == "pass")
+
+
+def test_reconstruction_failure_names_t_and_q(monkeypatch):
+    original = special.even_quotient
+    extra = TQPoly.t_monomial(1, QPoly.monomial(2, 4))
+    monkeypatch.setattr(special, "even_quotient",
+                        lambda n: original(n) + (extra if n == 2 else 0))
+    report = run_suite("tangent", 2)
+    # A_4 / (1 + t q^2) gains 4q^2 t, so A_4 gains 4q^2 t + 4q^4 t^2
+    c = carlitz_poly(4).coeff(1)
+    want = c.base[2 - c.offset]
+    assert [(i.name, i.detail) for i in report.items if i.status == "fail"] == [
+        ("A_4/(1+tq^2) reconstructs", f"first difference at t^1 q^2: expected {want}, "
+                                      f"got {want + 4}"),
+    ]
+
+
+def test_secant_value_failures_give_the_value_got(monkeypatch):
+    g, e = special.g_star, special.e_q_secant
+    monkeypatch.setattr(special, "g_star", lambda n: g(n) + (3 if n == 2 else 0))
+    monkeypatch.setattr(special, "e_q_secant",
+                        lambda n: e(n) + (QPoly.monomial(1) if n == 1 else 0))
+    report = run_suite("secant", 2)
+    assert [(i.name, i.detail) for i in report.items if i.status == "fail"] == [
+        ("E_2(q) at q=1 == 4^1 E_2", "expected 4, got 5"),
+        ("G*_4(1) == E_4 == 5", "expected 5, got 8"),
+        ("G*_4 rational identity", ""),
+    ]
+    assert all(i.detail == "" for i in report.items if i.status == "pass")
+
+
 def test_broken_library_claim_is_a_failed_item(monkeypatch, capsys):
     def broken(n):
         raise ArithmeticError(f"T_{2*n+1} has a negative coefficient")
@@ -653,6 +707,63 @@ def test_oeis_check_bad_input_exits_2(tmp_path, case):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
+
+
+def _bundled_bytes():
+    return {seq: cli.default_fixture_path(seq).read_bytes() for seq in cli.OEIS_SEQUENCES}
+
+
+@pytest.mark.parametrize("error", [
+    urllib.error.URLError("no route to host"),
+    ConnectionResetError("connection reset"),
+    http.client.IncompleteRead(b"1 1"),
+], ids=["URLError", "ConnectionResetError", "IncompleteRead"])
+def test_oeis_check_refresh_network_failure_exits_2(monkeypatch, tmp_path, capsys, error):
+    def fail(url, *args, **kwargs):
+        raise error
+
+    before = _bundled_bytes()
+    monkeypatch.setattr(urllib.request, "urlopen", fail)
+    dest = tmp_path / "b101280.txt"
+    with pytest.raises(SystemExit) as exc:
+        main(["oeis-check", "A101280", "--refresh", "--fixture", str(dest)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"cannot refresh {dest}" in err
+    assert not dest.exists()
+    assert _bundled_bytes() == before
+
+
+def test_oeis_check_refresh_needs_fixture(monkeypatch, capsys):
+    def fetch(url, *args, **kwargs):
+        raise AssertionError("nothing may be fetched")
+
+    before = _bundled_bytes()
+    monkeypatch.setattr(urllib.request, "urlopen", fetch)
+    for seq in cli.OEIS_SEQUENCES:
+        with pytest.raises(SystemExit) as exc:
+            main(["oeis-check", seq, "--refresh"])
+        assert exc.value.code == 2
+        assert "--refresh needs --fixture" in capsys.readouterr().err
+    assert _bundled_bytes() == before
+
+
+def test_oeis_check_refresh_writes_the_fixture(monkeypatch, tmp_path, capsys):
+    urls = []
+
+    def fetch(url, *args, **kwargs):
+        urls.append(url)
+        return io.BytesIO(cli.default_fixture_path("A101280").read_bytes())
+
+    before = _bundled_bytes()
+    monkeypatch.setattr(urllib.request, "urlopen", fetch)
+    dest = tmp_path / "b101280.txt"
+    assert main(["oeis-check", "A101280", "--max-n", "4", "--refresh", "--fixture", str(dest)]) == 0
+    assert urls == ["https://oeis.org/A101280/b101280.txt"]
+    assert dest.read_bytes() == before["A101280"]
+    assert "PASS" in capsys.readouterr().out
+    assert _bundled_bytes() == before
 
 
 def test_oeis_check_skip_alignment(tmp_path):

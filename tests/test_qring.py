@@ -620,3 +620,81 @@ def test_mul_one_plus_t_q_power_matches_product_and_division(p, e):
     got = _mul_one_plus_t_q_power(p, e)
     assert got == p * TQPoly([1, QLaurent.q_power(e)])
     assert _div_one_plus_t_q_power(got, e) == p
+
+
+# ---------------------------------------------------------------------------
+# TQPoly division against the elimination from the lowest t-degree
+# ---------------------------------------------------------------------------
+
+
+def _low_to_high_div(p, d):
+    # Reference: eliminate from the lowest t-degree upward, dividing each
+    # coefficient's base over Q (_fraction_exact_div); the remainder must
+    # vanish within the t-degree an exact quotient can have.
+    if d.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    if p.is_zero():
+        return TQPoly()
+    dv = d.t_valuation()
+    dlow = d.coeff(dv)
+    max_shift = p.t_degree() - d.t_degree()
+    if max_shift < 0:
+        return NOT_DIVISIBLE
+    quot = {}
+    rem = p
+    while not rem.is_zero():
+        rv = rem.t_valuation()
+        shift = rv - dv
+        if shift < 0 or shift > max_shift:
+            return NOT_DIVISIBLE
+        c = rem.coeff(rv)
+        base = _fraction_exact_div(c.base, dlow.base)
+        if base is NOT_DIVISIBLE:
+            return NOT_DIVISIBLE
+        quot[shift] = QLaurent(base, c.offset - dlow.offset)
+        rem = rem - TQPoly.t_monomial(shift, quot[shift]) * d
+    return TQPoly([quot.get(i, QLaurent.zero()) for i in range(max(quot) + 1)])
+
+
+laurents = st.builds(
+    QLaurent, st.lists(st.integers(-9, 9), max_size=5).map(QPoly), st.integers(-3, 3)
+)
+# nonzero divisors, possibly with t-valuation > 0: t^v (low + lead t^k)
+tq_divisors = st.builds(
+    lambda v, low, lead: TQPoly(low + [lead]).t_shift(v),
+    st.integers(0, 2),
+    st.lists(laurents, max_size=2),
+    st.builds(QLaurent, divisors, st.integers(-3, 3)),
+)
+
+
+@given(
+    st.lists(laurents, max_size=5).map(TQPoly),
+    tq_divisors,
+    st.sampled_from(["any", "multiple", "rational multiple"]),
+)
+def test_exact_div_tqpoly_matches_low_to_high_elimination(p, d, how):
+    if how == "multiple":
+        p = p * d
+    elif how == "rational multiple":  # p / 2 over Q: divisible only when p is even
+        p, d = p * d, d * 2
+    assert repr(exact_div(p, d)) == repr(_low_to_high_div(p, d))
+
+
+def test_exact_div_tqpoly_edge_cases():
+    q = QLaurent.q_power
+    d = TQPoly([0, 0, QLaurent(P(1, 1), -2)])  # (q^-2 + q^-1) t^2
+    p = TQPoly([0, 0, 0, QLaurent(P(1, 2, 1), -5)])
+    assert exact_div(p, d) == TQPoly([0, q(-3) + q(-2)])
+    assert exact_div(TQPoly([1]) + p, d) is NOT_DIVISIBLE  # nonzero remainder below t^2
+    assert exact_div(TQPoly([0, 0, 1]), d) is NOT_DIVISIBLE  # 1 / (q^-2 + q^-1)
+    assert exact_div(TQPoly([0, 1]), d) is NOT_DIVISIBLE  # t-degree too low
+    assert exact_div(TQPoly([0, 0, 2]), TQPoly([0, 0, 4])) is NOT_DIVISIBLE  # 1/2
+    assert exact_div(TQPoly(), d) == TQPoly()
+    assert exact_div(QLaurent(P(2), -1), TQPoly([2])) == TQPoly([q(-1)])
+    for p in (TQPoly([1]), QLaurent(P(1)), P(1)):
+        for zero in (TQPoly(), QLaurent(), QPoly(), 0):
+            with pytest.raises(ZeroDivisionError):
+                exact_div(p, zero)
+    with pytest.raises(TypeError):
+        exact_div(1, 2)

@@ -149,6 +149,62 @@ def test_rational_identities_reject_a_perturbed_polynomial(monkeypatch):
     assert not verify_gstar_identity(3)
 
 
+# verify_d_identity and verify_gstar_identity take their point counts from
+# these degree bounds, not from the polynomial under test
+@pytest.mark.parametrize("n", range(1, 10))
+def test_identity_degree_bounds_are_the_degrees(n):
+    assert d_poly(n).degree() == n * (n - 1) // 2
+    assert g_star(n).degree() == n * (n - 1)
+
+
+def _vanishing_at_first_points(k):
+    # prod_{i<k} ((i+1) q - (i+2)): zero at the first k admissible points
+    p = P(1)
+    for i in range(k):
+        p = p * P(-(i + 2), i + 1)
+    return p
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_rational_identities_reject_zero_and_low_degree_polynomials(monkeypatch, n):
+    d, g = d_poly(n), g_star(n)
+    for wrong_d, wrong_g in [(P(), P()), (P(*d.coeffs[:-1]), P(*g.coeffs[:-1]))]:
+        monkeypatch.setattr(special, "d_poly", lambda n: wrong_d)
+        monkeypatch.setattr(special, "g_star", lambda n: wrong_g)
+        assert not verify_d_identity(n)
+        assert not verify_gstar_identity(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rational_identities_use_bound_plus_one_points(monkeypatch, n):
+    used = []
+    points = special.admissible_points
+
+    def counted():
+        for q0 in points():
+            used.append(q0)
+            yield q0
+
+    monkeypatch.setattr(special, "admissible_points", counted)
+    assert verify_d_identity(n)
+    assert len(used) == n * (n - 1) // 2 + 1
+    used.clear()
+    assert verify_gstar_identity(n)
+    assert len(used) == n * (n - 1) + 1
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_rational_identities_check_past_the_bound_for_a_higher_degree(monkeypatch, n):
+    # agrees with the true polynomial at the first bound + 1 points only
+    d, g = d_poly(n), g_star(n)
+    monkeypatch.setattr(
+        special, "d_poly", lambda n: d + _vanishing_at_first_points(n * (n - 1) // 2 + 1))
+    monkeypatch.setattr(
+        special, "g_star", lambda n: g + _vanishing_at_first_points(n * (n - 1) + 1))
+    assert not verify_d_identity(n)
+    assert not verify_gstar_identity(n)
+
+
 @pytest.mark.parametrize("q0", [2, Fraction(3, 2), Fraction(1, 3), Fraction(-2), Fraction(-5, 7)])
 @pytest.mark.parametrize("n", range(0, 5))
 def test_f_sums_match_their_literal_sums(n, q0):

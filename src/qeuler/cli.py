@@ -9,7 +9,6 @@ reports carry wall time in a separate field only.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -274,9 +273,37 @@ def _brackets(kind, identity, first, n):
     return (name, True) if bad is None else (name, False, f"first failing (k, s) = {bad}")
 
 
+def _identity(name, verify, sides, n):
+    """The item ``verify(n)``, a rational identity checked at sample points;
+    on failure its detail names the first point at which the two sides of
+    ``sides(n)`` differ, and both values."""
+    if verify(n):
+        return name, True
+    q0, got, want = special._first_mismatch(*sides(n))
+    return name, False, f"first difference at q={q0}: expected {want}, got {got}"
+
+
+def _reversal(family, reciprocity, n):
+    """The item ``reciprocity(n)``; on failure its detail names the first bad ``k``."""
+    name = f"{family} row reversal n={n}"
+    if reciprocity(n):
+        return name, True
+    return name, False, f"first bad k={unimodality._first_unreversed(family, n)}"
+
+
+def _growth(family, monotone, q0, n):
+    """The item ``monotone(n, q0)``; on failure its detail names the first
+    bad ``k`` and the two values that do not rise."""
+    name = f"{family} strict growth n={n} q0={q0}"
+    if monotone(n, q0):
+        return name, True
+    k, a, b = unimodality._first_fall(family, n, q0)
+    return name, False, f"first bad k={k}: {b} does not exceed {a}"
+
+
 def _monotone(q0, n):
-    yield lambda: (f"A strict growth n={n} q0={q0}", unimodality.monotone_check_A(n, q0))
-    yield lambda: (f"B strict growth n={n} q0={q0}", unimodality.monotone_check_B(n, q0))
+    yield lambda: _growth("A", unimodality.monotone_check_A, q0, n)
+    yield lambda: _growth("B", unimodality.monotone_check_B, q0, n)
 
 
 # Each suite's default --max-n, its --max-n limit and its blocks, in report
@@ -304,20 +331,22 @@ SUITES = {
     "tangent": Suite(6, 40, (
         Block(0, _tangent),
         Block(1, _tangent_quotients),
-        Block(1, lambda n: [lambda: (f"d_{n} rational identity", special.verify_d_identity(n))],
+        Block(1, lambda n: [lambda: _identity(f"d_{n} rational identity",
+                                              special.verify_d_identity, special._d_identity, n)],
               cap=5),
     )),
     "secant": Suite(5, 30, (
         Block(0, _secant),
-        Block(0, lambda n: [lambda: (f"G*_{2*n} rational identity",
-                                     special.verify_gstar_identity(n))], cap=4),
+        Block(0, lambda n: [lambda: _identity(f"G*_{2*n} rational identity",
+                                              special.verify_gstar_identity,
+                                              special._gstar_identity, n)], cap=4),
     )),
     "doubloon": Suite(3, 60, (
         Block(1, lambda n: [lambda: _doubloon(n)], cap=doubloon.DEFAULT_ORDER_LIMIT),
     )),
     "reciprocity": Suite(12, 60, (
-        Block(1, lambda n: [lambda: (f"A row reversal n={n}", unimodality.reciprocity_A(n))]),
-        Block(0, lambda n: [lambda: (f"B row reversal n={n}", unimodality.reciprocity_B(n))]),
+        Block(1, lambda n: [lambda: _reversal("A", unimodality.reciprocity_A, n)]),
+        Block(0, lambda n: [lambda: _reversal("B", unimodality.reciprocity_B, n)]),
     )),
     "monotone": Suite(10, 30, (Block(2, _monotone, by_point=True),)),
     "brackets": Suite(12, 40, (
@@ -443,9 +472,9 @@ def run_oeis_check(sequence: str, max_n: int, fixture_text: str, skip: int = 0) 
 # ---------------------------------------------------------------------------
 
 
-# At 60 the slowest table (B as csv) takes about 4 s.  Rows are written as
-# they are formatted, so memory is the cached rows plus one formatted row:
-# table B as json peaks near 140 MB at 60.
+# At 60 the slowest table (B as text) takes about 1.5 s cold on a 2 vCPU VM.
+# Rows are written as they are formatted, so memory is the cached rows plus
+# one formatted row: table B as json peaks near 140 MB at 60.
 TABLE_MAX_N = 60
 
 
@@ -455,9 +484,9 @@ def cmd_table(args, parser) -> int:
     tri = TRIANGLES[args.family](args.max_n)
     value = spec_q1 if args.q1 else to_json if args.format == "json" else render
     out = sys.stdout
+    # no CSV field needs quoting: they are ints and rendered polynomials
     if args.format == "csv":
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["n", "k", "value"])
+        out.write("n,k,value\n")
     elif args.format == "json":
         # the document's own bytes, its "rows" list filled in one row at a time
         head = {"family": args.family, "max_n": args.max_n, "q1": bool(args.q1), "rows": []}
@@ -465,7 +494,7 @@ def cmd_table(args, parser) -> int:
     for n in range(tri.first_n, tri.max_n + 1):
         kr, values = tri.krange(n), map(value, tri.row(n))
         if args.format == "csv":
-            w.writerows([n, k, v] for k, v in zip(kr, values))
+            out.writelines(f"{n},{k},{v}\n" for k, v in zip(kr, values))
         elif args.format == "json":
             row = {"n": n, "kmin": kr.start, "entries": list(values)}
             out.write((", " if n > tri.first_n else "") + json.dumps(row, separators=(", ", ": ")))
@@ -480,8 +509,8 @@ def cmd_table(args, parser) -> int:
 
 POLY_BUILDERS = {
     # name -> (min n, max n, builder); the largest n builds rows to 100 or
-    # 101, and the slowest of them, Gstar and Estar at 50, take about 8 s and
-    # 0.86 GB.
+    # 101.  Cold on a 2 vCPU VM, the slowest, B at 100, takes about 6 s and
+    # 0.93 GB, and Gstar and Estar at 50 about 5-6 s and 0.83 GB.
     "A": (1, 100, carlitz_poly),
     "B": (0, 100, typeB_poly),
     "T": (0, 50, lambda n: special.q_tangent(n)),
@@ -501,13 +530,9 @@ def cmd_poly(args, parser) -> int:
     if args.format == "text":
         print(render(p))
     elif args.format == "csv":
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        if isinstance(p, TQPoly):
-            w.writerow(["tdeg", "exponent", "coefficient"])
-        else:
-            w.writerow(["exponent", "coefficient"])
-        for row in csv_rows(p):
-            w.writerow(row)
+        # fields are exponents and integers, none of which needs quoting
+        print("tdeg,exponent,coefficient" if isinstance(p, TQPoly) else "exponent,coefficient")
+        sys.stdout.writelines(",".join(map(str, row)) + "\n" for row in csv_rows(p))
     else:
         print(dumps(p))
     return 0
@@ -529,8 +554,8 @@ def cmd_verify(args, parser) -> int:
     return 0 if all_ok else 1
 
 
-# At 40 the scan takes about 5 s and 0.3 GB (rows of B to 80 stay cached);
-# at 50 it takes 12 s and 0.86 GB.
+# Cold on a 2 vCPU VM, the scan takes about 2.2 s and 0.31 GB at 40 (rows of
+# B to 80 stay cached), and about 6 s and 0.83 GB at 50.
 CONJECTURE_MAX_N = 40
 
 

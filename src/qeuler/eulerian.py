@@ -1,31 +1,31 @@
 """The four q-Eulerian coefficient triangles and their generating polynomials.
 
-Every triangle is built by one two-term recurrence,
+Every triangle is built by one two-term recurrence of one shape,
 
-    P[n,k] = alpha(n,k) P[n-1,k] + beta(n,k) P[n-1,k-1],
+    P[n,k] = [u]_q P[n-1,k] + q^e prod_{f in fs} (1 + q^f) [v]_q P[n-1,k-1].
 
-whose factors are each a monomial times a product of q-integers
-``[m]_{q^s}``.  The ``FAMILIES`` table gives, per family, the column range
-``krange(n)``, the seed row ``(1,)`` at ``seed_n``, the first public row
-``first_n``, and ``alpha``/``beta`` as factor specs ``(e, ((m1, s1), ...))``
-meaning ``q^e [m1]_{q^s1} ...`` (``s = 0`` reads ``[m]_{q^0}`` as ``m``):
+The ``FAMILIES`` table gives, per family, the column range ``krange(n)``,
+the seed row ``(1,)`` at ``seed_n``, the first public row ``first_n``,
+``alpha(n,k) = u`` and ``beta(n,k) = (e, fs, v)``:
 
 * ``A`` -- Carlitz q-Eulerian coefficients ``A[n,k]``, ``1 <= k <= n``,
   ``A[n,k] = [k] A[n-1,k] + q^(k-1) [n+1-k] A[n-1,k-1]``.
 * ``a`` -- the gamma coefficients of the type-A expansion,
   ``1 <= k <= (n+1)//2``,
-  ``a[n,k] = [k] a[n-1,k] + q^(k-1) [2]_{q^(k-1)} [n+2-2k] a[n-1,k-1]``,
-  where ``[2]_{q^(k-1)} = 1 + q^(k-1)``.
+  ``a[n,k] = [k] a[n-1,k] + q^(k-1) (1 + q^(k-1)) [n+2-2k] a[n-1,k-1]``.
 * ``B`` -- Chow-Gessel type-B q-Eulerian coefficients ``B[n,k]``,
   ``0 <= k <= n``,
   ``B[n,k] = [2k+1] B[n-1,k] + q^(2k-1) [2n-2k+1] B[n-1,k-1]``.
 * ``b`` -- the type-B gamma coefficients, ``0 <= k <= n//2``,
-  ``b[n,k] = [2k+1] b[n-1,k] + q^(2k-1) [2]_q [2]_{q^(2k-1)} [n+1-2k]_{q^2} b[n-1,k-1]``;
-  it seeds at ``b[0,0] = 1`` (forced by ``B_0(t,q) = 1``) and is public from n=1.
+  ``b[n,k] = [2k+1] b[n-1,k] + q^(2k-1) [2]_q (1 + q^(2k-1)) [n+1-2k]_{q^2} b[n-1,k-1]``,
+  which is the shape above with ``v = 2(n+1-2k)``, since
+  ``[2]_q [m]_{q^2} = [2m]_q``; it seeds at ``b[0,0] = 1`` (forced by
+  ``B_0(t,q) = 1``) and is public from n=1.
 
-The row engine applies each q-integer with :meth:`QPoly.mul_q_int` and the
-monomial with :meth:`QPoly.shift`, so each product costs O(degree) rather
-than a full polynomial product.
+As ``[m]_q = (1 - q^m) / (1 - q)``, each entry is one running sum of
+``x - q^u x + q^e y' - q^(e+v) y'``, where ``x = P[n-1,k]``,
+``y = P[n-1,k-1]`` and ``y' = y prod_f (1 + q^f)`` takes one pass per ``f``:
+O(degree) per entry, and no product of two polynomials.
 
 ``A_n(t,q) = sum_k A[n,k] t^(k-1)`` and ``B_n(t,q) = sum_k B[n,k] t^k`` are
 also definable through their generating series
@@ -57,6 +57,8 @@ from __future__ import annotations
 
 import dataclasses
 from functools import lru_cache
+from itertools import accumulate
+from operator import add, sub
 from typing import Callable
 
 from .qring import (
@@ -70,20 +72,21 @@ from .qring import (
 )
 
 
-# ``(e, ((m1, s1), (m2, s2), ...))`` stands for ``q^e [m1]_{q^s1} [m2]_{q^s2} ...``.
-Factor = tuple[int, tuple[tuple[int, int], ...]]
+# ``(e, fs, v)`` stands for ``q^e prod_{f in fs} (1 + q^f) [v]_q``.
+Beta = tuple[int, tuple[int, ...], int]
 
 
 @dataclasses.dataclass(frozen=True)
 class Family:
-    """One triangle of the two-term recurrence (see the module docstring);
-    ``alpha(n, k)`` and ``beta(n, k)`` return :data:`Factor` specs."""
+    """One triangle of the two-term recurrence (see the module docstring):
+    ``alpha(n, k)`` is the ``u`` of ``[u]_q`` and ``beta(n, k)`` the
+    :data:`Beta` spec ``(e, fs, v)``."""
 
     first_n: int
     seed_n: int
     krange: Callable[[int], range]
-    alpha: Callable[[int, int], Factor]
-    beta: Callable[[int, int], Factor]
+    alpha: Callable[[int, int], int]
+    beta: Callable[[int, int], Beta]
 
 
 FAMILIES = {
@@ -91,39 +94,52 @@ FAMILIES = {
         first_n=1,
         seed_n=1,
         krange=lambda n: range(1, n + 1),
-        alpha=lambda n, k: (0, ((k, 1),)),
-        beta=lambda n, k: (k - 1, ((n + 1 - k, 1),)),
+        alpha=lambda n, k: k,
+        beta=lambda n, k: (k - 1, (), n + 1 - k),
     ),
     "a": Family(
         first_n=1,
         seed_n=1,
         krange=lambda n: range(1, (n + 1) // 2 + 1),
-        alpha=lambda n, k: (0, ((k, 1),)),
-        beta=lambda n, k: (k - 1, ((2, k - 1), (n + 2 - 2 * k, 1))),
+        alpha=lambda n, k: k,
+        beta=lambda n, k: (k - 1, (k - 1,), n + 2 - 2 * k),
     ),
     "B": Family(
         first_n=0,
         seed_n=0,
         krange=lambda n: range(0, n + 1),
-        alpha=lambda n, k: (0, ((2 * k + 1, 1),)),
-        beta=lambda n, k: (2 * k - 1, ((2 * n - 2 * k + 1, 1),)),
+        alpha=lambda n, k: 2 * k + 1,
+        beta=lambda n, k: (2 * k - 1, (), 2 * n - 2 * k + 1),
     ),
     "b": Family(
         first_n=1,
         seed_n=0,
         krange=lambda n: range(0, n // 2 + 1),
-        alpha=lambda n, k: (0, ((2 * k + 1, 1),)),
-        beta=lambda n, k: (2 * k - 1, ((2, 1), (2, 2 * k - 1), (n + 1 - 2 * k, 2))),
+        alpha=lambda n, k: 2 * k + 1,
+        beta=lambda n, k: (2 * k - 1, (2 * k - 1,), 2 * (n + 1 - 2 * k)),
     ),
 }
 
 
-def _apply_factor(factor: Factor, p: QPoly) -> QPoly:
-    """``factor * p``, one :meth:`QPoly.mul_q_int` per q-integer and one shift."""
-    e, q_ints = factor
-    for m, step in q_ints:
-        p = p.mul_q_int(m, step)
-    return p.shift(e)
+def _recur(x: tuple[int, ...], u: int, y: tuple[int, ...], beta: Beta) -> QPoly:
+    """``[u] x + q^e prod_f (1 + q^f) [v] y`` for ``beta = (e, fs, v)``, from
+    the coefficients ``x`` and ``y`` (empty for a zero operand).  As
+    ``[m] = (1 - q^m) / (1 - q)``, it is the prefix sums of
+    ``x - q^u x + q^e y' - q^(e+v) y'`` with ``y' = y prod_f (1 + q^f)``."""
+    e, fs, v = beta
+    for f in fs:
+        pad = (0,) * f
+        y = tuple([*map(add, y + pad, pad + y)])
+    lx, ly = len(x), len(y)
+    out = [0] * max(u + lx, e + v + ly if y else 0)
+    out[:lx] = x
+    out[u:u + lx] = map(sub, out[u:u + lx], x)
+    if y:  # B and b have no y at k = 0, where e is -1
+        out[e:e + ly] = map(add, out[e:e + ly], y)
+        out[e + v:e + v + ly] = map(sub, out[e + v:e + v + ly], y)
+    # 1 - q divides the whole, so the sums total zero: the last prefix sum is 0
+    out.pop()
+    return QPoly(accumulate(out))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -176,13 +192,11 @@ def _row_builder(family: str) -> Callable[[int], tuple[QPoly, ...]]:
         for m in range(fam.seed_n + row.cache_info().currsize, n):
             row(m)
         prev, pk = row(n - 1), fam.krange(n - 1)
-        out = []
-        for k in fam.krange(n):
-            term = _apply_factor(fam.alpha(n, k), prev[k - pk.start]) if k in pk else QPoly.zero()
-            if k - 1 in pk:
-                term = term + _apply_factor(fam.beta(n, k), prev[k - 1 - pk.start])
-            out.append(term)
-        return tuple(out)
+        return tuple([
+            _recur(prev[k - pk.start].coeffs if k in pk else (), fam.alpha(n, k),
+                   prev[k - 1 - pk.start].coeffs if k - 1 in pk else (), fam.beta(n, k))
+            for k in fam.krange(n)
+        ])
 
     return row
 

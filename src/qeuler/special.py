@@ -111,22 +111,22 @@ def f_eval(n: int, q0: RatLike) -> Fraction:
     return _f_sum(2 * n + 1, -1, 1, -n, Fraction(q0))
 
 
-def _equals_at_points(p: QPoly, rhs: Callable[[Fraction], Fraction], degree: int) -> bool:
-    """``p(q0) == rhs(q0)`` at ``max(deg p, degree) + 1`` admissible points;
-    when ``rhs`` is known to be a polynomial of degree at most ``degree``,
-    that many exact agreements prove the two equal.  ``degree`` must not be
-    read off ``p``: a zero or truncated ``p`` would then be checked at too
-    few points, or at none."""
+def _first_mismatch(
+    p: QPoly, rhs: Callable[[Fraction], Fraction], degree: int
+) -> tuple[Fraction, Fraction, Fraction] | None:
+    """The first of ``max(deg p, degree) + 1`` admissible points ``q0`` with
+    ``p(q0) != rhs(q0)``, as ``(q0, p(q0), rhs(q0))``, or ``None`` when the
+    two agree at every one of them.  When ``rhs`` is known to be a polynomial
+    of degree at most ``degree``, that many exact agreements prove the two
+    equal.  ``degree`` must not be read off ``p``: a zero or truncated ``p``
+    would then be checked at too few points, or at none."""
     points = islice(admissible_points(), max(p.degree(), degree) + 1)
-    return all(p(q0) == rhs(q0) for q0 in points)
+    return next(((q0, got, want) for q0 in points if (got := p(q0)) != (want := rhs(q0))), None)
 
 
-def verify_d_identity(n: int) -> bool:
-    """Check ``d_n(q) = (-1)^(n+1) (-1;q)_{n+2} / (1-q)^(2n+1) * f_n(q)``
-    at ``n(n-1)/2 + 1`` admissible rational points (more if ``d_poly(n)`` has
-    a higher degree); the right side is a polynomial of degree ``n(n-1)/2``
-    (``T_{2n+1}`` has degree ``n^2``), so that many exact agreements prove it."""
-    return _equals_at_points(
+def _d_identity(n: int) -> tuple[QPoly, Callable[[Fraction], Fraction], int]:
+    """The arguments of :func:`_first_mismatch` for :func:`verify_d_identity`."""
+    return (
         d_poly(n),
         lambda q0: (-1) ** (n + 1)
         * prod(1 + q0**j for j in range(n + 2))
@@ -134,6 +134,14 @@ def verify_d_identity(n: int) -> bool:
         * f_eval(n, q0),
         n * (n - 1) // 2,
     )
+
+
+def verify_d_identity(n: int) -> bool:
+    """Check ``d_n(q) = (-1)^(n+1) (-1;q)_{n+2} / (1-q)^(2n+1) * f_n(q)``
+    at ``n(n-1)/2 + 1`` admissible rational points (more if ``d_poly(n)`` has
+    a higher degree); the right side is a polynomial of degree ``n(n-1)/2``
+    (``T_{2n+1}`` has degree ``n^2``), so that many exact agreements prove it."""
+    return _first_mismatch(*_d_identity(n)) is None
 
 
 def even_quotient(n: int) -> TQPoly:
@@ -194,13 +202,9 @@ def f_star_eval(n: int, q0: RatLike) -> Fraction:
     return _f_sum(2 * n, -q0, 2, -2 * n - 1, q0)
 
 
-def verify_gstar_identity(n: int) -> bool:
-    """Check the closed rational form
-    ``G*_{2n}(q) = (-1)^n q^(-n-1) (-q;q^2)_{n+1} / ((1+q)^n (1-q)^(2n)) * f*_n(q)``
-    at ``n(n-1) + 1`` admissible points (more if ``g_star(n)`` has a higher
-    degree); the right side is a polynomial of degree ``n(n-1)``
-    (``E*_{2n}`` has degree ``2n^2``)."""
-    return _equals_at_points(
+def _gstar_identity(n: int) -> tuple[QPoly, Callable[[Fraction], Fraction], int]:
+    """The arguments of :func:`_first_mismatch` for :func:`verify_gstar_identity`."""
+    return (
         g_star(n),
         lambda q0: (-1) ** n
         * q0 ** (-n - 1)
@@ -209,6 +213,15 @@ def verify_gstar_identity(n: int) -> bool:
         * f_star_eval(n, q0),
         n * (n - 1),
     )
+
+
+def verify_gstar_identity(n: int) -> bool:
+    """Check the closed rational form
+    ``G*_{2n}(q) = (-1)^n q^(-n-1) (-q;q^2)_{n+1} / ((1+q)^n (1-q)^(2n)) * f*_n(q)``
+    at ``n(n-1) + 1`` admissible points (more if ``g_star(n)`` has a higher
+    degree); the right side is a polynomial of degree ``n(n-1)``
+    (``E*_{2n}`` has degree ``2n^2``)."""
+    return _first_mismatch(*_gstar_identity(n)) is None
 
 
 def e_q_secant(n: int) -> QPoly:

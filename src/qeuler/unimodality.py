@@ -11,10 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import pairwise
 
-from .eulerian import TRIANGLES, _carlitz_row, _typeB_row
+from .eulerian import FAMILIES, TRIANGLES, _carlitz_row, _typeB_row
 from .qring import (
     QLaurent,
-    QPoly,
     RatLike,
     is_unimodal_ints,
     spec_q1,
@@ -22,26 +21,29 @@ from .qring import (
 )
 
 
-def _reverses(row: tuple[QPoly, ...], e: int) -> bool:
-    """``row[-1-i] == q^e row[i](1/q)`` for every ``i``: read backwards, the
-    row is itself under ``q -> 1/q`` times ``q^e``."""
-    return all(
-        QLaurent(back) == subst_q_recip(p).shift(e) for p, back in zip(row, reversed(row))
-    )
+def _first_unreversed(family: str, n: int) -> int | None:
+    """The first ``k`` at which row ``n`` of ``A`` or ``B`` breaks the
+    reciprocity of :func:`reciprocity_A` or :func:`reciprocity_B`, or
+    ``None``: read backwards, the row must be itself under ``q -> 1/q``
+    times ``q^e``.  The row is read once, with no product."""
+    row, e = (_carlitz_row(n), n * (n - 1) // 2) if family == "A" else (_typeB_row(n), n * n)
+    bad = next((i for i, (p, back) in enumerate(zip(row, reversed(row)))
+                if QLaurent(back) != subst_q_recip(p).shift(e)), None)
+    return None if bad is None else FAMILIES[family].krange(n).start + bad
 
 
 def reciprocity_A(n: int) -> bool:
     """``A[n, n-k+1](q) == q^(n(n-1)/2) A[n,k](1/q)`` for every k, exactly."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return _reverses(_carlitz_row(n), n * (n - 1) // 2)
+    return _first_unreversed("A", n) is None
 
 
 def reciprocity_B(n: int) -> bool:
     """``B[n, n-k](q) == q^(n^2) B[n,k](1/q)`` for every k, exactly."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    return _reverses(_typeB_row(n), n * n)
+    return _first_unreversed("B", n) is None
 
 
 def _check_q0(q0: Fraction) -> Fraction:
@@ -51,12 +53,17 @@ def _check_q0(q0: Fraction) -> Fraction:
     return q0
 
 
-def _rises(row: tuple[QPoly, ...], lo: int, hi: int, q0: Fraction) -> bool:
-    """The values at ``q0`` of ``row[lo:hi]`` rise strictly, the row read as
-    it is when ``q0 > 1`` and backwards when ``0 < q0 < 1``; each entry is
-    evaluated once."""
-    entries = (row if q0 > 1 else row[::-1])[lo:hi]
-    return all(a < b for a, b in pairwise(p(q0) for p in entries))
+def _first_fall(family: str, n: int, q0: Fraction) -> tuple[int, Fraction, Fraction] | None:
+    """The first ``k`` at which the strict growth of :func:`monotone_check_A`
+    or :func:`monotone_check_B` fails at ``q0``, with the value that should
+    be exceeded and the one that should exceed it, or ``None``.  The checked
+    slice of row ``n`` is read as it is when ``q0 > 1`` and backwards when
+    ``0 < q0 < 1``; each entry is evaluated once."""
+    row, lo, hi = (
+        (_carlitz_row(n), 0, (n + 1) // 2) if family == "A" else (_typeB_row(n), 1, n // 2 + 1)
+    )
+    values = (p(q0) for p in (row if q0 > 1 else row[::-1])[lo:hi])
+    return next(((k, a, b) for k, (a, b) in enumerate(pairwise(values), 1) if not a < b), None)
 
 
 def monotone_check_A(n: int, q0: RatLike) -> bool:
@@ -66,7 +73,7 @@ def monotone_check_A(n: int, q0: RatLike) -> bool:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     q0 = _check_q0(q0)
-    return _rises(_carlitz_row(n), 0, (n + 1) // 2, q0)
+    return _first_fall("A", n, q0) is None
 
 
 def monotone_check_B(n: int, q0: RatLike) -> bool:
@@ -74,7 +81,7 @@ def monotone_check_B(n: int, q0: RatLike) -> bool:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     q0 = _check_q0(q0)
-    return _rises(_typeB_row(n), 1, n // 2 + 1, q0)
+    return _first_fall("B", n, q0) is None
 
 
 def q1_unimodality(family: str, N: int) -> bool:

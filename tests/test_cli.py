@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import http.client
 import importlib
@@ -25,9 +26,9 @@ from qeuler.cli import (
     run_oeis_check,
     run_suite,
 )
-from qeuler.eulerian import carlitz_poly
-from qeuler.qring import QLaurent, QPoly, TQPoly
-from qeuler.serialize import from_json
+from qeuler.eulerian import TRIANGLES, carlitz_poly
+from qeuler.qring import QLaurent, QPoly, TQPoly, spec_q1
+from qeuler.serialize import csv_rows, from_json, render
 
 
 def run_cli(*args, binary=False):
@@ -83,6 +84,35 @@ def test_table_csv():
         "2,0,1",
         "2,1,q + 2q^2 + q^3",
     ]
+
+
+def _csv_reference(header, rows):
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("q1", [False, True])
+@pytest.mark.parametrize("family", ["A", "a", "B", "b"])
+def test_table_csv_matches_csv_writer(capsys, family, q1):
+    tri = TRIANGLES[family](9)
+    value = spec_q1 if q1 else render
+    want = _csv_reference(["n", "k", "value"], [
+        [n, k, value(p)] for n in range(tri.first_n, 10) for k, p in zip(tri.krange(n), tri.row(n))
+    ])
+    assert main(["table", family, "--max-n", "9", "--format", "csv"] + ["--q1"] * q1) == 0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("name, n", [("A", 6), ("B", 5), ("T", 3), ("Gstar", 3)])
+def test_poly_csv_matches_csv_writer(capsys, name, n):
+    p = cli.POLY_BUILDERS[name][2](n)
+    header = ["tdeg", "exponent", "coefficient"] if isinstance(p, TQPoly) else [
+        "exponent", "coefficient"]
+    assert main(["poly", name, "--n", str(n), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == _csv_reference(header, csv_rows(p))
 
 
 def test_table_json_roundtrips():
@@ -380,7 +410,7 @@ def test_nonnegativity_failures_name_the_first_negative_coefficient(monkeypatch)
         ("T_5 polynomial with nonneg coeffs", "first negative coefficient at q^2: -3"),
         ("T_5 == a*[5,3]", "first difference at q^2: expected 4, got -3"),
         ("d_2 in Z[q] with nonneg coeffs", "first negative coefficient at q^1: -7"),
-        ("d_2 rational identity", ""),
+        ("d_2 rational identity", "first difference at q=2: expected 6, got -12"),
     ]
     assert all(i.detail == "" for i in report.items if i.status == "pass")
 
@@ -409,7 +439,59 @@ def test_secant_value_failures_give_the_value_got(monkeypatch):
     assert [(i.name, i.detail) for i in report.items if i.status == "fail"] == [
         ("E_2(q) at q=1 == 4^1 E_2", "expected 4, got 5"),
         ("G*_4(1) == E_4 == 5", "expected 5, got 8"),
-        ("G*_4 rational identity", ""),
+        # G*_4 = 2 + q + 2q^2
+        ("G*_4 rational identity", "first difference at q=2: expected 12, got 15"),
+    ]
+    assert all(i.detail == "" for i in report.items if i.status == "pass")
+
+
+def test_identity_failure_names_the_first_differing_point(monkeypatch):
+    # d_2 = 2 + 2q gains q - 2, which vanishes at the first sample point q = 2
+    d = special.d_poly
+    monkeypatch.setattr(special, "d_poly", lambda n: d(n) + (QPoly([-2, 1]) if n == 2 else 0))
+    report = run_suite("tangent", 2)
+    assert [(i.name, i.detail) for i in report.items if i.status == "fail"] == [
+        ("d_2 rational identity", "first difference at q=3/2: expected 5, got 9/2"),
+    ]
+    assert all(i.detail == "" for i in report.items if i.status == "pass")
+
+
+def _perturbed_row(monkeypatch, row_name, n, i, entry):
+    """Make ``unimodality.<row_name>`` return row ``n`` with entry ``i``
+    replaced by ``entry(row)``."""
+    original = getattr(unimodality, row_name)
+
+    def row(m):
+        r = list(original(m))
+        if m == n:
+            r[i] = entry(r)
+        return tuple(r)
+
+    monkeypatch.setattr(unimodality, row_name, row)
+
+
+@pytest.mark.parametrize("family, row_name, n, k", [
+    ("A", "_carlitz_row", 6, 2), ("B", "_typeB_row", 5, 1),
+])
+def test_reversal_failure_names_k(monkeypatch, family, row_name, n, k):
+    _perturbed_row(monkeypatch, row_name, n, 1, lambda r: r[1] + 1)
+    report = run_suite("reciprocity", 6)
+    assert [(i.name, i.detail) for i in report.items if i.status == "fail"] == [
+        (f"{family} row reversal n={n}", f"first bad k={k}"),
+    ]
+    assert all(i.detail == "" for i in report.items if i.status == "pass")
+
+
+@pytest.mark.parametrize("family, row_name, n, at, before, q0", [
+    ("A", "_carlitz_row", 7, 2, 1, Fraction(2)),      # A[7,3] := A[7,2] - 1
+    ("B", "_typeB_row", 6, 3, 4, Fraction(1, 2)),     # B[6,3] := B[6,4] - 1, read backwards
+])
+def test_growth_failure_names_k_and_both_values(monkeypatch, family, row_name, n, at, before, q0):
+    a = getattr(unimodality, row_name)(n)[before](q0)
+    _perturbed_row(monkeypatch, row_name, n, at, lambda r: r[before] - 1)
+    report = run_suite("monotone", n, (q0,))
+    assert [(i.name, i.detail) for i in report.items if i.status == "fail"] == [
+        (f"{family} strict growth n={n} q0={q0}", f"first bad k=2: {a - 1} does not exceed {a}"),
     ]
     assert all(i.detail == "" for i in report.items if i.status == "pass")
 

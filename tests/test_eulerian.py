@@ -576,3 +576,23 @@ def test_rows_match_reference_recurrence(family):
     for n in public:
         for k, value in rows[n].items():
             assert entry(n, k) == value, (family, n, k)
+
+
+def test_cold_rows_make_no_product(monkeypatch):
+    # every entry is one running sum over its two operands: building the rows
+    # calls neither the schoolbook product nor the q-integer product
+    calls = Counter()
+    for name in ("__mul__", "__rmul__", "mul_q_int"):
+        def counted(self, *args, _name=name, _original=getattr(QPoly, name)):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(QPoly, name, counted)
+    for row in (eulerian._carlitz_row, eulerian._gamma_a_row, eulerian._typeB_row,
+                eulerian._gamma_b_row):
+        row.cache_clear()
+        row(30)
+    assert calls == Counter()
+    # the counters do see a call
+    assert QPoly([1, 1]).mul_q_int(2) == QPoly([1, 1]) * QPoly([1, 1])
+    assert calls == Counter({"mul_q_int": 1, "__mul__": 1})

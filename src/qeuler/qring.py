@@ -116,7 +116,8 @@ class QPoly:
     def __init__(self, coeffs: Iterable[int] = ()):
         # built from a list at its final size: a tuple grown from an iterator
         # is resized as it grows, which fragments a long-running process's heap
-        cs = coeffs if type(coeffs) is tuple else tuple([*coeffs])
+        cs = coeffs if type(coeffs) is tuple else tuple(
+            coeffs if type(coeffs) is list else [*coeffs])
         if cs and not cs[-1]:
             # one slice, to the last nonzero coefficient found by a C-level scan
             cs = cs[: next(compress(range(len(cs), 0, -1), reversed(cs)), 0)]

@@ -60,7 +60,7 @@ def from_json(obj: dict) -> QPoly | QLaurent | TQPoly:
 
 
 def dumps(p: QPoly | QLaurent | TQPoly) -> str:
-    return json.dumps(to_json(p), separators=(", ", ": "))
+    return json.dumps(to_json(p))
 
 
 def loads(s: str) -> QPoly | QLaurent | TQPoly:

@@ -20,6 +20,7 @@ from qeuler import cli, doubloon, eulerian, special, unimodality
 from qeuler.cli import (
     CONJECTURE_MAX_N,
     DEFAULT_POINTS,
+    MAX_POINT_DIGITS,
     SUITES,
     main,
     parse_bfile,
@@ -496,6 +497,38 @@ def test_growth_failure_names_k_and_both_values(monkeypatch, family, row_name, n
     assert all(i.detail == "" for i in report.items if i.status == "pass")
 
 
+def _counted(monkeypatch, module, name):
+    """Record the arguments of every call of ``module.<name>``."""
+    calls, original = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("suite, max_n, points, module, locator, kind", [
+    ("reciprocity", 7, None, unimodality, "_first_unreversed", "row reversal"),
+    ("monotone", 7, (Fraction(2),), unimodality, "_first_fall", "strict growth"),
+    ("tangent", 2, None, special, "_first_mismatch", "rational identity"),
+])
+def test_failed_item_finds_its_counterexample_once(monkeypatch, suite, max_n, points, module,
+                                                   locator, kind):
+    # A[7,3] := A[7,2] - 1 breaks the reversal and the growth of row 7, and
+    # d_2 + q - 2 the d_2 rational identity
+    _perturbed_row(monkeypatch, "_carlitz_row", 7, 2, lambda r: r[1] - 1)
+    d = special.d_poly
+    monkeypatch.setattr(special, "d_poly", lambda n: d(n) + (QPoly([-2, 1]) if n == 2 else 0))
+    calls = _counted(monkeypatch, module, locator)
+    items = [i for i in run_suite(suite, max_n, points).items if kind in i.name]
+    assert [i.status for i in items].count("fail") == 1
+    # one search per item: a failed item that asked its predicate and then
+    # searched again for the detail would make one call more
+    assert len(calls) == len(items)
+
+
 def test_broken_library_claim_is_a_failed_item(monkeypatch, capsys):
     def broken(n):
         raise ArithmeticError(f"T_{2*n+1} has a negative coefficient")
@@ -520,14 +553,14 @@ def test_broken_library_claim_is_a_failed_item(monkeypatch, capsys):
 
 
 def test_broken_library_claim_names_the_point(monkeypatch):
-    original = unimodality.monotone_check_A
+    original = unimodality._first_fall
 
-    def broken(n, q0):
-        if (n, q0) == (4, Fraction(3, 2)):
+    def broken(family, n, q0):
+        if (family, n, q0) == ("A", 4, Fraction(3, 2)):
             raise ZeroDivisionError("row entry vanishes at q0")
-        return original(n, q0)
+        return original(family, n, q0)
 
-    monkeypatch.setattr(unimodality, "monotone_check_A", broken)
+    monkeypatch.setattr(unimodality, "_first_fall", broken)
     report = run_suite("monotone", 5, (Fraction(3, 2), Fraction(1, 2)))
     assert [(i.name, i.detail) for i in report.items if i.status == "fail"] == [
         ("ZeroDivisionError at q0=3/2, n=4", "row entry vanishes at q0")
@@ -543,6 +576,42 @@ def test_verify_monotone_with_points():
 
 def test_verify_bad_points_usage_error():
     assert run_cli("verify", "monotone", "--points", "2,x").returncode == 2
+
+
+@pytest.mark.parametrize("points", [
+    "1e5000,1/2",
+    "1e10000000",
+    "1" + "0" * MAX_POINT_DIGITS,          # a numerator one digit over the cap
+    "2,1/1" + "0" * MAX_POINT_DIGITS,      # a denominator one digit over the cap
+])
+def test_verify_points_over_the_digit_cap_usage_error(points):
+    proc = run_cli("verify", "monotone", "--points", points)
+    assert proc.returncode == 2
+    assert "bad points list" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_points_at_the_digit_cap():
+    big = 10**MAX_POINT_DIGITS - 1
+    proc = run_cli("verify", "monotone", "--max-n", "6", "--points", f"{big}/{big - 1},{big - 1}/{big}")
+    assert proc.returncode == 0
+    assert "suite monotone: PASS" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "B", "--max-n", "30"),
+    ("poly", "B", "--n", "40", "--format", "csv"),
+])
+def test_closed_stdout_pipe_exits_1_without_traceback(argv):
+    # both outputs are far longer than a pipe buffer, so the writer is still
+    # writing when the reader closes its end
+    proc = subprocess.Popen([sys.executable, "-m", "qeuler", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""  # no traceback, nor any other message
 
 
 def test_verify_unknown_suite_usage_error():

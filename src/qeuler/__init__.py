@@ -8,7 +8,6 @@ from .qring import (
     NotDivisible,
     QLaurent,
     QPoly,
-    Rat,
     TQPoly,
     eval_rat,
     exact_div,
@@ -20,7 +19,6 @@ from .qring import (
     q_binom,
     q_int,
     spec_q1,
-    spec_q1_t,
     subst_q_power,
     subst_q_recip,
     subst_t_signed_power,

@@ -249,8 +249,8 @@ _FALL = "first bad k={0}: {2} does not exceed {1}"
 # doubloon suite costs the same at any --max-n from 4 on.  At each limit a
 # cold run takes about 10 s or less and at most 0.25 GB on a 2 vCPU VM:
 # series 5.0 s, expansionA 6.4 s, expansionB 5.7 s, tangent 4.3 s / 232 MB,
-# secant 2.8 s, monotone 3.2 s, brackets 0.3 s (cleared denominators; 6.9 s
-# with dense products), reciprocity 2.0 s / 138 MB, doubloon 0.13 s.
+# secant 2.8 s, monotone 3.2 s, brackets 0.3 s, reciprocity 2.0 s / 138 MB,
+# doubloon 0.13 s.
 SUITES = {
     "expansionA": Suite(14, 35, (Block(1, (
         lambda n: _equal(f"gamma_expand_A({n}) == carlitz_poly({n})",
@@ -415,9 +415,11 @@ def oeis_expected(sequence: str, max_n: int, report: Report) -> list[int]:
 
 
 @_timed
-def run_oeis_check(sequence: str, max_n: int, fixture_text: str, skip: int = 0) -> Report:
+def run_oeis_check(sequence: str, max_n: int, terms: list[int], skip: int = 0) -> Report:
+    """Compare rows 1..max_n with the fixture's ``terms`` after the first
+    ``skip``."""
     r = Report(f"oeis-{sequence}")
-    fixture = parse_bfile(fixture_text)[skip:]
+    fixture = terms[skip:]
     needed = oeis_term_count(sequence, max_n)
     if len(fixture) < needed:
         r.check(
@@ -551,6 +553,12 @@ def cmd_conjecture(args, parser) -> int:
     return 0 if scan.verdict == "consistent" else 1
 
 
+# The largest fixture read, in bytes.  Rows 1..60 need 930 (A101280) and 960
+# (A008971) terms of at most 77 and 82 digits, under 0.1 MB; a 10,000-term
+# b-file of either sequence is a few MB.
+MAX_FIXTURE_BYTES = 16 * 2**20
+
+
 def cmd_oeis_check(args, parser) -> int:
     if not 1 <= args.max_n <= TABLE_MAX_N:
         parser.error(f"--max-n must be in 1..{TABLE_MAX_N}")
@@ -567,11 +575,14 @@ def cmd_oeis_check(args, parser) -> int:
     if not path.exists():
         parser.error(f"fixture file not found: {path}")
     try:
-        text = path.read_text()
-        parse_bfile(text)
+        with path.open("rb") as f:
+            data = f.read(MAX_FIXTURE_BYTES + 1)
+        if len(data) > MAX_FIXTURE_BYTES:
+            raise ValueError(f"larger than {MAX_FIXTURE_BYTES} bytes")
+        terms = parse_bfile(data.decode())
     except (OSError, ValueError) as exc:
         parser.error(f"unreadable fixture {path}: {exc}")
-    report = run_oeis_check(args.sequence, args.max_n, text, skip=args.skip)
+    report = run_oeis_check(args.sequence, args.max_n, terms, skip=args.skip)
     report.write(args.format)
     return 0 if report.ok else 1
 
@@ -588,6 +599,12 @@ def cmd_oeis_check(args, parser) -> int:
 # reciprocal, 9.2 s at 40 digits and 0.8 s at 10^10 and 10^-10.
 MAX_POINT_DIGITS = 30
 
+# The most digits all --points entries may have together, counted as above.
+# Points below 1 cost the most: at this budget the slowest list, two points
+# of 60 digits each such as (10^30-2)/(10^30-1), takes `verify monotone
+# --max-n 30` 8.0 s cold, and forty points 1/2 take 1.8 s.
+POINTS_DIGIT_BUDGET = 120
+
 
 def _point(part: str) -> Fraction:
     """One ``--points`` entry.  Exponent forms are refused before a value is
@@ -603,7 +620,12 @@ def _point(part: str) -> Fraction:
 
 def _points_arg(text: str) -> tuple[Fraction, ...]:
     try:
-        return tuple(map(_point, text.split(",")))
+        points = tuple(map(_point, text.split(",")))
+        digits = sum(len(str(abs(q0.numerator))) + len(str(q0.denominator)) for q0 in points)
+        if digits > POINTS_DIGIT_BUDGET:
+            raise ValueError(f"the points have {digits} digits in all, "
+                             f"more than {POINTS_DIGIT_BUDGET}")
+        return points
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad points list {text!r}: {exc}")
 

@@ -288,12 +288,15 @@ def _q_int_power(m: int, n: int) -> QPoly:
     return p
 
 
-def _series_oracle(n: int, W: int, step: int, keep: int) -> TQPoly:
+def _series_oracle(n: int, step: int) -> TQPoly:
     """Truncate ``(t;q^step)_{n+1} * sum_{k=0}^{W} [step*k+1]^n t^k`` at
-    ``t^W``, demand that every t-coefficient from ``keep`` through ``W``
-    vanishes, and return the ones below.  Each Pochhammer factor
-    ``1 - t q^e`` maps column ``c_d`` to ``c_d - q^e c_(d-1)``, walking ``d``
-    downwards, so no two polynomials are ever multiplied."""
+    ``t^W``, ``W = max(2n, keep)``, demand that every t-coefficient from
+    ``keep = n + step - 1`` through ``W`` vanishes, and return the ones
+    below.  Each Pochhammer factor ``1 - t q^e`` maps column ``c_d`` to
+    ``c_d - q^e c_(d-1)``, walking ``d`` downwards, so no two polynomials are
+    ever multiplied."""
+    keep = n + step - 1
+    W = max(2 * n, keep)
     cols = [_q_int_power(step * k + 1, n) for k in range(W + 1)]
     for j in range(n + 1):
         for d in range(W, 0, -1):
@@ -304,31 +307,25 @@ def _series_oracle(n: int, W: int, step: int, keep: int) -> TQPoly:
     return TQPoly(cols[:keep])
 
 
-def carlitz_series_oracle(n: int, tdeg_window: int | None = None) -> TQPoly:
+def carlitz_series_oracle(n: int) -> TQPoly:
     """Recover ``A_n(t,q)`` from its defining series: truncate
-    ``(t;q)_{n+1} * sum_{k=0}^{W} [k+1]^n t^k`` and demand that every
-    t-coefficient from degree n through the window vanishes.
+    ``(t;q)_{n+1} * sum_{k=0}^{2n} [k+1]^n t^k`` and demand that every
+    t-coefficient from degree n through 2n vanishes.
 
     A nonzero tail signals an arithmetic bug, not a user error.
     """
     if n < 1:
         raise ValueError(f"series oracle needs n >= 1, got {n}")
-    W = 2 * n if tdeg_window is None else tdeg_window
-    if W < n:
-        raise ValueError(f"tdeg_window must be >= {n}, got {W}")
-    return _series_oracle(n, W, 1, n)
+    return _series_oracle(n, 1)
 
 
-def typeB_series_oracle(n: int, tdeg_window: int | None = None) -> TQPoly:
+def typeB_series_oracle(n: int) -> TQPoly:
     """Type-B analogue of :func:`carlitz_series_oracle`, with base ``q^2``
     Pochhammer and series ``sum [2k+1]^n t^k``; tail must vanish above
     t-degree n."""
     if n < 0:
         raise ValueError(f"series oracle needs n >= 0, got {n}")
-    W = max(2 * n, n + 1) if tdeg_window is None else tdeg_window
-    if W < n + 1:
-        raise ValueError(f"tdeg_window must be >= {n + 1}, got {W}")
-    return _series_oracle(n, W, 2, n + 1)
+    return _series_oracle(n, 2)
 
 
 # ---------------------------------------------------------------------------

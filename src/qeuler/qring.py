@@ -26,8 +26,6 @@ from itertools import accumulate, compress
 from operator import add, indexOf, sub
 from typing import Iterable, Sequence, Union
 
-Rat = Fraction
-
 RatLike = Union[Fraction, int]
 
 
@@ -36,12 +34,6 @@ class NotDivisible:
     divide exactly in the ring.  Callers decide whether that is an error."""
 
     __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def __repr__(self) -> str:
         return "NotDivisible"
@@ -218,23 +210,15 @@ class QPoly:
             return self
         return QPoly((0,) * e + self.coeffs)
 
-    def mul_q_int(self, m: int, step: int = 1) -> QPoly:
-        """``[m]_{q^step} * self`` in O(deg + step*m): the prefix sums of
-        ``self - q^(step*m) self`` along each residue class mod ``step``.
-        ``step=0`` reads ``[m]_{q^0}`` as the integer ``m``.
+    def mul_q_int(self, m: int) -> QPoly:
+        """``[m] * self`` in O(deg + m): the prefix sums of ``self - q^m self``.
 
         >>> QPoly([1, 1]).mul_q_int(3)
         QPoly('1 + 2q + 2q^2 + q^3')
-        >>> QPoly([1, -1]).mul_q_int(2, step=2)
-        QPoly('1 - q + q^2 - q^3')
-        >>> QPoly([1, 1]).mul_q_int(2, step=0)
-        QPoly('2 + 2q')
         """
-        if m < 0 or step < 0:
-            raise ValueError(f"mul_q_int needs m >= 0 and step >= 0, got {m}, {step}")
-        if step == 0:
-            return self * m
-        return _mul_q_ratio(self, step * m, step)
+        if m < 0:
+            raise ValueError(f"mul_q_int needs m >= 0, got {m}")
+        return _mul_q_ratio(self, m, 1)
 
     def __call__(self, x: RatLike) -> Fraction:
         """Exact evaluation at ``x = a/b`` in Z: homogeneous Horner builds
@@ -381,9 +365,7 @@ class QLaurent:
 
     def __pow__(self, n: int) -> QLaurent:
         if n < 0:
-            if len(self.base.coeffs) == 1 and abs(self.base.coeffs[0]) == 1:
-                return QLaurent(self.base, -self.offset) ** (-n)
-            raise ValueError("cannot invert a non-monomial Laurent polynomial")
+            raise ValueError("negative powers are not supported")
         return QLaurent(self.base**n, self.offset * n)
 
     def __call__(self, x: RatLike) -> Fraction:
@@ -547,10 +529,7 @@ def q_int(n: int, step: int = 1) -> QPoly:
         raise ValueError(f"q_int requires n >= 0, got {n}")
     if step < 1:
         raise ValueError(f"step must be positive, got {step}")
-    out = [0] * (step * max(n - 1, 0) + 1) if n else []
-    for i in range(n):
-        out[step * i] = 1
-    return QPoly(out)
+    return _mul_q_ratio(QPoly.one(), step * n, step)
 
 
 def subst_q_power(p: QPoly, e: int) -> QPoly:
@@ -675,18 +654,16 @@ def subst_q_recip(p: QPoly | QLaurent) -> QLaurent:
     return QLaurent(QPoly(tuple(reversed(p.base.coeffs))), -p.degree())
 
 
-def subst_t_signed_power(p: TQPoly, sign: int, e: int) -> QLaurent:
-    """Substitute ``t -> sign * q^e`` into ``p``, exactly, in one pass over
-    the coefficients and with no product.
+def subst_t_signed_power(p: TQPoly, e: int) -> QLaurent:
+    """Substitute ``t -> -q^e`` into ``p``, exactly, in one pass over the
+    coefficients and with no product.
 
-    >>> subst_t_signed_power(TQPoly([1, QPoly([0, 1])]), -1, -1)   # 1+qt at t=-1/q
+    >>> subst_t_signed_power(TQPoly([1, QPoly([0, 1])]), -1)   # 1+qt at t=-1/q
     QLaurent('0')
     """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    # ``sign^d c_d q^(e*d)`` is ``c_d``'s coefficients from exponent
-    # ``c_d.offset + e*d``, added or (for sign^d = -1) subtracted in place.
-    terms = [(c.offset + e * d, c.base.coeffs, sub if sign**d < 0 else add)
+    # ``(-1)^d c_d q^(e*d)`` is ``c_d``'s coefficients from exponent
+    # ``c_d.offset + e*d``, added or (for odd d) subtracted in place.
+    terms = [(c.offset + e * d, c.base.coeffs, sub if d % 2 else add)
              for d, c in enumerate(p.terms) if c]
     low = min((off for off, _, _ in terms), default=0)
     out = [0] * max((off + len(cs) - low for off, cs, _ in terms), default=0)
@@ -820,11 +797,6 @@ def spec_q1(p: QPoly | QLaurent) -> int:
     return sum(p.coeffs)
 
 
-def spec_q1_t(p: TQPoly) -> list[int]:
-    """Coefficient sequence in ``t`` at ``q = 1``."""
-    return [spec_q1(c) for c in p.terms]
-
-
 def is_nonneg(p: QPoly | QLaurent) -> bool:
     """True iff every coefficient is nonnegative."""
     if isinstance(p, QLaurent):
@@ -832,23 +804,17 @@ def is_nonneg(p: QPoly | QLaurent) -> bool:
     return all(c >= 0 for c in p.coeffs)
 
 
-def is_palindromic(p: QPoly | QLaurent, center: RatLike | None = None) -> bool:
+def is_palindromic(p: QPoly | QLaurent) -> bool:
     """True iff the coefficient window from valuation to degree reads the same
-    in both directions; ``center``, when given, additionally pins the center
-    of symmetry ``(valuation + degree) / 2``.
+    in both directions.
 
     >>> is_palindromic(QPoly([0, 2, 5, 6, 5, 2]))
     True
     >>> is_palindromic(QPoly([1, 2]))
     False
     """
-    p = QLaurent.coerce(p)
-    if p.is_zero():
-        return True
-    window = p.base.coeffs
-    if center is not None and 2 * Fraction(center) != p.valuation() + p.degree():
-        return False
-    return window == tuple(reversed(window))
+    window = QLaurent.coerce(p).base.coeffs
+    return window == window[::-1]
 
 
 def is_unimodal_ints(s: Sequence[int]) -> bool:

@@ -41,7 +41,7 @@ def _as_poly(value: QLaurent, what: str) -> QPoly:
 
 def _signed_value(p: TQPoly, n: int, E: int, e: int, what: str) -> QPoly:
     """``(-1)^n q^E p(-q^(-e), q)``, which must be a polynomial."""
-    value = subst_t_signed_power(p, -1, -e).shift(E)
+    value = subst_t_signed_power(p, -e).shift(E)
     return _as_poly(-value if n % 2 else value, what)
 
 
@@ -164,7 +164,7 @@ def b_odd_vanish(n: int) -> bool:
     """``B_{2n+1}(-q^(-2n-1), q) == 0``, exactly."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    return subst_t_signed_power(typeB_poly(2 * n + 1), -1, -(2 * n + 1)).is_zero()
+    return subst_t_signed_power(typeB_poly(2 * n + 1), -(2 * n + 1)).is_zero()
 
 
 def b_central(n: int) -> QPoly:
@@ -281,9 +281,6 @@ class GStarScanReport:
     @property
     def verdict(self) -> str:
         return "consistent" if all(r.consistent for r in self.rows) else "counterexample"
-
-    def counterexamples(self) -> list[GStarScanRow]:
-        return [r for r in self.rows if not r.consistent]
 
 
 def conjecture_scan_gstar(N: int) -> GStarScanReport:

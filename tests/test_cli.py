@@ -21,6 +21,7 @@ from qeuler.cli import (
     CONJECTURE_MAX_N,
     DEFAULT_POINTS,
     MAX_POINT_DIGITS,
+    POINTS_DIGIT_BUDGET,
     SUITES,
     main,
     parse_bfile,
@@ -583,12 +584,18 @@ def test_verify_bad_points_usage_error():
     "1e10000000",
     "1" + "0" * MAX_POINT_DIGITS,          # a numerator one digit over the cap
     "2,1/1" + "0" * MAX_POINT_DIGITS,      # a denominator one digit over the cap
+    ",".join(["2"] * (POINTS_DIGIT_BUDGET // 2 + 1)),  # one entry over the total budget
+    f"{10**MAX_POINT_DIGITS - 1}/{10**MAX_POINT_DIGITS - 2}," * 2 + "2",  # two digits over it
 ])
 def test_verify_points_over_the_digit_cap_usage_error(points):
     proc = run_cli("verify", "monotone", "--points", points)
     assert proc.returncode == 2
     assert "bad points list" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_default_points_fit_the_budget():
+    assert cli._points_arg(",".join(map(str, DEFAULT_POINTS))) == DEFAULT_POINTS
 
 
 def test_verify_points_at_the_digit_cap():
@@ -843,13 +850,18 @@ def test_oeis_check_missing_fixture_usage_error(tmp_path):
 BAD_FIXTURES = {"bad value": "1 1\n2 x\n", "three columns": "1 1 1\n"}
 
 
-@pytest.mark.parametrize("case", ["negative skip", *BAD_FIXTURES, "directory"])
+@pytest.mark.parametrize("case", ["negative skip", *BAD_FIXTURES, "directory", "over the cap"])
 def test_oeis_check_bad_input_exits_2(tmp_path, case):
     args = ["oeis-check", "A101280", "--max-n", "3"]
     if case == "negative skip":
         args += ["--skip", "-5"]
     elif case == "directory":
         args += ["--fixture", str(tmp_path)]
+    elif case == "over the cap":
+        # comment lines only, one byte more than the cap
+        path = tmp_path / "fixture.txt"
+        path.write_bytes((b"#" * 63 + b"\n") * (cli.MAX_FIXTURE_BYTES // 64) + b"\n")
+        args += ["--fixture", str(path)]
     else:
         path = tmp_path / "fixture.txt"
         path.write_text(BAD_FIXTURES[case])
@@ -934,7 +946,7 @@ def test_parse_bfile():
 
 
 def test_divisibility_check_in_expected():
-    report = run_oeis_check("A008971", 10, "\n".join(f"{i} 0" for i in range(1, 40)))
+    report = run_oeis_check("A008971", 10, [0] * 39)
     # divisibility by 4^k always holds for the real triangle, so the only
     # failure is the value mismatch against the all-zero fixture
     assert [i.name for i in report.items if i.status == "fail"] == [

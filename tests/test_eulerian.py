@@ -174,20 +174,12 @@ def test_typeB_poly_is_desB_fmaj_distribution(n):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_carlitz_series_oracle(n):
-    assert carlitz_series_oracle(n, tdeg_window=2 * n) == carlitz_poly(n)
+    assert carlitz_series_oracle(n) == carlitz_poly(n)
 
 
 @pytest.mark.parametrize("n", range(0, 11))
 def test_typeB_series_oracle(n):
-    window = max(2 * n, n + 1)
-    assert typeB_series_oracle(n, tdeg_window=window) == typeB_poly(n)
-
-
-def test_series_oracle_window_validation():
-    with pytest.raises(ValueError):
-        carlitz_series_oracle(3, tdeg_window=2)
-    with pytest.raises(ValueError):
-        typeB_series_oracle(3, tdeg_window=3)
+    assert typeB_series_oracle(n) == typeB_poly(n)
 
 
 # The dense oracle bodies: a schoolbook TQPoly product of the Pochhammer
@@ -209,14 +201,12 @@ def dense_typeB_series_oracle(n, W):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_carlitz_series_oracle_matches_dense_product(n):
     assert carlitz_series_oracle(n) == dense_carlitz_series_oracle(n, 2 * n)
-    assert carlitz_series_oracle(n, 3 * n + 2) == dense_carlitz_series_oracle(n, 3 * n + 2)
 
 
 @pytest.mark.parametrize("n", range(0, 9))
 def test_typeB_series_oracle_matches_dense_product(n):
     W = max(2 * n, n + 1)
     assert typeB_series_oracle(n) == dense_typeB_series_oracle(n, W)
-    assert typeB_series_oracle(n, 3 * n + 3) == dense_typeB_series_oracle(n, 3 * n + 3)
 
 
 @pytest.mark.parametrize(

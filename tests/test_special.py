@@ -323,7 +323,6 @@ def test_secant_numbers():
 def test_conjecture_scan_consistent():
     report = conjecture_scan_gstar(6)
     assert report.verdict == "consistent"
-    assert report.counterexamples() == []
     assert [r.value_at_one for r in report.rows[:5]] == [1, 1, 5, 61, 1385]
     for r in report.rows:
         assert r.value_at_one == r.secant

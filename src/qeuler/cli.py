@@ -235,20 +235,21 @@ def _doubloon(n):
     return f"interlaced gf order {2*n+1} == a[{2*n+1},{n+1}]", gf == want, detail
 
 
-# the details of the rational identities, for special._first_mismatch's
-# (q0, got, want), and of strict growth, for unimodality._first_fall's (k, a, b)
-_MISMATCH = "first difference at q={0}: expected {2}, got {1}"
+# the detail of strict growth, for unimodality._first_fall's (k, a, b)
 _FALL = "first bad k={0}: {2} does not exceed {1}"
 
 # Each suite's default --max-n, its --max-n limit and its blocks, in report
 # order.  Every check is a function of its index that makes one item, looking
 # up the library functions it calls as it runs, and it finds its claim's
-# first counterexample in one pass.  The caps bound the checks whose cost
-# explodes with n: the d_n and G* rational identities, and the doubloon
-# enumeration, whose leaves are the tangent numbers (order 9 at most), so the
-# doubloon suite costs the same at any --max-n from 4 on.  At each limit a
-# cold run takes about 10 s or less and at most 0.25 GB on a 2 vCPU VM:
-# series 5.0 s, expansionA 6.4 s, expansionB 5.7 s, tangent 4.3 s / 232 MB,
+# first counterexample in one pass.  The doubloon cap bounds an enumeration
+# whose leaves are the tangent numbers (order 9 at most), so the doubloon
+# suite costs the same at any --max-n from 4 on.  The caps 5 and 4 on the d_n
+# and G* rational identities are not for cost (compared cleared in Z[q], both
+# take under 2 s for every n up to their suite's limit): raising them would
+# change `verify` output and its digests, so it waits until a benchmark
+# baseline is recorded and the digests can be re-recorded on purpose.  At
+# each limit a cold run takes about 10 s or less and at most 0.25 GB on a
+# 2 vCPU VM: series 5.0 s, expansionA 6.4 s, expansionB 5.7 s, tangent 4.3 s / 232 MB,
 # secant 2.8 s, monotone 3.2 s, brackets 0.3 s, reciprocity 2.0 s / 138 MB,
 # doubloon 0.13 s.
 SUITES = {
@@ -283,9 +284,8 @@ SUITES = {
                              _mul_one_plus_t_q_power(special.even_quotient(n), n),
                              carlitz_poly(2 * n)),
         )),
-        Block(1, (lambda n: _first_bad(f"d_{n} rational identity",
-                                       special._first_mismatch(*special._d_identity(n)),
-                                       _MISMATCH),), cap=5),
+        Block(1, (lambda n: _equal(f"d_{n} rational identity", *special._d_identity(n)),),
+              cap=5),
     )),
     "secant": Suite(5, 30, (
         Block(0, (
@@ -300,9 +300,8 @@ SUITES = {
             lambda n: _equal(f"E_{2*n}(q) at q=1 == 4^{n} E_{2*n}",
                              spec_q1(special.e_q_secant(n)), 4**n * special.secant_number(n)),
         )),
-        Block(0, (lambda n: _first_bad(f"G*_{2*n} rational identity",
-                                       special._first_mismatch(*special._gstar_identity(n)),
-                                       _MISMATCH),), cap=4),
+        Block(0, (lambda n: _equal(f"G*_{2*n} rational identity", *special._gstar_identity(n)),),
+              cap=4),
     )),
     "doubloon": Suite(3, 60, (Block(1, (_doubloon,), cap=doubloon.DEFAULT_ORDER_LIMIT),)),
     "reciprocity": Suite(12, 60, (
@@ -365,23 +364,6 @@ def parse_bfile(text: str) -> list[int]:
 
 def default_fixture_path(sequence: str) -> Path:
     return Path(str(resources.files("qeuler").joinpath("data", f"b{sequence[1:]}.txt")))
-
-
-def refresh_fixture(sequence: str, dest: Path) -> None:
-    """Fetch the live OEIS b-file over the network into ``dest``.  Every
-    failure to fetch or write it raises ``OSError``, and ``dest`` is written
-    only once the whole file has arrived."""
-    # only this command needs them; keeps `import qeuler.cli` cheap
-    import http.client
-    import urllib.request
-
-    url = f"https://oeis.org/{sequence}/b{sequence[1:]}.txt"
-    try:
-        with urllib.request.urlopen(url) as resp:
-            data = resp.read()
-    except http.client.HTTPException as exc:
-        raise OSError(f"{url}: {exc!r}") from exc
-    dest.write_bytes(data)
 
 
 def _oeis_family(sequence: str) -> str:
@@ -564,14 +546,7 @@ def cmd_oeis_check(args, parser) -> int:
         parser.error(f"--max-n must be in 1..{TABLE_MAX_N}")
     if args.skip < 0:
         parser.error("--skip must be >= 0")
-    if args.refresh and not args.fixture:
-        parser.error("--refresh needs --fixture: the bundled snapshot is never overwritten")
     path = Path(args.fixture) if args.fixture else default_fixture_path(args.sequence)
-    if args.refresh:
-        try:
-            refresh_fixture(args.sequence, path)
-        except OSError as exc:
-            parser.error(f"cannot refresh {path}: {exc}")
     if not path.exists():
         parser.error(f"fixture file not found: {path}")
     try:
@@ -608,10 +583,18 @@ POINTS_DIGIT_BUDGET = 120
 
 def _point(part: str) -> Fraction:
     """One ``--points`` entry.  Exponent forms are refused before a value is
-    built, since ``Fraction("1e10000000")`` alone takes seconds."""
+    built, since ``Fraction("1e10000000")`` alone takes seconds.  No message
+    repeats the entry, which may be long."""
     if "e" in part.lower():
-        raise ValueError(f"{part} is in exponent form; write it as digits or a/b")
-    q0 = Fraction(part)
+        raise ValueError("exponent form; write it as digits or a/b")
+    try:
+        q0 = Fraction(part)
+    except ValueError as exc:
+        if "literal" not in str(exc):
+            raise  # int()'s limit of 4300 digits, whose message is short
+        raise ValueError("not an integer or a fraction a/b") from None  # not the entry again
+    except ZeroDivisionError:
+        raise ValueError("its denominator is 0") from None
     if max(abs(q0.numerator), q0.denominator) >= 10**MAX_POINT_DIGITS:
         raise ValueError(f"a point may have at most {MAX_POINT_DIGITS} digits "
                          "in its numerator and denominator")
@@ -619,15 +602,21 @@ def _point(part: str) -> Fraction:
 
 
 def _points_arg(text: str) -> tuple[Fraction, ...]:
-    try:
-        points = tuple(map(_point, text.split(",")))
-        digits = sum(len(str(abs(q0.numerator))) + len(str(q0.denominator)) for q0 in points)
-        if digits > POINTS_DIGIT_BUDGET:
-            raise ValueError(f"the points have {digits} digits in all, "
-                             f"more than {POINTS_DIGIT_BUDGET}")
-        return points
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"bad points list {text!r}: {exc}")
+    """The ``--points`` list.  An error names the entry at fault by its
+    position and its first 20 characters, or gives the entry count and the
+    digit total, so it stays short however long the list is."""
+    points = []
+    for i, part in enumerate(text.split(","), 1):
+        try:
+            points.append(_point(part))
+        except ValueError as exc:
+            shown = part if len(part) <= 20 else f"{part[:20]}... ({len(part)} characters)"
+            raise argparse.ArgumentTypeError(f"bad points list: entry {i}, {shown!r}: {exc}")
+    digits = sum(len(str(abs(q0.numerator))) + len(str(q0.denominator)) for q0 in points)
+    if digits > POINTS_DIGIT_BUDGET:
+        raise argparse.ArgumentTypeError(f"bad points list: {len(points)} entries with {digits} "
+                                         f"digits in all, more than {POINTS_DIGIT_BUDGET}")
+    return tuple(points)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -670,7 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--fixture", default=None, help="b-file path (default: bundled snapshot)")
     p.add_argument("--skip", type=int, default=0, help="drop this many leading fixture terms")
-    p.add_argument("--refresh", action="store_true", help="re-download the b-file first")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_oeis_check)
 

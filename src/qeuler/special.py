@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from itertools import count, islice
-from math import comb, prod
-from typing import Callable, Iterator
+from math import comb
 
 from .eulerian import FAMILIES, carlitz_poly, gamma_a_entry, typeB_poly
 from .qring import (
@@ -87,15 +85,6 @@ def d_poly(n: int) -> QPoly:
     return quot
 
 
-def admissible_points() -> Iterator[Fraction]:
-    """Deterministic stream of exact rational sample points
-    ``2, 3/2, 4/3, ...``, all > 1, so none is 0 or +-1.  Used to verify
-    identities between rational expressions and known polynomials by
-    evaluating at degree+1 points."""
-    for k in count(1):
-        yield Fraction(k + 1, k)
-
-
 def _f_sum(m: int, x: RatLike, a: int, b: int, q0: Fraction) -> Fraction:
     """``sum_{k=0}^{m} C(m,k) x^k / (1 + q0^(a k + b))``; no denominator vanishes,
     since a rational ``q0`` other than ``0`` and ``+-1`` has no ``q0^e = -1``."""
@@ -111,37 +100,43 @@ def f_eval(n: int, q0: RatLike) -> Fraction:
     return _f_sum(2 * n + 1, -1, 1, -n, Fraction(q0))
 
 
-def _first_mismatch(
-    p: QPoly, rhs: Callable[[Fraction], Fraction], degree: int
-) -> tuple[Fraction, Fraction, Fraction] | None:
-    """The first of ``max(deg p, degree) + 1`` admissible points ``q0`` with
-    ``p(q0) != rhs(q0)``, as ``(q0, p(q0), rhs(q0))``, or ``None`` when the
-    two agree at every one of them.  When ``rhs`` is known to be a polynomial
-    of degree at most ``degree``, that many exact agreements prove the two
-    equal.  ``degree`` must not be read off ``p``: a zero or truncated ``p``
-    would then be checked at too few points, or at none."""
-    points = islice(admissible_points(), max(p.degree(), degree) + 1)
-    return next(((q0, got, want) for q0 in points if (got := p(q0)) != (want := rhs(q0))), None)
+def _cleared_f_sum(m: int, x_exp: int, a: int, b: int) -> QPoly:
+    """``sum_{k=0}^{m} C(m,k) (-1)^k q^(x_exp k) / (1 + q^(a k + b))`` times
+    ``prod (1 + q^f)`` over the distinct ``f = |a k + b|``, in Z[q].  Since
+    ``1 / (1 + q^-f) = q^f / (1 + q^f)``, term ``k`` is a monomial times every
+    such factor but its own, each applied as one shift-add.
+
+    >>> _cleared_f_sum(3, 0, 1, -1)  # (1-q)^3 d_1
+    QPoly('1 - 3q + 3q^2 - q^3')
+    """
+    fs = {abs(a * k + b) for k in range(m + 1)}
+    total = QPoly()
+    for k in range(m + 1):
+        e = a * k + b
+        term = QPoly.monomial(x_exp * k + max(0, -e), (-1) ** k * comb(m, k))
+        for f in fs - {abs(e)}:
+            term = term + term.shift(f)
+        total = total + term
+    return total
 
 
-def _d_identity(n: int) -> tuple[QPoly, Callable[[Fraction], Fraction], int]:
-    """The arguments of :func:`_first_mismatch` for :func:`verify_d_identity`."""
-    return (
-        d_poly(n),
-        lambda q0: (-1) ** (n + 1)
-        * prod(1 + q0**j for j in range(n + 2))
-        / (1 - q0) ** (2 * n + 1)
-        * f_eval(n, q0),
-        n * (n - 1) // 2,
-    )
+def _d_identity(n: int) -> tuple[QPoly, QPoly]:
+    """The two sides of :func:`verify_d_identity`, cleared of denominators:
+    ``d_n (1-q)^(2n+1)`` and ``(-1)^(n+1) (-1;q)_{n+2} f_n``."""
+    lhs = d_poly(n)
+    for _ in range(2 * n + 1):
+        lhs = lhs - lhs.shift(1)
+    rhs = _cleared_f_sum(2 * n + 1, 0, 1, -n)
+    return lhs, rhs if n % 2 else -rhs
 
 
 def verify_d_identity(n: int) -> bool:
-    """Check ``d_n(q) = (-1)^(n+1) (-1;q)_{n+2} / (1-q)^(2n+1) * f_n(q)``
-    at ``n(n-1)/2 + 1`` admissible rational points (more if ``d_poly(n)`` has
-    a higher degree); the right side is a polynomial of degree ``n(n-1)/2``
-    (``T_{2n+1}`` has degree ``n^2``), so that many exact agreements prove it."""
-    return _first_mismatch(*_d_identity(n)) is None
+    """Check ``d_n(q) = (-1)^(n+1) (-1;q)_{n+2} / (1-q)^(2n+1) * f_n(q)`` as
+    an identity in Z[q]: each ``1 + q^(k-n)`` of ``f_n`` is a factor of
+    ``(-1;q)_{n+2}`` up to a power of q, so both sides times ``(1-q)^(2n+1)``
+    are polynomials, and one comparison decides it."""
+    lhs, rhs = _d_identity(n)
+    return lhs == rhs
 
 
 def even_quotient(n: int) -> TQPoly:
@@ -202,26 +197,28 @@ def f_star_eval(n: int, q0: RatLike) -> Fraction:
     return _f_sum(2 * n, -q0, 2, -2 * n - 1, q0)
 
 
-def _gstar_identity(n: int) -> tuple[QPoly, Callable[[Fraction], Fraction], int]:
-    """The arguments of :func:`_first_mismatch` for :func:`verify_gstar_identity`."""
-    return (
-        g_star(n),
-        lambda q0: (-1) ** n
-        * q0 ** (-n - 1)
-        * prod(1 + q0 ** (2 * j + 1) for j in range(n + 1))
-        / ((1 + q0) ** n * (1 - q0) ** (2 * n))
-        * f_star_eval(n, q0),
-        n * (n - 1),
-    )
+def _gstar_identity(n: int) -> tuple[QPoly, QPoly]:
+    """The two sides of :func:`verify_gstar_identity`, cleared of
+    denominators: ``q^(n+1) (1+q)^n (1-q)^(2n) G*_{2n}`` and
+    ``(-1)^n (-q;q^2)_{n+1} f*_n``."""
+    lhs = g_star(n).shift(n + 1)
+    for _ in range(n):
+        lhs = lhs + lhs.shift(1)
+    for _ in range(2 * n):
+        lhs = lhs - lhs.shift(1)
+    rhs = _cleared_f_sum(2 * n, 1, 2, -2 * n - 1)
+    return lhs, -rhs if n % 2 else rhs
 
 
 def verify_gstar_identity(n: int) -> bool:
     """Check the closed rational form
     ``G*_{2n}(q) = (-1)^n q^(-n-1) (-q;q^2)_{n+1} / ((1+q)^n (1-q)^(2n)) * f*_n(q)``
-    at ``n(n-1) + 1`` admissible points (more if ``g_star(n)`` has a higher
-    degree); the right side is a polynomial of degree ``n(n-1)``
-    (``E*_{2n}`` has degree ``2n^2``)."""
-    return _first_mismatch(*_gstar_identity(n)) is None
+    as an identity in Z[q]: each ``1 + q^(2k-2n-1)`` of ``f*_n`` is a factor
+    of ``(-q;q^2)_{n+1}`` up to a power of q, so both sides times
+    ``q^(n+1) (1+q)^n (1-q)^(2n)`` are polynomials, and one comparison
+    decides it."""
+    lhs, rhs = _gstar_identity(n)
+    return lhs == rhs
 
 
 def e_q_secant(n: int) -> QPoly:

@@ -1,6 +1,5 @@
 import csv
 import hashlib
-import http.client
 import importlib
 import importlib.util
 import inspect
@@ -9,8 +8,6 @@ import json
 import os
 import subprocess
 import sys
-import urllib.error
-import urllib.request
 from fractions import Fraction
 from pathlib import Path
 
@@ -412,7 +409,8 @@ def test_nonnegativity_failures_name_the_first_negative_coefficient(monkeypatch)
         ("T_5 polynomial with nonneg coeffs", "first negative coefficient at q^2: -3"),
         ("T_5 == a*[5,3]", "first difference at q^2: expected 4, got -3"),
         ("d_2 in Z[q] with nonneg coeffs", "first negative coefficient at q^1: -7"),
-        ("d_2 rational identity", "first difference at q=2: expected 6, got -12"),
+        # the cleared sides (2 + 2q)(1 - q)^5 and (2 - 7q)(1 - q)^5
+        ("d_2 rational identity", "first difference at q^1: expected -8, got -17"),
     ]
     assert all(i.detail == "" for i in report.items if i.status == "pass")
 
@@ -441,21 +439,39 @@ def test_secant_value_failures_give_the_value_got(monkeypatch):
     assert [(i.name, i.detail) for i in report.items if i.status == "fail"] == [
         ("E_2(q) at q=1 == 4^1 E_2", "expected 4, got 5"),
         ("G*_4(1) == E_4 == 5", "expected 5, got 8"),
-        # G*_4 = 2 + q + 2q^2
-        ("G*_4 rational identity", "first difference at q=2: expected 12, got 15"),
+        # G*_4 = 2 + q + 2q^2, cleared as q^3 (1 + q)^2 (1 - q)^4 G*_4
+        ("G*_4 rational identity", "first difference at q^3: expected 2, got 5"),
     ]
     assert all(i.detail == "" for i in report.items if i.status == "pass")
 
 
 def test_identity_failure_names_the_first_differing_point(monkeypatch):
-    # d_2 = 2 + 2q gains q - 2, which vanishes at the first sample point q = 2
+    # d_2 = 2 + 2q gains q - 2 (zero at q = 2), so the cleared sides differ by
+    # (q - 2)(1 - q)^5, first at q^0
     d = special.d_poly
     monkeypatch.setattr(special, "d_poly", lambda n: d(n) + (QPoly([-2, 1]) if n == 2 else 0))
     report = run_suite("tangent", 2)
     assert [(i.name, i.detail) for i in report.items if i.status == "fail"] == [
-        ("d_2 rational identity", "first difference at q=3/2: expected 5, got 9/2"),
+        ("d_2 rational identity", "first difference at q^0: expected 2, got 0"),
     ]
     assert all(i.detail == "" for i in report.items if i.status == "pass")
+
+
+@pytest.mark.parametrize("suite, family, n, extra, name, detail", [
+    # the cleared sides gain q (1 - q)^11 and q^7 (1 + q)^4 (1 - q)^8
+    ("tangent", "d_poly", 5, QPoly.monomial(1), "d_5 rational identity",
+     "first difference at q^1: expected -222, got -221"),
+    ("secant", "g_star", 4, QPoly.monomial(2), "G*_8 rational identity",
+     "first difference at q^7: expected -8, got -7"),
+], ids=["d_5 + q", "G*_8 + q^2"])
+def test_identity_failure_at_the_cap_exits_1(monkeypatch, capsys, suite, family, n, extra,
+                                             name, detail):
+    original = getattr(special, family)
+    monkeypatch.setattr(special, family, lambda m: original(m) + (extra if m == n else 0))
+    assert main(["verify", suite, "--max-n", str(n), "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert [(i["name"], i["detail"]) for i in doc["items"]
+            if i["status"] == "fail" and "rational identity" in i["name"]] == [(name, detail)]
 
 
 def _perturbed_row(monkeypatch, row_name, n, i, entry):
@@ -513,7 +529,7 @@ def _counted(monkeypatch, module, name):
 @pytest.mark.parametrize("suite, max_n, points, module, locator, kind", [
     ("reciprocity", 7, None, unimodality, "_first_unreversed", "row reversal"),
     ("monotone", 7, (Fraction(2),), unimodality, "_first_fall", "strict growth"),
-    ("tangent", 2, None, special, "_first_mismatch", "rational identity"),
+    ("tangent", 2, None, special, "_d_identity", "rational identity"),
 ])
 def test_failed_item_finds_its_counterexample_once(monkeypatch, suite, max_n, points, module,
                                                    locator, kind):
@@ -592,6 +608,23 @@ def test_verify_points_over_the_digit_cap_usage_error(points):
     assert proc.returncode == 2
     assert "bad points list" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("points, detail", [
+    (",".join(["2"] * 65_000), "65000 entries with 130000 digits in all, more than 120"),
+    ("2," * 65_000 + "x", "entry 65001, 'x': not an integer"),
+    ("2,1/0", "entry 2, '1/0': its denominator is 0"),
+    ("1" * 65_000, "entry 1, '11111111111111111111... (65000 characters)': Exceeds the limit"),
+], ids=["over the budget", "bad last entry", "zero denominator", "long entry"])
+def test_verify_points_errors_stay_short(capsys, points, detail):
+    # a rejected list is named by its entry count or the bad entry's position,
+    # never echoed whole
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "monotone", "--points", points])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"bad points list: {detail}" in err
+    assert len(err.encode()) < 1024
 
 
 def test_default_points_fit_the_budget():
@@ -872,61 +905,14 @@ def test_oeis_check_bad_input_exits_2(tmp_path, case):
     assert "Traceback" not in proc.stderr
 
 
-def _bundled_bytes():
-    return {seq: cli.default_fixture_path(seq).read_bytes() for seq in cli.OEIS_SEQUENCES}
-
-
-@pytest.mark.parametrize("error", [
-    urllib.error.URLError("no route to host"),
-    ConnectionResetError("connection reset"),
-    http.client.IncompleteRead(b"1 1"),
-], ids=["URLError", "ConnectionResetError", "IncompleteRead"])
-def test_oeis_check_refresh_network_failure_exits_2(monkeypatch, tmp_path, capsys, error):
-    def fail(url, *args, **kwargs):
-        raise error
-
-    before = _bundled_bytes()
-    monkeypatch.setattr(urllib.request, "urlopen", fail)
-    dest = tmp_path / "b101280.txt"
+def test_oeis_check_refresh_is_not_an_option(capsys):
+    # the bundled snapshots and --fixture cover every use; nothing is fetched
     with pytest.raises(SystemExit) as exc:
-        main(["oeis-check", "A101280", "--refresh", "--fixture", str(dest)])
+        main(["oeis-check", "A101280", "--refresh", "--fixture", "b101280.txt"])
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert f"cannot refresh {dest}" in err
-    assert not dest.exists()
-    assert _bundled_bytes() == before
-
-
-def test_oeis_check_refresh_needs_fixture(monkeypatch, capsys):
-    def fetch(url, *args, **kwargs):
-        raise AssertionError("nothing may be fetched")
-
-    before = _bundled_bytes()
-    monkeypatch.setattr(urllib.request, "urlopen", fetch)
-    for seq in cli.OEIS_SEQUENCES:
-        with pytest.raises(SystemExit) as exc:
-            main(["oeis-check", seq, "--refresh"])
-        assert exc.value.code == 2
-        assert "--refresh needs --fixture" in capsys.readouterr().err
-    assert _bundled_bytes() == before
-
-
-def test_oeis_check_refresh_writes_the_fixture(monkeypatch, tmp_path, capsys):
-    urls = []
-
-    def fetch(url, *args, **kwargs):
-        urls.append(url)
-        return io.BytesIO(cli.default_fixture_path("A101280").read_bytes())
-
-    before = _bundled_bytes()
-    monkeypatch.setattr(urllib.request, "urlopen", fetch)
-    dest = tmp_path / "b101280.txt"
-    assert main(["oeis-check", "A101280", "--max-n", "4", "--refresh", "--fixture", str(dest)]) == 0
-    assert urls == ["https://oeis.org/A101280/b101280.txt"]
-    assert dest.read_bytes() == before["A101280"]
-    assert "PASS" in capsys.readouterr().out
-    assert _bundled_bytes() == before
+    assert "unrecognized arguments: --refresh" in err
 
 
 def test_oeis_check_skip_alignment(tmp_path):

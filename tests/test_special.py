@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 
 import pytest
 
@@ -20,7 +20,6 @@ from qeuler.qring import (
 )
 from qeuler.special import (
     a_star,
-    admissible_points,
     b_central,
     b_odd_vanish,
     conjecture_scan_gstar,
@@ -121,6 +120,80 @@ def test_d_identity(n):
     assert verify_d_identity(n)
 
 
+def test_identities_hold_past_the_cli_caps():
+    assert all(verify_d_identity(n) for n in range(1, 21))
+    assert all(verify_gstar_identity(n) for n in range(0, 16))
+
+
+def test_cleared_sums_read_no_quotient_and_no_row(monkeypatch):
+    # the right sides need neither the division that builds d_poly and g_star
+    # nor any triangle row, so they stay independent of what they check
+    want_d = {n: _d_identity_lhs(n) for n in range(1, 8)}
+    want_g = {n: _gstar_identity_lhs(n) for n in range(0, 7)}
+
+    def boom(*args):
+        raise AssertionError("the cleared sum must not call this")
+
+    monkeypatch.setattr(special, "_div_one_plus_q_powers", boom)
+    for row in ("_carlitz_row", "_gamma_a_row", "_typeB_row", "_gamma_b_row"):
+        monkeypatch.setattr(eulerian, row, boom)
+    monkeypatch.setattr(special, "FAMILIES", {})
+    for n, want in want_d.items():
+        assert (-1) ** (n + 1) * special._cleared_f_sum(2 * n + 1, 0, 1, -n) == want
+    for n, want in want_g.items():
+        assert (-1) ** n * special._cleared_f_sum(2 * n, 1, 2, -2 * n - 1) == want
+    with pytest.raises(AssertionError):
+        d_poly(3)
+
+
+# A reference for the two identities: the closed rational forms evaluated at
+# max(deg, bound) + 1 exact points, where the bound is the true degree
+# (n(n-1)/2 for d_n, n(n-1) for G*_{2n}), so that many agreements prove each.
+
+
+def admissible_points():
+    """``2, 3/2, 4/3, ...``: all > 1, so none is 0 or a pole at +-1."""
+    for k in count(1):
+        yield Fraction(k + 1, k)
+
+
+def _agrees_at_points(p, rhs, bound):
+    return all(p(q0) == rhs(q0) for q0 in islice(admissible_points(), max(p.degree(), bound) + 1))
+
+
+def _sampled_d_identity(n):
+    return _agrees_at_points(
+        special.d_poly(n),
+        lambda q0: (-1) ** (n + 1) * math.prod(1 + q0**j for j in range(n + 2))
+        / (1 - q0) ** (2 * n + 1) * f_eval(n, q0),
+        n * (n - 1) // 2)
+
+
+def _sampled_gstar_identity(n):
+    return _agrees_at_points(
+        special.g_star(n),
+        lambda q0: (-1) ** n * q0 ** (-n - 1)
+        * math.prod(1 + q0 ** (2 * j + 1) for j in range(n + 1))
+        / ((1 + q0) ** n * (1 - q0) ** (2 * n)) * f_star_eval(n, q0),
+        n * (n - 1))
+
+
+def _d_identity_lhs(n):
+    return d_poly(n) * P(1, -1) ** (2 * n + 1)
+
+
+def _gstar_identity_lhs(n):
+    return (g_star(n) * P(1, 1) ** n * P(1, -1) ** (2 * n)).shift(n + 1)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_identities_match_the_sampled_reference(n):
+    assert _sampled_d_identity(n) and verify_d_identity(n)
+    assert _sampled_gstar_identity(n) and verify_gstar_identity(n)
+    assert special._d_identity(n) == (_d_identity_lhs(n),) * 2
+    assert special._gstar_identity(n) == (_gstar_identity_lhs(n),) * 2
+
+
 def test_admissible_points_start_at_two_and_fall_towards_one():
     assert list(islice(admissible_points(), 5)) == [
         Fraction(2), Fraction(3, 2), Fraction(4, 3), Fraction(5, 4), Fraction(6, 5)
@@ -147,10 +220,16 @@ def test_rational_identities_reject_a_perturbed_polynomial(monkeypatch):
     monkeypatch.setattr(special, "g_star", lambda n: g(n) + QPoly.monomial(1))
     assert not verify_d_identity(3)
     assert not verify_gstar_identity(3)
+    assert not _sampled_d_identity(3)
+    assert not _sampled_gstar_identity(3)
+    monkeypatch.setattr(special, "d_poly", lambda n: d(n) + (QPoly.monomial(1) if n == 5 else 0))
+    monkeypatch.setattr(special, "g_star", lambda n: g(n) + (QPoly.monomial(2) if n == 4 else 0))
+    assert [verify_d_identity(n) for n in range(1, 6)] == [True] * 4 + [False]
+    assert [verify_gstar_identity(n) for n in range(0, 5)] == [True] * 4 + [False]
 
 
-# verify_d_identity and verify_gstar_identity take their point counts from
-# these degree bounds, not from the polynomial under test
+# the sampled reference takes its point counts from these degree bounds, not
+# from the polynomial under test
 @pytest.mark.parametrize("n", range(1, 10))
 def test_identity_degree_bounds_are_the_degrees(n):
     assert d_poly(n).degree() == n * (n - 1) // 2
@@ -175,27 +254,10 @@ def test_rational_identities_reject_zero_and_low_degree_polynomials(monkeypatch,
         assert not verify_gstar_identity(n)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_rational_identities_use_bound_plus_one_points(monkeypatch, n):
-    used = []
-    points = special.admissible_points
-
-    def counted():
-        for q0 in points():
-            used.append(q0)
-            yield q0
-
-    monkeypatch.setattr(special, "admissible_points", counted)
-    assert verify_d_identity(n)
-    assert len(used) == n * (n - 1) // 2 + 1
-    used.clear()
-    assert verify_gstar_identity(n)
-    assert len(used) == n * (n - 1) + 1
-
-
 @pytest.mark.parametrize("n", [2, 3])
 def test_rational_identities_check_past_the_bound_for_a_higher_degree(monkeypatch, n):
-    # agrees with the true polynomial at the first bound + 1 points only
+    # agrees with the true polynomial at the first bound + 1 sample points,
+    # which the cleared comparison never uses
     d, g = d_poly(n), g_star(n)
     monkeypatch.setattr(
         special, "d_poly", lambda n: d + _vanishing_at_first_points(n * (n - 1) // 2 + 1))

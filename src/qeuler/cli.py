@@ -23,7 +23,6 @@ from pathlib import Path
 from . import doubloon, eulerian, special, unimodality
 from .eulerian import (
     FAMILIES,
-    TRIANGLES,
     _gamma_a_row,
     _gamma_b_row,
     basis_change_A,
@@ -35,6 +34,7 @@ from .eulerian import (
     gamma_b_entry,
     gamma_expand_A,
     gamma_expand_B,
+    iter_rows,
     typeB_entry,
     typeB_poly,
     typeB_series_oracle,
@@ -382,10 +382,10 @@ def oeis_expected(sequence: str, max_n: int, report: Report) -> list[int]:
     """Reading-order q=1 values the fixture is compared against; for
     A008971 the type-b entries are divided by 4^k (divisibility checked)."""
     family = _oeis_family(sequence)
-    tri = TRIANGLES[family](max_n)
+    krange = FAMILIES[family].krange
     out = []
-    for n in range(1, max_n + 1):
-        for k, p in zip(tri.krange(n), tri.row(n)):
+    for n, row in iter_rows(family, max_n):
+        for k, p in zip(krange(n), row):
             v = spec_q1(p)
             if family == "b":
                 quot, rem = divmod(v, 4**k)
@@ -425,16 +425,17 @@ def run_oeis_check(sequence: str, max_n: int, terms: list[int], skip: int = 0) -
 # ---------------------------------------------------------------------------
 
 
-# At 60 the slowest table (B as text) takes about 1.5 s cold on a 2 vCPU VM.
-# Rows are written as they are formatted, so memory is the cached rows plus
-# one formatted row: table B as json peaks near 140 MB at 60.
+# At 60 the slowest tables (B as text or json) take about 1.9 s cold on a
+# 2 vCPU VM.  Rows are streamed, not cached, and written as they are
+# formatted, so memory is two rows plus one formatted entry: every table
+# peaks under 30 MB at 60.
 TABLE_MAX_N = 60
 
 
 def cmd_table(args, parser) -> int:
     if not 1 <= args.max_n <= TABLE_MAX_N:
         parser.error(f"--max-n must be in 1..{TABLE_MAX_N}")
-    tri = TRIANGLES[args.family](args.max_n)
+    fam = FAMILIES[args.family]
     value = spec_q1 if args.q1 else to_json if args.format == "json" else render
     out = sys.stdout
     # no CSV field needs quoting: they are ints and rendered polynomials
@@ -444,13 +445,17 @@ def cmd_table(args, parser) -> int:
         # the document's own bytes, its "rows" list filled in one row at a time
         head = {"family": args.family, "max_n": args.max_n, "q1": bool(args.q1), "rows": []}
         out.write(json.dumps(head)[:-2])
-    for n in range(tri.first_n, tri.max_n + 1):
-        kr, values = tri.krange(n), map(value, tri.row(n))
+    for n, row in iter_rows(args.family, args.max_n):
+        kr, values = fam.krange(n), map(value, row)
         if args.format == "csv":
             out.writelines(f"{n},{k},{v}\n" for k, v in zip(kr, values))
         elif args.format == "json":
-            row = {"n": n, "kmin": kr.start, "entries": list(values)}
-            out.write((", " if n > tri.first_n else "") + json.dumps(row))
+            # the row's own bytes, its "entries" list filled in one entry at a time
+            out.write((", " if n > fam.first_n else "")
+                      + json.dumps({"n": n, "kmin": kr.start, "entries": []})[:-2])
+            out.writelines((", " if k > kr.start else "") + json.dumps(v)
+                           for k, v in zip(kr, values))
+            out.write("]}")
         elif args.q1:
             out.write(f"n={n}: {' '.join(map(str, values))}\n")
         else:
@@ -460,12 +465,21 @@ def cmd_table(args, parser) -> int:
     return 0
 
 
+def _last_row_poly(family: str, n: int) -> TQPoly:
+    """The generating polynomial of row ``n`` of ``family``, with the rows
+    below it streamed, not cached."""
+    for _, row in iter_rows(family, n):
+        pass
+    return TQPoly(row)
+
+
 POLY_BUILDERS = {
     # name -> (min n, max n, builder); the largest n builds rows to 100 or
-    # 101.  Cold on a 2 vCPU VM, the slowest, B at 100, takes about 6 s and
-    # 0.93 GB, and Gstar and Estar at 50 about 5-6 s and 0.83 GB.
-    "A": (1, 100, carlitz_poly),
-    "B": (0, 100, typeB_poly),
+    # 101.  Cold on a 2 vCPU VM, B at 100 takes about 6 s and 0.22 GB (its
+    # rows streamed; A and B are the only ones that are), and Gstar and Estar
+    # at 50, whose rows are cached, about 6-7 s and 0.83 GB.
+    "A": (1, 100, lambda n: _last_row_poly("A", n)),
+    "B": (0, 100, lambda n: _last_row_poly("B", n)),
     "T": (0, 50, lambda n: special.q_tangent(n)),
     "dn": (1, 50, lambda n: special.d_poly(n)),
     "Estar": (0, 50, lambda n: special.e_star(n)),
@@ -590,12 +604,12 @@ def _point(part: str) -> Fraction:
     try:
         q0 = Fraction(part)
     except ValueError as exc:
-        if "literal" not in str(exc):
-            raise  # int()'s limit of 4300 digits, whose message is short
-        raise ValueError("not an integer or a fraction a/b") from None  # not the entry again
+        if "literal" in str(exc):
+            raise ValueError("not an integer or a fraction a/b") from None  # not the entry again
+        q0 = None  # over int()'s limit of 4300 digits, so far over the cap
     except ZeroDivisionError:
         raise ValueError("its denominator is 0") from None
-    if max(abs(q0.numerator), q0.denominator) >= 10**MAX_POINT_DIGITS:
+    if q0 is None or max(abs(q0.numerator), q0.denominator) >= 10**MAX_POINT_DIGITS:
         raise ValueError(f"a point may have at most {MAX_POINT_DIGITS} digits "
                          "in its numerator and denominator")
     return unimodality._check_q0(q0)

@@ -51,6 +51,8 @@ and by the q-binomial theorem its ``t^i`` coefficient, ``A[n,i+1]`` or
 with ``d = i-j``.  ``gamma_expand_*`` and ``basis_change_*`` use these sums.
 
 Rows are built once, bottom up, and cached; triangles are immutable views.
+:func:`iter_rows` walks the same row step without the cache, for readers
+that need each row once and in order.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ import dataclasses
 from functools import lru_cache
 from itertools import accumulate
 from operator import add, sub
-from typing import Callable
+from typing import Callable, Iterator
 
 from .qring import (
     QLaurent,
@@ -176,6 +178,16 @@ class Triangle:
 # ---------------------------------------------------------------------------
 
 
+def _next_row(fam: Family, n: int, prev: tuple[QPoly, ...]) -> tuple[QPoly, ...]:
+    """Row ``n`` of ``fam``, entries in ``krange(n)`` order, from row ``n-1``."""
+    pk = fam.krange(n - 1)
+    return tuple([
+        _recur(prev[k - pk.start].coeffs if k in pk else (), fam.alpha(n, k),
+               prev[k - 1 - pk.start].coeffs if k - 1 in pk else (), fam.beta(n, k))
+        for k in fam.krange(n)
+    ])
+
+
 def _row_builder(family: str) -> Callable[[int], tuple[QPoly, ...]]:
     """The cached ``row(n)`` of ``family``, entries in ``krange(n)`` order."""
     fam = FAMILIES[family]
@@ -191,14 +203,24 @@ def _row_builder(family: str) -> Callable[[int], tuple[QPoly, ...]]:
         # cached: the call depth stays constant whatever n is.
         for m in range(fam.seed_n + row.cache_info().currsize, n):
             row(m)
-        prev, pk = row(n - 1), fam.krange(n - 1)
-        return tuple([
-            _recur(prev[k - pk.start].coeffs if k in pk else (), fam.alpha(n, k),
-                   prev[k - 1 - pk.start].coeffs if k - 1 in pk else (), fam.beta(n, k))
-            for k in fam.krange(n)
-        ])
+        return _next_row(fam, n, row(n - 1))
 
     return row
+
+
+def iter_rows(family: str, N: int) -> Iterator[tuple[int, tuple[QPoly, ...]]]:
+    """``(n, row(n))`` for ``n = first_n..N`` of ``family``, each row built
+    from the one before it and none cached: a reader of the rows in order
+    holds two rows at a time, not the triangle."""
+    fam = FAMILIES[family]
+    if N < fam.first_n:
+        raise ValueError(f"family {family} needs N >= {fam.first_n}, got {N}")
+    row = (QPoly.one(),)
+    for n in range(fam.seed_n, N + 1):
+        if n > fam.seed_n:
+            row = _next_row(fam, n, row)
+        if n >= fam.first_n:
+            yield n, row
 
 
 # Callers name these module attributes instead of reaching them through the

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import importlib
@@ -8,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,9 +27,9 @@ from qeuler.cli import (
     run_oeis_check,
     run_suite,
 )
-from qeuler.eulerian import TRIANGLES, carlitz_poly
+from qeuler.eulerian import FAMILIES, TRIANGLES, carlitz_poly, classical_gamma_a, classical_gamma_b
 from qeuler.qring import QLaurent, QPoly, TQPoly, spec_q1
-from qeuler.serialize import csv_rows, from_json, render
+from qeuler.serialize import csv_rows, from_json, render, to_json
 
 
 def run_cli(*args, binary=False):
@@ -125,6 +127,90 @@ def test_table_json_roundtrips():
         n, kmin = row["n"], row["kmin"]
         for i, entry in enumerate(row["entries"]):
             assert from_json(entry) == typeB_entry(n, kmin + i)
+
+
+ROW_CACHES = ("_carlitz_row", "_gamma_a_row", "_typeB_row", "_gamma_b_row")
+
+
+def _clear_row_caches():
+    for name in ROW_CACHES:
+        getattr(eulerian, name).cache_clear()
+
+
+def _cached_rows():
+    return [getattr(eulerian, name).cache_info().currsize for name in ROW_CACHES]
+
+
+def _bfile(terms):
+    return "".join(f"{i} {v}\n" for i, v in enumerate(terms, 1))
+
+
+@pytest.mark.parametrize("args", [
+    *(["table", family, "--max-n", "12", *opts] for family in "AaBb"
+      for opts in (["--format", "text"], ["--format", "csv"], ["--format", "json"], ["--q1"])),
+    *(["poly", name, "--n", "12", "--format", fmt] for name in "AB" for fmt in ("text", "json")),
+], ids=" ".join)
+def test_streaming_commands_leave_the_row_caches_empty(capsys, args):
+    _clear_row_caches()
+    assert main(args) == 0
+    assert capsys.readouterr().out
+    assert _cached_rows() == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("sequence", sorted(cli.OEIS_SEQUENCES))
+def test_oeis_check_leaves_the_row_caches_empty(capsys, tmp_path, sequence):
+    # a fixture past the bundled snapshots, from the integer triangles
+    if sequence == "A101280":
+        terms = [v for row in classical_gamma_a(20) for v in row]
+    else:
+        terms = [v // 4**k for row in classical_gamma_b(20) for k, v in enumerate(row)]
+    path = tmp_path / "fixture.txt"
+    path.write_text(_bfile(terms))
+    _clear_row_caches()
+    assert main(["oeis-check", sequence, "--max-n", "20", "--fixture", str(path)]) == 0
+    assert f"{len(terms)} terms match" in capsys.readouterr().out
+    assert _cached_rows() == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("q1", [False, True])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_table_json_is_the_whole_document(capsys, family, q1):
+    # rows and entries are written one at a time, with the bytes of one dump
+    value = spec_q1 if q1 else to_json
+    for N in range(1, 9):
+        tri = TRIANGLES[family](N)
+        doc = {"family": family, "max_n": N, "q1": q1, "rows": [
+            {"n": n, "kmin": tri.krange(n).start, "entries": [value(p) for p in tri.row(n)]}
+            for n in range(tri.first_n, N + 1)
+        ]}
+        assert main(["table", family, "--max-n", str(N), "--format", "json"]
+                    + ["--q1"] * q1) == 0
+        assert capsys.readouterr().out == json.dumps(doc) + "\n"
+
+
+def _traced_peak(fn):
+    """The most memory ``fn()`` holds at once, as ``tracemalloc`` counts it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_table_holds_two_rows_not_the_triangle():
+    # B at 20 as json: above the command's fixed cost (its parser, measured at
+    # --max-n 1), the streamed rows peak under half of what the cached
+    # triangle holds
+    def table(max_n):
+        with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+            assert main(["table", "B", "--max-n", str(max_n), "--format", "json"]) == 0
+
+    _clear_row_caches()
+    fixed = _traced_peak(lambda: table(1))
+    streamed = _traced_peak(lambda: table(20)) - fixed
+    triangle = _traced_peak(lambda: TRIANGLES["B"](20))
+    assert streamed < triangle / 2
 
 
 def test_table_unknown_family_usage_error():
@@ -614,7 +700,8 @@ def test_verify_points_over_the_digit_cap_usage_error(points):
     (",".join(["2"] * 65_000), "65000 entries with 130000 digits in all, more than 120"),
     ("2," * 65_000 + "x", "entry 65001, 'x': not an integer"),
     ("2,1/0", "entry 2, '1/0': its denominator is 0"),
-    ("1" * 65_000, "entry 1, '11111111111111111111... (65000 characters)': Exceeds the limit"),
+    ("1" * 65_000, "entry 1, '11111111111111111111... (65000 characters)': a point may have "
+                   f"at most {MAX_POINT_DIGITS} digits"),
 ], ids=["over the budget", "bad last entry", "zero denominator", "long entry"])
 def test_verify_points_errors_stay_short(capsys, points, detail):
     # a rejected list is named by its entry count or the bad entry's position,
@@ -625,6 +712,18 @@ def test_verify_points_errors_stay_short(capsys, points, detail):
     err = capsys.readouterr().err
     assert f"bad points list: {detail}" in err
     assert len(err.encode()) < 1024
+
+
+@pytest.mark.parametrize("points", ["7" * 5_000, "2,1/" + "3" * 5_000, "0." + "7" * 5_000],
+                         ids=["integer", "denominator", "decimal"])
+def test_verify_points_past_the_int_string_limit(points):
+    # past int()'s 4300 digits the entry gets the digit cap's error, not
+    # Python's advice to raise its limit
+    proc = run_cli("verify", "monotone", "--points", points)
+    assert proc.returncode == 2
+    assert f"at most {MAX_POINT_DIGITS} digits" in proc.stderr
+    assert "set_int_max_str_digits" not in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_default_points_fit_the_budget():

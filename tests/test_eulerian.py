@@ -8,6 +8,8 @@ import pytest
 
 from qeuler import eulerian
 from qeuler.eulerian import (
+    FAMILIES,
+    TRIANGLES,
     Triangle,
     basis_change_A,
     basis_change_B,
@@ -25,6 +27,7 @@ from qeuler.eulerian import (
     gamma_b_triangle,
     gamma_expand_A,
     gamma_expand_B,
+    iter_rows,
     q_int_ext,
     typeB_entry,
     typeB_poly,
@@ -586,3 +589,31 @@ def test_cold_rows_make_no_product(monkeypatch):
     # the counters do see a call
     assert QPoly([1, 1]).mul_q_int(2) == QPoly([1, 1]) * QPoly([1, 1])
     assert calls == Counter({"mul_q_int": 1, "__mul__": 1})
+
+
+ROW_CACHES = (eulerian._carlitz_row, eulerian._gamma_a_row, eulerian._typeB_row,
+              eulerian._gamma_b_row)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_iter_rows_are_the_triangle_rows(family):
+    # b seeds at n=0 and is public from n=1: its row 0 is built on, not yielded
+    first = FAMILIES[family].first_n
+    for N in range(first, 16):
+        tri = TRIANGLES[family](N)
+        assert list(iter_rows(family, N)) == [(n, tri.row(n)) for n in range(first, N + 1)]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_iter_rows_rejects_n_below_the_first_row(family):
+    N = FAMILIES[family].first_n - 1
+    with pytest.raises(ValueError, match=f"family {family} needs N >= {N + 1}, got {N}"):
+        list(iter_rows(family, N))
+
+
+def test_iter_rows_caches_nothing():
+    for row in ROW_CACHES:
+        row.cache_clear()
+    for family in FAMILIES:
+        assert sum(1 for _ in iter_rows(family, 20)) == 21 - FAMILIES[family].first_n
+    assert [row.cache_info().currsize for row in ROW_CACHES] == [0, 0, 0, 0]

@@ -366,57 +366,37 @@ def default_fixture_path(sequence: str) -> Path:
     return Path(str(resources.files("qeuler").joinpath("data", f"b{sequence[1:]}.txt")))
 
 
-def _oeis_family(sequence: str) -> str:
+@_timed
+def run_oeis_check(sequence: str, max_n: int, terms: list[int], skip: int = 0) -> Report:
+    """Compare rows 1..max_n with the fixture's ``terms`` after the first
+    ``skip``, each q=1 value as soon as it is computed; for A008971 the
+    type-b entries are divided by 4^k (divisibility checked)."""
     if sequence not in OEIS_SEQUENCES:
         raise ValueError(f"unknown sequence {sequence}")
-    return OEIS_SEQUENCES[sequence]
-
-
-def oeis_term_count(sequence: str, max_n: int) -> int:
-    """How many fixture terms rows 1..max_n cover, without building a row."""
-    krange = FAMILIES[_oeis_family(sequence)].krange
-    return sum(len(krange(n)) for n in range(1, max_n + 1))
-
-
-def oeis_expected(sequence: str, max_n: int, report: Report) -> list[int]:
-    """Reading-order q=1 values the fixture is compared against; for
-    A008971 the type-b entries are divided by 4^k (divisibility checked)."""
-    family = _oeis_family(sequence)
+    family = OEIS_SEQUENCES[sequence]
     krange = FAMILIES[family].krange
-    out = []
+    r = Report(f"oeis-{sequence}")
+    fixture = terms[skip:]
+    needed = sum(len(krange(n)) for n in range(1, max_n + 1))
+    if len(fixture) < needed:
+        r.check(
+            "fixture length", False, detail=f"needs {needed} terms, fixture has {len(fixture)}"
+        )
+        return r
+    mismatches = []
+    i = 0
     for n, row in iter_rows(family, max_n):
         for k, p in zip(krange(n), row):
             v = spec_q1(p)
             if family == "b":
                 quot, rem = divmod(v, 4**k)
                 if rem:
-                    report.check(f"4^{k} divides b[{n},{k}](1)", False, detail=f"value={v}")
+                    r.check(f"4^{k} divides b[{n},{k}](1)", False, detail=f"value={v}")
                 v = 0 if rem else quot
-            out.append(v)
-    return out
-
-
-@_timed
-def run_oeis_check(sequence: str, max_n: int, terms: list[int], skip: int = 0) -> Report:
-    """Compare rows 1..max_n with the fixture's ``terms`` after the first
-    ``skip``."""
-    r = Report(f"oeis-{sequence}")
-    fixture = terms[skip:]
-    needed = oeis_term_count(sequence, max_n)
-    if len(fixture) < needed:
-        r.check(
-            "fixture length", False, detail=f"needs {needed} terms, fixture has {len(fixture)}"
-        )
-        return r
-    expected = oeis_expected(sequence, max_n, r)
-    mismatches = [
-        (i, e, f) for i, (e, f) in enumerate(zip(expected, fixture)) if e != f
-    ]
-    r.check(
-        f"{len(expected)} terms match",
-        not mismatches,
-        detail="; ".join(f"term {i}: computed {e} != fixture {f}" for i, e, f in mismatches[:5]),
-    )
+            if v != fixture[i]:
+                mismatches.append(f"term {i}: computed {v} != fixture {fixture[i]}")
+            i += 1
+    r.check(f"{needed} terms match", not mismatches, detail="; ".join(mismatches[:5]))
     return r
 
 

@@ -22,12 +22,7 @@ def to_json(p: QPoly | QLaurent | TQPoly) -> dict:
     if isinstance(p, QPoly):
         return {"kind": "poly", "var": "q", "coeffs": [str(c) for c in p.coeffs]}
     if isinstance(p, QLaurent):
-        return {
-            "kind": "poly",
-            "var": "q",
-            "coeffs": [str(c) for c in p.base.coeffs],
-            "offset": p.offset,
-        }
+        return {**to_json(p.base), "offset": p.offset}
     if isinstance(p, TQPoly):
         return {
             "kind": "bivar",

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import pairwise
 
-from .eulerian import FAMILIES, TRIANGLES, _carlitz_row, _typeB_row
+from .eulerian import FAMILIES, _carlitz_row, _typeB_row, iter_rows
 from .qring import (
     QLaurent,
     RatLike,
@@ -25,9 +25,13 @@ def _first_unreversed(family: str, n: int) -> int | None:
     """The first ``k`` at which row ``n`` of ``A`` or ``B`` breaks the
     reciprocity of :func:`reciprocity_A` or :func:`reciprocity_B`, or
     ``None``: read backwards, the row must be itself under ``q -> 1/q``
-    times ``q^e``.  The row is read once, with no product."""
+    times ``q^e``.  The row is read once, with no product, and each mirrored
+    pair is compared once: pair ``i`` and pair ``len - 1 - i`` are the same
+    equation under ``q -> 1/q`` times ``q^e``, so the front half finds the
+    first bad ``k`` of any row."""
     row, e = (_carlitz_row(n), n * (n - 1) // 2) if family == "A" else (_typeB_row(n), n * n)
-    bad = next((i for i, (p, back) in enumerate(zip(row, reversed(row)))
+    front = row[: (len(row) + 1) // 2]
+    bad = next((i for i, (p, back) in enumerate(zip(front, reversed(row)))
                 if QLaurent(back) != subst_q_recip(p).shift(e)), None)
     return None if bad is None else FAMILIES[family].krange(n).start + bad
 
@@ -86,11 +90,11 @@ def monotone_check_B(n: int, q0: RatLike) -> bool:
 
 def q1_unimodality(family: str, N: int) -> bool:
     """At q = 1 every row of the chosen triangle ('A' or 'B') is a
-    palindromic unimodal integer sequence."""
+    palindromic unimodal integer sequence.  The rows are streamed, not
+    cached; ``B`` row 0, ``(1,)``, is checked too."""
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     if family not in ("A", "B"):
         raise ValueError(f"family must be 'A' or 'B', got {family!r}")
-    tri = TRIANGLES[family](N)
-    rows = ([spec_q1(p) for p in tri.row(n)] for n in range(1, N + 1))
+    rows = ([spec_q1(p) for p in row] for _, row in iter_rows(family, N))
     return all(is_unimodal_ints(row) and row == row[::-1] for row in rows)

@@ -1039,6 +1039,56 @@ def test_divisibility_check_in_expected():
     ]
 
 
+def _bundled_terms(sequence):
+    return parse_bfile(cli.default_fixture_path(sequence).read_text())
+
+
+def test_oeis_check_short_fixture_builds_no_row(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(cli, "iter_rows", no_rows)
+    report = run_oeis_check("A101280", 60, _bundled_terms("A101280"))
+    assert [(i.name, i.status, i.detail) for i in report.items] == [
+        ("fixture length", "fail", "needs 930 terms, fixture has 42"),
+    ]
+
+
+@pytest.mark.parametrize("sequence", sorted(cli.OEIS_SEQUENCES))
+def test_oeis_check_builds_each_row_once(monkeypatch, sequence):
+    steps = []
+    next_row = eulerian._next_row
+
+    def counted(fam, n, prev):
+        steps.append(n)
+        return next_row(fam, n, prev)
+
+    monkeypatch.setattr(eulerian, "_next_row", counted)
+    report = run_oeis_check(sequence, 12, _bundled_terms(sequence))
+    assert report.ok
+    seed_n = FAMILIES[cli.OEIS_SEQUENCES[sequence]].seed_n
+    assert steps == list(range(seed_n + 1, 13))
+
+
+def test_oeis_check_reports_each_indivisible_entry_in_place(monkeypatch):
+    # b[3,1](1) = 20 and b[5,2](1) = 976 made one more: neither is then
+    # divisible by 4^k, each is reported where the stream meets it, and each
+    # is compared with the fixture as 0
+    bad = {eulerian.gamma_b_entry(3, 1), eulerian.gamma_b_entry(5, 2)}
+    monkeypatch.setattr(cli, "spec_q1", lambda p: spec_q1(p) + (p in bad))
+    report = run_oeis_check("A008971", 6, _bundled_terms("A008971"))
+    assert [(i.name, i.status, i.detail) for i in report.items] == [
+        ("4^1 divides b[3,1](1)", "fail", "value=21"),
+        ("4^2 divides b[5,2](1)", "fail", "value=977"),
+        ("15 terms match", "fail", "term 4: computed 0 != fixture 5; term 10: computed 0 != fixture 61"),
+    ]
+
+
+def test_oeis_check_rejects_an_unknown_sequence():
+    with pytest.raises(ValueError, match="unknown sequence A000001"):
+        run_oeis_check("A000001", 3, [1] * 10)
+
+
 # ---------------------------------------------------------------------------
 # in-process entry point
 # ---------------------------------------------------------------------------
@@ -1047,6 +1097,27 @@ def test_divisibility_check_in_expected():
 def test_main_in_process(capsys):
     assert main(["poly", "T", "--n", "2"]) == 0
     assert capsys.readouterr().out == "2 + 4q + 4q^2 + 4q^3 + 2q^4\n"
+
+
+def test_commands_import_only_the_standard_library():
+    # -S keeps out what site-packages .pth files import at startup
+    script = """
+import contextlib, io, sys
+from qeuler import cli
+for argv in (["verify", "all", "--max-n", "3"], ["table", "B", "--max-n", "4"],
+             ["poly", "A", "--n", "4"], ["oeis-check", "A008971", "--max-n", "3"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+top = {name.partition(".")[0] for name in sys.modules}
+print(sorted(top - set(sys.stdlib_module_names) - {"__main__", "qeuler"}))
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_main_usage_error_exits_2():

@@ -168,3 +168,39 @@ def test_monotone_sees_one_perturbed_entry(monkeypatch, check, row_name, n, i, q
     j = i if q0 > 1 else -1 - i
     _perturbed(monkeypatch, row_name, j, lambda r: r[j - 1 if q0 > 1 else j + 1])
     assert not check(n, q0)
+
+
+def _full_scan_first_unreversed(row, e, first_k):
+    """Every mirrored pair, both ways round: the first ``k`` whose pair fails."""
+    return next((first_k + i for i, (p, back) in enumerate(zip(row, reversed(row)))
+                 if QLaurent(back) != subst_q_recip(p).shift(e)), None)
+
+
+RECIPROCITY_ROWS = [("A", "_carlitz_row", 6, 15), ("A", "_carlitz_row", 7, 21),
+                    ("B", "_typeB_row", 5, 25), ("B", "_typeB_row", 6, 36)]
+
+
+@pytest.mark.parametrize("family, row_name, n, e", RECIPROCITY_ROWS)
+def test_first_unreversed_compares_each_mirrored_pair_once(monkeypatch, family, row_name, n, e):
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return subst_q_recip(p)
+
+    monkeypatch.setattr(unimodality, "subst_q_recip", counted)
+    assert unimodality._first_unreversed(family, n) is None
+    assert len(calls) == -(-len(getattr(unimodality, row_name)(n)) // 2)
+
+
+@pytest.mark.parametrize("family, row_name, n, e", RECIPROCITY_ROWS)
+def test_first_unreversed_finds_the_full_scans_first_bad_k(monkeypatch, family, row_name, n, e):
+    length = len(getattr(unimodality, row_name)(n))
+    first_k = FAMILIES[family].krange(n).start
+    for i in range(length):
+        with monkeypatch.context() as m:
+            _perturbed(m, row_name, i, lambda r: r[i] + QPoly.monomial(0))
+            row = getattr(unimodality, row_name)(n)
+            expected = _full_scan_first_unreversed(row, e, first_k)
+            assert expected == first_k + min(i, length - 1 - i)
+            assert unimodality._first_unreversed(family, n) == expected

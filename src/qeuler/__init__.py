@@ -24,7 +24,6 @@ from .qring import (
     subst_t_signed_power,
 )
 from .eulerian import (
-    Triangle,
     basis_change_A,
     basis_change_B,
     bracket_identity_A,
@@ -32,19 +31,15 @@ from .eulerian import (
     carlitz_entry,
     carlitz_poly,
     carlitz_series_oracle,
-    carlitz_triangle,
     classical_gamma_a,
     classical_gamma_b,
     gamma_a_entry,
-    gamma_a_triangle,
     gamma_b_entry,
-    gamma_b_triangle,
     gamma_expand_A,
     gamma_expand_B,
     typeB_entry,
     typeB_poly,
     typeB_series_oracle,
-    typeB_triangle,
 )
 from .special import (
     GStarScanReport,

@@ -64,7 +64,9 @@ OEIS_SEQUENCES = {"A101280": "a", "A008971": "b"}
 @dataclasses.dataclass
 class ReportItem:
     name: str
-    status: str  # "pass" | "fail" | "reported"
+    # "pass" or "fail"; counters() keeps a "reported" key at 0 because the
+    # verify JSON, and the digests over it, carry that key
+    status: str
     detail: str = ""
 
 
@@ -74,9 +76,8 @@ class Report:
     items: list[ReportItem] = dataclasses.field(default_factory=list)
     wall_time_s: float = 0.0
 
-    def check(self, name: str, ok: bool, detail: str = "") -> bool:
+    def check(self, name: str, ok: bool, detail: str = "") -> None:
         self.items.append(ReportItem(name, "pass" if ok else "fail", detail))
-        return ok
 
     @property
     def ok(self) -> bool:
@@ -348,9 +349,11 @@ def run_suite(name: str, max_n: int | None = None, points=None) -> Report:
 
 def parse_bfile(text: str) -> list[int]:
     """Standard two-column "index value" b-file; comments (#) and blank
-    lines ignored, values taken in file order."""
+    lines ignored, values taken in file order.  An error names the line at
+    fault by its number, its first 20 characters and its length, so it
+    stays short however long the line is."""
     values = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -358,7 +361,8 @@ def parse_bfile(text: str) -> list[int]:
             _, value = line.split()
             values.append(int(value))
         except ValueError:
-            raise ValueError(f"malformed b-file line: {line!r}") from None
+            shown = line if len(line) <= 20 else f"{line[:20]}... ({len(line)} characters)"
+            raise ValueError(f"malformed b-file line {number}: {shown!r}") from None
     return values
 
 

@@ -50,9 +50,9 @@ and by the q-binomial theorem its ``t^i`` coefficient, ``A[n,i+1]`` or
 ``B[n,i]``, is ``sum_{j<=i} [n+s-2-2j choose d]_{q^s} q^(s C(d,2) + (s j+1) d) g_j``
 with ``d = i-j``.  ``gamma_expand_*`` and ``basis_change_*`` use these sums.
 
-Rows are built once, bottom up, and cached; triangles are immutable views.
-:func:`iter_rows` walks the same row step without the cache, for readers
-that need each row once and in order.
+Rows are built once, bottom up, and cached.  :func:`iter_rows` walks the
+same row step without the cache, for readers that need each row once and in
+order.
 """
 
 from __future__ import annotations
@@ -144,35 +144,6 @@ def _recur(x: tuple[int, ...], u: int, y: tuple[int, ...], beta: Beta) -> QPoly:
     return QPoly(accumulate(out))
 
 
-@dataclasses.dataclass(frozen=True)
-class Triangle:
-    """Doubly indexed family of polynomials with explicit per-row bounds.
-    Entries outside the stated column range are identically zero."""
-
-    family: str
-    first_n: int
-    rows: tuple[tuple[QPoly, ...], ...]
-
-    def krange(self, n: int) -> range:
-        return FAMILIES[self.family].krange(n)
-
-    @property
-    def max_n(self) -> int:
-        return self.first_n + len(self.rows) - 1
-
-    def row(self, n: int) -> tuple[QPoly, ...]:
-        if not self.first_n <= n <= self.max_n:
-            raise IndexError(f"row {n} not materialized (have {self.first_n}..{self.max_n})")
-        return self.rows[n - self.first_n]
-
-    def entry(self, n: int, k: int) -> QPoly:
-        """``P[n,k]``, zero outside the stated range."""
-        kr = self.krange(n)
-        if self.first_n <= n <= self.max_n and k in kr:
-            return self.row(n)[k - kr.start]
-        return QPoly.zero()
-
-
 # ---------------------------------------------------------------------------
 # The row engine
 # ---------------------------------------------------------------------------
@@ -231,44 +202,9 @@ _typeB_row = _row_builder("B")
 _gamma_b_row = _row_builder("b")
 
 
-def _triangle(family: str, row, N: int) -> Triangle:
-    first = FAMILIES[family].first_n
-    if N < first:
-        raise ValueError(f"family {family} needs N >= {first}, got {N}")
-    return Triangle(family, first, tuple(row(n) for n in range(first, N + 1)))
-
-
 def _entry(family: str, row, n: int, k: int) -> QPoly:
     kr = FAMILIES[family].krange(n)
     return row(n)[k - kr.start] if k in kr else QPoly.zero()
-
-
-def carlitz_triangle(N: int) -> Triangle:
-    """Rows 1..N of the Carlitz coefficients ``A[n,k](q)``."""
-    return _triangle("A", _carlitz_row, N)
-
-
-def gamma_a_triangle(N: int) -> Triangle:
-    """Rows 1..N of the type-A gamma coefficients ``a[n,k](q)``."""
-    return _triangle("a", _gamma_a_row, N)
-
-
-def typeB_triangle(N: int) -> Triangle:
-    """Rows 0..N of the Chow-Gessel coefficients ``B[n,k](q)``."""
-    return _triangle("B", _typeB_row, N)
-
-
-def gamma_b_triangle(N: int) -> Triangle:
-    """Rows 1..N of the type-B gamma coefficients ``b[n,k](q)``."""
-    return _triangle("b", _gamma_b_row, N)
-
-
-TRIANGLES = {
-    "A": carlitz_triangle,
-    "a": gamma_a_triangle,
-    "B": typeB_triangle,
-    "b": gamma_b_triangle,
-}
 
 
 def carlitz_entry(n: int, k: int) -> QPoly:

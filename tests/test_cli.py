@@ -27,7 +27,7 @@ from qeuler.cli import (
     run_oeis_check,
     run_suite,
 )
-from qeuler.eulerian import FAMILIES, TRIANGLES, carlitz_poly, classical_gamma_a, classical_gamma_b
+from qeuler.eulerian import FAMILIES, carlitz_poly, classical_gamma_a, classical_gamma_b, iter_rows
 from qeuler.qring import QLaurent, QPoly, TQPoly, spec_q1
 from qeuler.serialize import csv_rows, from_json, render, to_json
 
@@ -98,10 +98,10 @@ def _csv_reference(header, rows):
 @pytest.mark.parametrize("q1", [False, True])
 @pytest.mark.parametrize("family", ["A", "a", "B", "b"])
 def test_table_csv_matches_csv_writer(capsys, family, q1):
-    tri = TRIANGLES[family](9)
+    krange = FAMILIES[family].krange
     value = spec_q1 if q1 else render
     want = _csv_reference(["n", "k", "value"], [
-        [n, k, value(p)] for n in range(tri.first_n, 10) for k, p in zip(tri.krange(n), tri.row(n))
+        [n, k, value(p)] for n, row in iter_rows(family, 9) for k, p in zip(krange(n), row)
     ])
     assert main(["table", family, "--max-n", "9", "--format", "csv"] + ["--q1"] * q1) == 0
     assert capsys.readouterr().out == want
@@ -177,11 +177,11 @@ def test_oeis_check_leaves_the_row_caches_empty(capsys, tmp_path, sequence):
 def test_table_json_is_the_whole_document(capsys, family, q1):
     # rows and entries are written one at a time, with the bytes of one dump
     value = spec_q1 if q1 else to_json
+    krange = FAMILIES[family].krange
     for N in range(1, 9):
-        tri = TRIANGLES[family](N)
         doc = {"family": family, "max_n": N, "q1": q1, "rows": [
-            {"n": n, "kmin": tri.krange(n).start, "entries": [value(p) for p in tri.row(n)]}
-            for n in range(tri.first_n, N + 1)
+            {"n": n, "kmin": krange(n).start, "entries": [value(p) for p in row]}
+            for n, row in iter_rows(family, N)
         ]}
         assert main(["table", family, "--max-n", str(N), "--format", "json"]
                     + ["--q1"] * q1) == 0
@@ -201,16 +201,16 @@ def _traced_peak(fn):
 def test_table_holds_two_rows_not_the_triangle():
     # B at 20 as json: above the command's fixed cost (its parser, measured at
     # --max-n 1), the streamed rows peak under half of what the cached
-    # triangle holds
+    # rows 0..20 hold
     def table(max_n):
         with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
             assert main(["table", "B", "--max-n", str(max_n), "--format", "json"]) == 0
 
-    _clear_row_caches()
     fixed = _traced_peak(lambda: table(1))
     streamed = _traced_peak(lambda: table(20)) - fixed
-    triangle = _traced_peak(lambda: TRIANGLES["B"](20))
-    assert streamed < triangle / 2
+    _clear_row_caches()
+    cached = _traced_peak(lambda: eulerian._typeB_row(20))
+    assert streamed < cached / 2
 
 
 def test_table_unknown_family_usage_error():
@@ -863,6 +863,20 @@ def test_benchmark_tracer_tables_name_wrappable_functions():
         assert hasattr(vars(eulerian)[attr], "cache_info"), attr
 
 
+def test_benchmark_session_resolves_its_names(monkeypatch):
+    # perfbench/session.py looks its calls up on the package when a Session
+    # is made, and round-trips two of them through serialize; the names the
+    # tracer wraps are checked above
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("perfbench_session", bench / "session.py")
+    session = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(session)
+    runner = session.Session()
+    for op in (("g_star", (2,)), ("d_poly", (2,))):
+        assert runner.check(op, runner.call(op)) is None, op
+
+
 def test_verify_smallest_bounds_still_check():
     proc = run_cli("verify", "series", "--max-n", "0")
     assert proc.returncode == 0
@@ -979,7 +993,10 @@ def test_oeis_check_missing_fixture_usage_error(tmp_path):
     assert proc.returncode == 2
 
 
-BAD_FIXTURES = {"bad value": "1 1\n2 x\n", "three columns": "1 1 1\n"}
+# a value past int()'s digit limit is malformed, and is not echoed in full
+LONG_LINE = "2 " + "7" * 200_000
+BAD_FIXTURES = {"bad value": "1 1\n2 x\n", "three columns": "1 1 1\n",
+                "long value": f"1 1\n{LONG_LINE}\n"}
 
 
 @pytest.mark.parametrize("case", ["negative skip", *BAD_FIXTURES, "directory", "over the cap"])
@@ -1002,6 +1019,7 @@ def test_oeis_check_bad_input_exits_2(tmp_path, case):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.encode()) < 1024
 
 
 def test_oeis_check_refresh_is_not_an_option(capsys):
@@ -1028,6 +1046,10 @@ def test_parse_bfile():
     assert parse_bfile("# c\n\n1 4\n2 -7\n") == [4, -7]
     with pytest.raises(ValueError):
         parse_bfile("1 2 3\n")
+    # the line at fault by its number, its first 20 characters and its length
+    with pytest.raises(ValueError) as exc:
+        parse_bfile(f"# c\n1 4\n{LONG_LINE}\n")
+    assert str(exc.value) == "malformed b-file line 3: '2 777777777777777777... (200002 characters)'"
 
 
 def test_divisibility_check_in_expected():

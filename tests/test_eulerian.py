@@ -9,8 +9,6 @@ import pytest
 from qeuler import eulerian
 from qeuler.eulerian import (
     FAMILIES,
-    TRIANGLES,
-    Triangle,
     basis_change_A,
     basis_change_B,
     bracket_identity_A,
@@ -18,13 +16,10 @@ from qeuler.eulerian import (
     carlitz_entry,
     carlitz_poly,
     carlitz_series_oracle,
-    carlitz_triangle,
     classical_gamma_a,
     classical_gamma_b,
     gamma_a_entry,
-    gamma_a_triangle,
     gamma_b_entry,
-    gamma_b_triangle,
     gamma_expand_A,
     gamma_expand_B,
     iter_rows,
@@ -32,7 +27,6 @@ from qeuler.eulerian import (
     typeB_entry,
     typeB_poly,
     typeB_series_oracle,
-    typeB_triangle,
 )
 from qeuler.qring import QLaurent, QPoly, TQPoly, is_nonneg, poch_t, q_int, spec_q1
 
@@ -465,34 +459,17 @@ def test_bracket_check_fails_when_any_exponent_changes(monkeypatch, identity, tr
 
 
 # ---------------------------------------------------------------------------
-# Triangle container
+# the cached row builders
 # ---------------------------------------------------------------------------
 
 
-def test_triangle_container():
-    tri = gamma_a_triangle(6)
-    assert isinstance(tri, Triangle)
-    assert tri.family == "a"
-    assert tri.max_n == 6
-    assert tri.entry(5, 3) == A_TABLE[(5, 3)]
-    assert tri.entry(5, 4) == QPoly.zero()
-    assert list(tri.krange(5)) == [1, 2, 3]
-    with pytest.raises(IndexError):
-        tri.row(7)
-
-
-def test_triangle_families():
-    assert carlitz_triangle(3).family == "A"
-    assert typeB_triangle(3).first_n == 0
-    assert gamma_b_triangle(3).first_n == 1
-    assert list(typeB_triangle(4).krange(4)) == [0, 1, 2, 3, 4]
-
-
 def test_builders_reject_bad_n():
-    with pytest.raises(ValueError):
-        carlitz_triangle(0)
-    with pytest.raises(ValueError):
-        gamma_a_triangle(-1)
+    # the rows start at each family's seed: A and a at n=1, B and b at n=0
+    for build, n, family, seed in ((carlitz_poly, 0, "A", 1), (typeB_poly, -1, "B", 0),
+                                   (eulerian._gamma_a_row, 0, "a", 1),
+                                   (eulerian._gamma_b_row, -1, "b", 0)):
+        with pytest.raises(ValueError, match=f"family {family} rows start at n={seed}, got {n}"):
+            build(n)
 
 
 def test_rows_build_without_recursion():
@@ -591,17 +568,17 @@ def test_cold_rows_make_no_product(monkeypatch):
     assert calls == Counter({"mul_q_int": 1, "__mul__": 1})
 
 
-ROW_CACHES = (eulerian._carlitz_row, eulerian._gamma_a_row, eulerian._typeB_row,
-              eulerian._gamma_b_row)
+ROW_CACHES = {"A": eulerian._carlitz_row, "a": eulerian._gamma_a_row,
+              "B": eulerian._typeB_row, "b": eulerian._gamma_b_row}
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_iter_rows_are_the_triangle_rows(family):
     # b seeds at n=0 and is public from n=1: its row 0 is built on, not yielded
     first = FAMILIES[family].first_n
+    row = ROW_CACHES[family]
     for N in range(first, 16):
-        tri = TRIANGLES[family](N)
-        assert list(iter_rows(family, N)) == [(n, tri.row(n)) for n in range(first, N + 1)]
+        assert list(iter_rows(family, N)) == [(n, row(n)) for n in range(first, N + 1)]
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -612,8 +589,8 @@ def test_iter_rows_rejects_n_below_the_first_row(family):
 
 
 def test_iter_rows_caches_nothing():
-    for row in ROW_CACHES:
+    for row in ROW_CACHES.values():
         row.cache_clear()
     for family in FAMILIES:
         assert sum(1 for _ in iter_rows(family, 20)) == 21 - FAMILIES[family].first_n
-    assert [row.cache_info().currsize for row in ROW_CACHES] == [0, 0, 0, 0]
+    assert [row.cache_info().currsize for row in ROW_CACHES.values()] == [0, 0, 0, 0]

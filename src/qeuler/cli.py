@@ -277,7 +277,9 @@ SUITES = {
             lambda n: _nonnegative_poly(f"T_{2*n+1} polynomial with nonneg coeffs",
                                         special.q_tangent(n)),
             lambda n: _equal(f"T_{2*n+1} == a*[{2*n+1},{n+1}]",
-                             special.q_tangent(n), special.a_star(2 * n + 1, n + 1)),
+                             special._signed_value(carlitz_poly(2 * n + 1), n, n * (n - 1) // 2,
+                                                   n, f"T_{2*n+1}"),
+                             special.a_star(2 * n + 1, n + 1)),
         )),
         Block(1, (
             lambda n: _nonnegative_poly(f"d_{n} in Z[q] with nonneg coeffs", special.d_poly(n)),
@@ -294,8 +296,7 @@ SUITES = {
             lambda n: _equal(f"b_central({n}) == b[{2*n},{n}]",
                              special.b_central(n), gamma_b_entry(2 * n, n)),
             lambda n: _equal(f"E*_{2*n} q^{n*n} == b[{2*n},{n}]",
-                             QLaurent(special.e_star(n)).shift(n * n),
-                             QLaurent(gamma_b_entry(2 * n, n))),
+                             special.b_central(n), gamma_b_entry(2 * n, n)),
             lambda n: _equal(f"G*_{2*n}(1) == E_{2*n} == {special.secant_number(n)}",
                              spec_q1(special.g_star(n)), special.secant_number(n)),
             lambda n: _equal(f"E_{2*n}(q) at q=1 == 4^{n} E_{2*n}",
@@ -459,9 +460,9 @@ def _last_row_poly(family: str, n: int) -> TQPoly:
 
 POLY_BUILDERS = {
     # name -> (min n, max n, builder); the largest n builds rows to 100 or
-    # 101.  Cold on a 2 vCPU VM, B at 100 takes about 6 s and 0.22 GB (its
-    # rows streamed; A and B are the only ones that are), and Gstar and Estar
-    # at 50, whose rows are cached, about 6-7 s and 0.83 GB.
+    # 101.  Cold on a 2 vCPU VM: B at 100, its rows streamed, about 6 s and
+    # 0.22 GB; at 50, with rows cached, Eq and central (B) about 7 s and
+    # 0.83 GB, Gstar and Estar (b) 3 s and 0.40 GB, T and dn (a) 1.6 s, 0.19 GB.
     "A": (1, 100, lambda n: _last_row_poly("A", n)),
     "B": (0, 100, lambda n: _last_row_poly("B", n)),
     "T": (0, 50, lambda n: special.q_tangent(n)),
@@ -505,8 +506,8 @@ def cmd_verify(args, parser) -> int:
     return 0 if all_ok else 1
 
 
-# Cold on a 2 vCPU VM, the scan takes about 2.2 s and 0.31 GB at 40 (rows of
-# B to 80 stay cached), and about 6 s and 0.83 GB at 50.
+# Cold on a 2 vCPU VM, the scan takes about 1.6 s and 0.15 GB at 40 (rows of
+# b to 80 stay cached), and about 4.5 s and 0.40 GB at 50.
 CONJECTURE_MAX_N = 40
 
 

@@ -181,10 +181,8 @@ class QPoly:
     def __mul__(self, other):
         if isinstance(other, int):
             return QPoly([c * other for c in self.coeffs])
-        if isinstance(other, (QLaurent, TQPoly)):
-            return NotImplemented  # let the richer type handle it
         if not isinstance(other, QPoly):
-            return NotImplemented
+            return NotImplemented  # a QLaurent or TQPoly handles it
         if self.is_zero() or other.is_zero():
             return QPoly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)

@@ -1,7 +1,10 @@
-"""Derived polynomial families obtained from the q-Eulerian polynomials by
-exact substitution: q-tangent numbers, the central-column rescaling, the
-tangent quotients d_n, type-B vanishing and central values, the q-secant
-families E*, G*, E, and a scanner for positivity of the G* coefficients.
+"""Derived polynomial families of the q-Eulerian polynomials: q-tangent
+numbers, the central-column rescaling, the tangent quotients d_n, type-B
+vanishing and central values, the q-secant families E*, G*, E, and a scanner
+for positivity of the G* coefficients.  ``T_{2n+1}`` and ``E*_{2n}`` are one
+central gamma entry each, rescaled, and ``d_n`` and ``G*_{2n}`` their exact
+quotients; the substitutions ``t = -q^(-e)`` into a row that define those
+two stay as the oracles ``verify`` checks them by, and give the rest.
 
 Every function here returns exact objects; "X must be a polynomial" style
 claims are enforced (a negative Laurent offset raises ArithmeticError,
@@ -14,7 +17,7 @@ import dataclasses
 from fractions import Fraction
 from math import comb
 
-from .eulerian import FAMILIES, carlitz_poly, gamma_a_entry, typeB_poly
+from .eulerian import FAMILIES, carlitz_poly, gamma_a_entry, gamma_b_entry, typeB_poly
 from .qring import (
     NotDivisible,
     QLaurent,
@@ -44,21 +47,18 @@ def _signed_value(p: TQPoly, n: int, E: int, e: int, what: str) -> QPoly:
 
 
 def q_tangent(n: int) -> QPoly:
-    """The q-tangent number ``T_{2n+1}(q) = (-1)^n q^C(n,2) A_{2n+1}(-q^-n, q)``,
-    a polynomial with nonnegative integer coefficients.
+    """The q-tangent number ``T_{2n+1}(q) = a*[2n+1,n+1]``, defined as
+    ``(-1)^n q^C(n,2) A_{2n+1}(-q^-n, q)``, the route ``verify`` checks it by.
 
     ``q_tangent(1) == 1 + q`` and ``q_tangent(2) == 2+4q+4q^2+4q^3+2q^4``.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    poly = _signed_value(carlitz_poly(2 * n + 1), n, n * (n - 1) // 2, n, f"T_{2*n+1}")
-    if not is_nonneg(poly):
-        raise ArithmeticError(f"T_{2*n+1} has a negative coefficient: {poly!r}")
-    return poly
+    return a_star(2 * n + 1, n + 1)
 
 
 def a_star(n: int, k: int) -> QPoly:
-    """Central-friendly rescaling ``q^(-k(k-1)/2) a[n,k](q)``.
+    """Central-friendly rescaling ``q^(-k(k-1)/2) a[n,k](q)`` of one entry.
 
     The exponent ``k(k-1)/2`` is the unique one under which the rescaled
     recurrence ``a*[n,k] = [k] a*[n-1,k] + (1+q^(k-1)) [n+2-2k] a*[n-1,k-1]``
@@ -163,19 +163,20 @@ def b_odd_vanish(n: int) -> bool:
 
 
 def b_central(n: int) -> QPoly:
-    """``(-1)^n q^(n(2n+1)) B_{2n}(-q^(-2n-1), q)``, which equals the central
-    gamma coefficient ``b[2n,n](q)``."""
+    """``(-1)^n q^(n(2n+1)) B_{2n}(-q^(-2n-1), q)``, the substitution that
+    checks ``b[2n,n](q) = q^(n^2) E*_{2n}(q)``."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     return _signed_value(typeB_poly(2 * n), n, n * (2 * n + 1), 2 * n + 1, f"b[{2*n},{n}]")
 
 
 def e_star(n: int) -> QPoly:
-    """The q-secant analogue ``E*_{2n}(q) = (-1)^n q^(n(n+1)) B_{2n}(-q^(-2n-1), q)``;
-    satisfies ``E*_{2n}(q) = q^(-n^2) b[2n,n](q)`` and ``E*_{2n}(1) = 4^n E_{2n}``."""
+    """The q-secant analogue ``E*_{2n}(q) = q^(-n^2) b[2n,n](q)``, defined as
+    ``(-1)^n q^(n(n+1)) B_{2n}(-q^(-2n-1), q)`` (see :func:`b_central`);
+    ``E*_{2n}(1) = 4^n E_{2n}``."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    return _signed_value(typeB_poly(2 * n), n, n * (n + 1), 2 * n + 1, f"E*_{2*n}")
+    return _as_poly(QLaurent(gamma_b_entry(2 * n, n)).shift(-n * n), f"E*_{2*n}")
 
 
 def g_star(n: int) -> QPoly:

@@ -6,7 +6,7 @@ import pytest
 
 from qeuler import cli, eulerian, special
 from qeuler.cli import run_suite
-from qeuler.eulerian import carlitz_poly, gamma_a_entry, gamma_b_entry
+from qeuler.eulerian import carlitz_poly, gamma_a_entry, gamma_b_entry, typeB_poly
 from qeuler.qring import (
     NOT_DIVISIBLE,
     QLaurent,
@@ -17,6 +17,7 @@ from qeuler.qring import (
     poch_num,
     q_int,
     spec_q1,
+    subst_t_signed_power,
 )
 from qeuler.special import (
     a_star,
@@ -101,6 +102,61 @@ def test_a_star_range_validation():
 
 
 # ---------------------------------------------------------------------------
+# T_{2n+1} and E*_{2n} are read off one central gamma entry each; their
+# defining substitutions are the oracles that check them
+# ---------------------------------------------------------------------------
+
+
+def _signed_substitution(p, n, E, e):
+    """``(-1)^n q^E p(-q^(-e), q)``, as a polynomial."""
+    value = subst_t_signed_power(p, -e).shift(E)
+    return (-value if n % 2 else value).to_qpoly()
+
+
+@pytest.mark.parametrize("n", range(21))
+def test_central_entries_are_the_defining_substitutions(n):
+    assert q_tangent(n) == _signed_substitution(carlitz_poly(2 * n + 1), n, n * (n - 1) // 2, n)
+    assert e_star(n) == _signed_substitution(typeB_poly(2 * n), n, n * (n + 1), 2 * n + 1)
+
+
+def test_central_families_build_no_eulerian_row():
+    rows = [getattr(eulerian, name) for name in
+            ("_carlitz_row", "_gamma_a_row", "_typeB_row", "_gamma_b_row")]
+    for row in rows:
+        row.cache_clear()
+    q_tangent(6)
+    d_poly(6)
+    e_star(6)
+    g_star(6)
+    assert conjecture_scan_gstar(6).verdict == "consistent"
+    # only the two gamma triangles are read
+    assert [row.cache_info().currsize > 0 for row in rows] == [False, True, False, True]
+
+
+def _perturbed_gamma_row(monkeypatch, row_name, n, i):
+    """Add ``q^9`` to entry ``i`` of row ``n`` of ``eulerian.<row_name>``."""
+    original = getattr(eulerian, row_name)
+
+    def row(m):
+        r = list(original(m))
+        if m == n:
+            r[i] = r[i] + QPoly.monomial(9)
+        return tuple(r)
+
+    monkeypatch.setattr(eulerian, row_name, row)
+
+
+def test_a_perturbed_central_entry_fails_its_oracle_items(monkeypatch):
+    _perturbed_gamma_row(monkeypatch, "_gamma_a_row", 5, 2)  # a[5,3]
+    _perturbed_gamma_row(monkeypatch, "_gamma_b_row", 4, 2)  # b[4,2]
+    tangent = [i.name for i in run_suite("tangent", 3).items if i.status == "fail"]
+    assert [name for name in tangent if "a*" in name] == ["T_5 == a*[5,3]"]
+    secant = [i.name for i in run_suite("secant", 3).items if i.status == "fail"]
+    assert [name for name in secant if "b[" in name] == ["b_central(2) == b[4,2]",
+                                                        "E*_4 q^4 == b[4,2]"]
+
+
+# ---------------------------------------------------------------------------
 # d_n and its rational identity
 # ---------------------------------------------------------------------------
 
@@ -142,8 +198,11 @@ def test_cleared_sums_read_no_quotient_and_no_row(monkeypatch):
         assert (-1) ** (n + 1) * special._cleared_f_sum(2 * n + 1, 0, 1, -n) == want
     for n, want in want_g.items():
         assert (-1) ** n * special._cleared_f_sum(2 * n, 1, 2, -2 * n - 1) == want
-    with pytest.raises(AssertionError):
-        d_poly(3)
+    # the patches bite: d_poly and g_star each read a gamma row
+    monkeypatch.setattr(special, "FAMILIES", eulerian.FAMILIES)
+    for fn in (d_poly, g_star):
+        with pytest.raises(AssertionError):
+            fn(3)
 
 
 # A reference for the two identities: the closed rational forms evaluated at

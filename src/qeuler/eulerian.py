@@ -34,12 +34,14 @@ also definable through their generating series
     sum_{k>=0} [2k+1]^n t^k = B_n(t,q) / (t;q^2)_{n+1}
 
 which the ``*_series_oracle`` functions implement as independent
-cross-checks of the recurrence route.  They share one body: each column
-``[m]^n`` is ``n`` calls of :meth:`QPoly.mul_q_int`, and the Pochhammer
-product is applied one factor ``1 - t q^e`` at a time, as ``c_d - q^e c_(d-1)``
-on the truncated columns, so no two polynomials are multiplied.  The oracles
-read neither ``FAMILIES`` nor the row builders, so they stay independent of
-the recurrences they check.
+cross-checks of the recurrence route.  They share one body, which works on
+the identity multiplied by ``(1 - q)^n``: each column ``(1 - q)^n [m]^n`` is
+``(1 - q^m)^n``, written down from its ``n + 1`` binomial terms; the
+Pochhammer product is applied one factor ``1 - t q^e`` at a time, as
+``c_d - q^e c_(d-1)`` on the truncated columns; and the kept columns are
+divided back by ``(1 - q)^n`` as ``n`` prefix-sum passes.  No two polynomials
+are multiplied.  The oracles read neither ``FAMILIES`` nor the row builders,
+so they stay independent of the recurrences they check.
 
 Both gamma expansions have one shape: with ``s = 1`` and ``g_j = a[n,j+1]``,
 or ``s = 2`` and ``g_j = b[n,j]``, ``A_n(t,q)`` or ``B_n(t,q)`` is
@@ -60,18 +62,11 @@ from __future__ import annotations
 import dataclasses
 from functools import lru_cache
 from itertools import accumulate
+from math import comb
 from operator import add, sub
 from typing import Callable, Iterator
 
-from .qring import (
-    QLaurent,
-    QPoly,
-    TQPoly,
-    poch_t,
-    q_int,
-    subst_q_power,
-    q_binom,
-)
+from .qring import QLaurent, QPoly, TQPoly, _mul_q_ratio, poch_t, q_int
 
 
 # ``(e, fs, v)`` stands for ``q^e prod_{f in fs} (1 + q^f) [v]_q``.
@@ -238,31 +233,43 @@ def typeB_poly(n: int) -> TQPoly:
     return TQPoly(_typeB_row(n))
 
 
-def _q_int_power(m: int, n: int) -> QPoly:
-    """``[m]^n``, one :meth:`QPoly.mul_q_int` per factor."""
-    p = QPoly.one()
-    for _ in range(n):
-        p = p.mul_q_int(m)
-    return p
+def _scaled_column(m: int, n: int) -> list[int]:
+    """The coefficients of ``(1 - q)^n [m]^n = (1 - q^m)^n``: ``(-1)^i C(n, i)``
+    at ``q^(m i)``."""
+    col = [0] * (m * n + 1)
+    col[::m] = [(-1) ** i * comb(n, i) for i in range(n + 1)]
+    return col
 
 
 def _series_oracle(n: int, step: int) -> TQPoly:
-    """Truncate ``(t;q^step)_{n+1} * sum_{k=0}^{W} [step*k+1]^n t^k`` at
-    ``t^W``, ``W = max(2n, keep)``, demand that every t-coefficient from
-    ``keep = n + step - 1`` through ``W`` vanishes, and return the ones
-    below.  Each Pochhammer factor ``1 - t q^e`` maps column ``c_d`` to
-    ``c_d - q^e c_(d-1)``, walking ``d`` downwards, so no two polynomials are
-    ever multiplied."""
+    """Truncate ``(t;q^step)_{n+1} * sum_{k=0}^{W} (1 - q^(step*k+1))^n t^k``
+    at ``t^W``, ``W = max(2n, keep)``, demand that every t-coefficient from
+    ``keep = n + step - 1`` through ``W`` vanishes, and return the ones below,
+    each divided by ``(1 - q)^n``.  Each Pochhammer factor ``1 - t q^e`` maps
+    column ``c_d`` to ``c_d - q^e c_(d-1)``, walking ``d`` downwards, and each
+    division by ``1 - q`` is one prefix-sum pass whose last sum must be 0, so
+    no two polynomials are ever multiplied."""
     keep = n + step - 1
     W = max(2 * n, keep)
-    cols = [_q_int_power(step * k + 1, n) for k in range(W + 1)]
+    cols = [_scaled_column(step * k + 1, n) for k in range(W + 1)]
     for j in range(n + 1):
+        e = step * j
         for d in range(W, 0, -1):
-            cols[d] = cols[d] - cols[d - 1].shift(step * j)
+            col, prev = cols[d], cols[d - 1]
+            end = e + len(prev)
+            col.extend([0] * (end - len(col)))
+            col[e:end] = map(sub, col[e:end], prev)
     for j in range(keep, W + 1):
-        if cols[j]:
+        if any(cols[j]):
             raise ArithmeticError(f"series tail nonzero at t^{j} (n={n})")
-    return TQPoly(cols[:keep])
+    out = []
+    for j, col in enumerate(cols[:keep]):
+        for _ in range(n):
+            col = list(accumulate(col))
+            if col.pop():
+                raise ArithmeticError(f"series column t^{j} not divisible by (1-q)^{n}")
+        out.append(QPoly(col))
+    return TQPoly(out)
 
 
 def carlitz_series_oracle(n: int) -> TQPoly:
@@ -314,12 +321,20 @@ def gamma_expand_B(n: int) -> TQPoly:
 
 
 def _basis_change(row, n: int, i: int, s: int) -> QPoly:
-    """The ``t^i`` coefficient of :func:`_gamma_expand` (module docstring)."""
+    """The ``t^i`` coefficient of :func:`_gamma_expand` (module docstring),
+    each ``[N, d]_{q^s} g_j`` made by ``min(d, N - d)`` ratio factors applied
+    to ``g_j``; ``d > N`` gives 0."""
     acc = QPoly.zero()
     for j, g in enumerate(row(n)[: i + 1]):
-        d = i - j
-        binom = subst_q_power(q_binom(n + s - 2 - 2 * j, d), s)
-        acc = acc + (binom * g).shift(s * (d * (d - 1) // 2) + (s * j + 1) * d)
+        d, N = i - j, n + s - 2 - 2 * j
+        if d > N:
+            continue
+        # [N, d]_{q^s} = prod_{m=1}^{d'} (1 - q^(s(N-d'+m))) / (1 - q^(s m)),
+        # d' = min(d, N - d); each partial product is [N-d'+m, m]_{q^s} g
+        low = min(d, N - d)
+        for m in range(1, low + 1):
+            g = _mul_q_ratio(g, s * (N - low + m), s * m)
+        acc = acc + g.shift(s * (d * (d - 1) // 2) + (s * j + 1) * d)
     return acc
 
 

@@ -7,6 +7,7 @@ import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -1164,6 +1165,44 @@ print(sorted(top - set(sys.stdlib_module_names) - {"__main__", "qeuler"}))
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_main_reuses_one_parser():
+    assert cli.build_parser() is cli.build_parser()
+
+
+# A usage error between data commands: what one call parses must not leak
+# into the next through the shared parser.
+PARSER_REUSE_ARGVS = [
+    ["verify", "monotone", "--points", "3/2,1/2", "--format", "json"],
+    ["table", "z"],
+    ["table", "b", "--max-n", "6", "--format", "json"],
+    ["verify", "monotone", "--max-n", "4"],
+    ["conjecture", "--max-n", "5"],
+    ["table", "b", "--max-n", "3"],
+]
+
+
+def test_main_in_process_matches_fresh_processes():
+    got = []
+    for argv in PARSER_REUSE_ARGVS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+        got.append((rc, out.getvalue()))
+    want = [(p.returncode, p.stdout) for p in (run_cli(*argv) for argv in PARSER_REUSE_ARGVS)]
+    assert [rc for rc, _ in want] == [0, 2, 0, 0, 0, 0]
+    assert all(out for rc, out in want if rc == 0)
+    assert [(rc, _without_wall_time(out)) for rc, out in got] == \
+        [(rc, _without_wall_time(out)) for rc, out in want]
+
+
+def _without_wall_time(text):
+    # verify text and JSON carry a wall time; everything else matches byte for byte
+    return re.sub(r'(wall=|"wall_time_s": )[0-9.e-]+', r"\1", text)
 
 
 def test_main_usage_error_exits_2():

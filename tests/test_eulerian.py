@@ -28,7 +28,17 @@ from qeuler.eulerian import (
     typeB_poly,
     typeB_series_oracle,
 )
-from qeuler.qring import QLaurent, QPoly, TQPoly, is_nonneg, poch_t, q_int, spec_q1
+from qeuler.qring import (
+    QLaurent,
+    QPoly,
+    TQPoly,
+    is_nonneg,
+    poch_t,
+    q_binom,
+    q_int,
+    spec_q1,
+    subst_q_power,
+)
 
 
 def P(*coeffs):
@@ -219,14 +229,51 @@ def test_typeB_series_oracle_matches_dense_product(n):
     ids=lambda a: getattr(a, "__name__", str(a)),
 )
 def test_series_oracle_catches_a_wrong_column(monkeypatch, oracle, n, m):
-    # one series column [m]^n off by q^0: the product gains the Pochhammer
-    # polynomial shifted to that column, which reaches the checked tail
-    power = eulerian._q_int_power
-    monkeypatch.setattr(
-        eulerian, "_q_int_power", lambda m_, n_: power(m_, n_) + (1 if m_ == m else 0)
-    )
+    # one scaled column (1 - q^m)^n off by q^0: the product gains the
+    # Pochhammer polynomial shifted to that column, which reaches the tail
+    column = eulerian._scaled_column
+
+    def perturbed(m_, n_):
+        col = column(m_, n_)
+        if m_ == m:
+            col[0] += 1
+        return col
+
+    monkeypatch.setattr(eulerian, "_scaled_column", perturbed)
     with pytest.raises(ArithmeticError, match="series tail nonzero"):
         oracle(n)
+
+
+@pytest.mark.parametrize("oracle, n", [(carlitz_series_oracle, 5), (typeB_series_oracle, 4)],
+                         ids=lambda a: getattr(a, "__name__", str(a)))
+def test_series_oracle_catches_a_column_not_divisible_by_the_scale(monkeypatch, oracle, n):
+    # columns (1 - q^m)^(n-1) are the series of the row below scaled by one
+    # (1 - q) too few: the tail still vanishes, as the Pochhammer product has
+    # a factor to spare, but the kept columns are not divisible by (1 - q)^n
+    column = eulerian._scaled_column
+    monkeypatch.setattr(eulerian, "_scaled_column", lambda m_, n_: column(m_, n_ - 1))
+    with pytest.raises(ArithmeticError, match=rf"not divisible by \(1-q\)\^{n}"):
+        oracle(n)
+
+
+def test_series_oracles_read_no_row_and_no_family(monkeypatch):
+    want = {n: (carlitz_series_oracle(n), typeB_series_oracle(n)) for n in range(1, 9)}
+
+    class Unreadable(dict):
+        def __getitem__(self, key):
+            raise AssertionError(f"FAMILIES[{key!r}] read")
+
+    def unbuildable(n):
+        raise AssertionError("row builder called")
+
+    monkeypatch.setattr(eulerian, "FAMILIES", Unreadable())
+    for name in ("_carlitz_row", "_gamma_a_row", "_typeB_row", "_gamma_b_row"):
+        monkeypatch.setattr(eulerian, name, unbuildable)
+    with pytest.raises(AssertionError):  # the patches do bite
+        carlitz_entry(3, 1)
+    for n, (a, b) in want.items():
+        assert (carlitz_series_oracle(n), typeB_series_oracle(n)) == (a, b)
+    assert typeB_series_oracle(0) == TQPoly([1])
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +326,51 @@ def test_basis_change_is_the_q_binomial_theorem(n):
         assert dense.t_degree() == ks[-1] - first
         for k in ks:
             assert change(n, k) == dense.coeff(k - first).to_qpoly(), (n, k)
+
+
+def _dense_basis_change(row, n, i, s):
+    """The ``t^i`` coefficient of the gamma expansion, each Gaussian binomial
+    expanded densely and multiplied into ``g_j`` by the schoolbook product."""
+    acc = QPoly.zero()
+    for j, g in enumerate(row(n)[: i + 1]):
+        d = i - j
+        binom = subst_q_power(q_binom(n + s - 2 - 2 * j, d), s)
+        acc = acc + (binom * g).shift(s * (d * (d - 1) // 2) + (s * j + 1) * d)
+    return acc
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_basis_change_matches_the_dense_reference(n):
+    # i runs over every k, so d = i - j passes N = n + s - 2 - 2j for the
+    # later gamma entries, where the Gaussian binomial is 0
+    for k in range(1, n + 1):
+        assert basis_change_A(n, k) == _dense_basis_change(eulerian._gamma_a_row, n, k - 1, 1)
+    for k in range(0, n + 1):
+        assert basis_change_B(n, k) == _dense_basis_change(eulerian._gamma_b_row, n, k, 2)
+
+
+def test_basis_change_makes_no_dense_product(monkeypatch):
+    # every Gaussian binomial is applied as ratio factors: no product of two
+    # multi-term operands (the gamma expansion still makes them)
+    dense = []
+    mul = QPoly.__mul__
+
+    def counted(self, other):
+        if isinstance(other, QPoly) and min(len(self.coeffs) - self.coeffs.count(0),
+                                            len(other.coeffs) - other.coeffs.count(0)) > 1:
+            dense.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(QPoly, "__mul__", counted)
+    monkeypatch.setattr(QPoly, "__rmul__", counted)
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            basis_change_A(n, k)
+        for k in range(0, n + 1):
+            basis_change_B(n, k)
+    assert dense == []
+    gamma_expand_A(6)
+    assert dense  # the counter does see a dense product
 
 
 @pytest.mark.parametrize("n", range(1, 15))

@@ -1,6 +1,6 @@
 """Exact-arithmetic toolkit for Carlitz and Chow-Gessel q-Eulerian
 polynomials, their gamma-coefficient triangles, the derived q-tangent and
-q-secant families, and brute-force combinatorial cross-checks.
+q-secant families, and a doubloon enumeration of the central coefficients.
 """
 
 from .qring import (
@@ -60,7 +60,7 @@ from .special import (
     verify_d_identity,
     verify_gstar_identity,
 )
-from .doubloon import Doubloon, cmaj_prime, interlaced_gf, is_interlaced, word_des, word_maj
+from .doubloon import interlaced_gf
 from .unimodality import (
     monotone_check_A,
     monotone_check_B,

@@ -21,72 +21,15 @@ without the row recurrences: :func:`interlaced_gf` fills the array column by
 column and extends only interlaced prefixes, so it visits each interlaced
 doubloon once instead of testing all ``(2n+1)!`` fillings.  On a 2 vCPU
 machine with Python 3.11, order 9 takes about 0.02 s and order 11 about 1 s.
-:func:`iter_doubloons`, :func:`is_interlaced` and :func:`cmaj_prime` remain
-the plain definitions.
+The plain definitions, which test every filling, are the reference for this
+enumeration in ``tests/test_doubloon.py``.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from itertools import permutations
-from typing import Sequence
-
 from .qring import QPoly
 
 DEFAULT_ORDER_LIMIT = 4
-
-
-@dataclasses.dataclass(frozen=True)
-class Doubloon:
-    """Rows of a 2 x (n+1) matrix holding a permutation of ``0..2n+1``."""
-
-    top: tuple[int, ...]
-    bottom: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.top) != len(self.bottom):
-            raise ValueError("rows must have equal length")
-        m = 2 * len(self.top)
-        if sorted(self.top + self.bottom) != list(range(m)):
-            raise ValueError(f"entries must be a permutation of 0..{m - 1}")
-
-    @property
-    def order(self) -> int:
-        """The order 2n+1, where the matrix is 2 x (n+1)."""
-        return 2 * len(self.top) - 1
-
-    def reading_word(self) -> tuple[int, ...]:
-        """Boustrophedon word: top row left-to-right, bottom right-to-left."""
-        return self.top + tuple(reversed(self.bottom))
-
-
-def word_des(w: Sequence[int]) -> int:
-    """Number of descents of a word (positions i with w_i > w_{i+1})."""
-    return sum(1 for i in range(len(w) - 1) if w[i] > w[i + 1])
-
-
-def word_maj(w: Sequence[int]) -> int:
-    """Major index: sum of the (1-based) descent positions.
-
-    >>> word_maj((0, 1, 3, 2)), word_des((0, 1, 3, 2))
-    (3, 1)
-    >>> word_maj((0, 3, 1, 2)), word_des((0, 3, 1, 2))
-    (2, 1)
-    """
-    return sum(i + 1 for i in range(len(w) - 1) if w[i] > w[i + 1])
-
-
-def cmaj_prime(d: Doubloon) -> int:
-    """``maj(w) - (n+1) des(w) + n^2`` on the boustrophedon word.
-
-    >>> cmaj_prime(Doubloon((0, 1), (2, 3)))
-    2
-    >>> cmaj_prime(Doubloon((0, 3), (2, 1)))
-    1
-    """
-    n = len(d.top) - 1
-    w = d.reading_word()
-    return word_maj(w) - (n + 1) * word_des(w) + n * n
 
 
 def _quad(w: int, x: int, y: int, z: int) -> bool:
@@ -94,32 +37,6 @@ def _quad(w: int, x: int, y: int, z: int) -> bool:
     monotone cyclic rotation: read cyclically they have one descent (an
     increasing rotation) or three (a decreasing one), never two."""
     return (w > x) + (x > y) + (y > z) + (z > w) != 2
-
-
-def is_interlaced(d: Doubloon) -> bool:
-    """True iff every column quadruple ``(a_{k-1}, a_k, b_{k-1}, b_k)`` has a
-    cyclic rotation that is strictly monotonic.  Only the four rotations are
-    tested (not reversals).
-
-    >>> is_interlaced(Doubloon((0, 1), (2, 3)))
-    True
-    >>> is_interlaced(Doubloon((0, 2), (1, 3)))
-    False
-    """
-    a, b = d.top, d.bottom
-    return all(_quad(a[k - 1], a[k], b[k - 1], b[k]) for k in range(1, len(a)))
-
-
-def iter_doubloons(n: int, rooted: bool = True):
-    """All doubloons of order 2n+1 (with ``a_0 = 0`` when rooted), filling
-    the cells ``a_1..a_n`` then ``b_0..b_n`` in row-major order."""
-    cells = n + 1
-    if rooted:
-        for perm in permutations(range(1, 2 * n + 2)):
-            yield Doubloon((0,) + perm[: cells - 1], perm[cells - 1 :])
-    else:
-        for perm in permutations(range(2 * n + 2)):
-            yield Doubloon(perm[:cells], perm[cells:])
 
 
 def interlaced_gf(n: int, limit: int = DEFAULT_ORDER_LIMIT) -> QPoly:

@@ -208,16 +208,6 @@ class QPoly:
             return self
         return QPoly((0,) * e + self.coeffs)
 
-    def mul_q_int(self, m: int) -> QPoly:
-        """``[m] * self`` in O(deg + m): the prefix sums of ``self - q^m self``.
-
-        >>> QPoly([1, 1]).mul_q_int(3)
-        QPoly('1 + 2q + 2q^2 + q^3')
-        """
-        if m < 0:
-            raise ValueError(f"mul_q_int needs m >= 0, got {m}")
-        return _mul_q_ratio(self, m, 1)
-
     def __call__(self, x: RatLike) -> Fraction:
         """Exact evaluation at ``x = a/b`` in Z: homogeneous Horner builds
         ``N = sum c_i a^i b^(d-i)`` with a running ``b^(d-i)``, and the value

@@ -284,8 +284,9 @@ class GStarScanReport:
 def conjecture_scan_gstar(N: int) -> GStarScanReport:
     """Scan ``G*_{2n}(q)`` for ``n = 0..N`` for negative coefficients.
 
-    A counterexample is evidence to report, never a program error; the
-    positivity of these coefficients is an open question.
+    The paper's abstract states that ``G*_{2n}`` has positive integral
+    coefficients; the scan checks that claim for each ``n`` it reaches.  A
+    counterexample is evidence to report, never a program error.
     """
     if N < 0:
         raise ValueError(f"need N >= 0, got {N}")

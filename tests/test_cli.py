@@ -254,6 +254,14 @@ def test_poly_out_of_range_usage_error():
     assert run_cli("poly", "nosuch", "--n", "1").returncode == 2
 
 
+def test_poly_central_is_not_a_name():
+    # b[2n,n] is printed by `table b`, and shifted by q^(-n^2) by `poly Estar`
+    proc = run_cli("poly", "central", "--n", "8")
+    assert proc.returncode == 2
+    assert "invalid choice: 'central'" in proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -349,8 +357,6 @@ GOLDEN_SHA256 = {
         "4fc043888f64d4b2ea867fa00a1b96a9df6d1852dabe40557c19a7e7eb7b6452",
     ("poly", "Eq", "--n", "8", "--format", "json"):
         "0514332aba09a1f9ed8806503fd9390854177400c68167e71173ef5e10d43980",
-    ("poly", "central", "--n", "8", "--format", "json"):
-        "cd915bbb327d026c8f805b7d87e69771d324af71021d3b7e1198fe240089595f",
     ("conjecture", "--max-n", "10"):
         "e0e86f9b971d743fbddbe5ae22ae6ced80ffa57eefc354a0edb5aa5564e91011",
     ("conjecture", "--max-n", "10", "--format", "json"):
@@ -472,18 +478,30 @@ def test_series_oracle_failure_names_t_and_q(monkeypatch, oracle, label):
 
 
 def test_secant_central_failures_name_the_first_difference(monkeypatch):
-    # b_central(2) and E*_4 q^4 are both compared against b[4,2]
+    # b[4,2] from the triangle is compared with the substitution b_central(2)
+    # only; E*_4 reads b[4,2] through special, which is not patched
     original = cli.gamma_b_entry
     monkeypatch.setattr(
         cli, "gamma_b_entry", lambda n, k: original(n, k) + (QPoly.monomial(5, 3) if n == 4 else 0)
     )
     report = run_suite("secant", 2)
     want = original(4, 2)[5]
-    detail = f"first difference at q^5: expected {want + 3}, got {want}"
     assert [(i.name, i.detail) for i in report.items if i.status == "fail"] == [
-        ("b_central(2) == b[4,2]", detail),
-        ("E*_4 q^4 == b[4,2]", detail),
+        ("b_central(2) == b[4,2]", f"first difference at q^5: expected {want + 3}, got {want}"),
     ]
+    assert all(i.detail == "" for i in report.items if i.status == "pass")
+
+
+def test_secant_e_star_item_reads_e_star(monkeypatch):
+    # E*_{2n} q^{n^2} is compared with the substitution b_central(n); a wrong
+    # E*_4 fails that item and no other b[2n,n] item
+    original = special.e_star
+    monkeypatch.setattr(special, "e_star", lambda n: original(n) + (QPoly.monomial(2) if n == 2 else 0))
+    report = run_suite("secant", 2)
+    want = original(2).shift(4)[6]
+    bad = [(i.name, i.detail) for i in report.items if i.status == "fail"]
+    assert bad[0] == ("E*_4 q^4 == b[4,2]", f"first difference at q^6: expected {want}, got {want + 1}")
+    assert [name for name, _ in bad if "b[" in name] == ["E*_4 q^4 == b[4,2]"]
     assert all(i.detail == "" for i in report.items if i.status == "pass")
 
 

@@ -1,21 +1,81 @@
+import dataclasses
 import doctest
+from itertools import permutations
+from math import factorial
 
 import pytest
 
 import qeuler.doubloon
 from qeuler import eulerian
 from qeuler.cli import run_suite
-from qeuler.doubloon import (
-    Doubloon,
-    cmaj_prime,
-    interlaced_gf,
-    is_interlaced,
-    iter_doubloons,
-    word_des,
-    word_maj,
-)
+from qeuler.doubloon import _quad, interlaced_gf
 from qeuler.eulerian import gamma_a_entry
 from qeuler.qring import QPoly, spec_q1
+
+# ---------------------------------------------------------------------------
+# The definitions, as plain code: the reference for the pruned enumeration
+# ---------------------------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class Doubloon:
+    """Rows of a 2 x (n+1) matrix holding a permutation of ``0..2n+1``."""
+
+    top: tuple[int, ...]
+    bottom: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.top) != len(self.bottom):
+            raise ValueError("rows must have equal length")
+        m = 2 * len(self.top)
+        if sorted(self.top + self.bottom) != list(range(m)):
+            raise ValueError(f"entries must be a permutation of 0..{m - 1}")
+
+    @property
+    def order(self) -> int:
+        """The order 2n+1, where the matrix is 2 x (n+1)."""
+        return 2 * len(self.top) - 1
+
+    def reading_word(self) -> tuple[int, ...]:
+        """Boustrophedon word: top row left-to-right, bottom right-to-left."""
+        return self.top + tuple(reversed(self.bottom))
+
+
+def word_des(w):
+    """Number of descents of a word (positions i with w_i > w_{i+1})."""
+    return sum(1 for i in range(len(w) - 1) if w[i] > w[i + 1])
+
+
+def word_maj(w):
+    """Major index: sum of the (1-based) descent positions."""
+    return sum(i + 1 for i in range(len(w) - 1) if w[i] > w[i + 1])
+
+
+def cmaj_prime(d):
+    """``maj(w) - (n+1) des(w) + n^2`` on the boustrophedon word."""
+    n = len(d.top) - 1
+    w = d.reading_word()
+    return word_maj(w) - (n + 1) * word_des(w) + n * n
+
+
+def is_interlaced(d):
+    """True iff every column quadruple ``(a_{k-1}, a_k, b_{k-1}, b_k)`` has a
+    cyclic rotation that is strictly monotonic.  Only the four rotations are
+    tested (not reversals)."""
+    a, b = d.top, d.bottom
+    return all(_quad(a[k - 1], a[k], b[k - 1], b[k]) for k in range(1, len(a)))
+
+
+def iter_doubloons(n, rooted=True):
+    """All doubloons of order 2n+1 (with ``a_0 = 0`` when rooted), filling
+    the cells ``a_1..a_n`` then ``b_0..b_n`` in row-major order."""
+    cells = n + 1
+    if rooted:
+        for perm in permutations(range(1, 2 * n + 2)):
+            yield Doubloon((0,) + perm[: cells - 1], perm[cells - 1 :])
+    else:
+        for perm in permutations(range(2 * n + 2)):
+            yield Doubloon(perm[:cells], perm[cells:])
 
 
 def _brute_gf(n):
@@ -121,15 +181,21 @@ def test_order11_when_explicitly_enabled():
 
 def test_doubloon_suite_tests_no_candidate(monkeypatch):
     # the suite enumerates interlaced doubloons only: it neither builds nor
-    # tests the (2n+1)! fillings of the definition
-    def refuse(*args, **kwargs):
-        raise AssertionError("brute-force doubloon enumeration")
+    # tests the (2n+1)! fillings of the definition, each of which would cost
+    # at least one quadruple test
+    tests = 0
 
-    monkeypatch.setattr(qeuler.doubloon, "is_interlaced", refuse)
-    monkeypatch.setattr(qeuler.doubloon, "iter_doubloons", refuse)
+    def counted(*args):
+        nonlocal tests
+        tests += 1
+        return _quad(*args)
+
+    monkeypatch.setattr(qeuler.doubloon, "_quad", counted)
     for row in ("_carlitz_row", "_gamma_a_row"):
         getattr(eulerian, row).cache_clear()
     assert run_suite("doubloon", 4).ok
+    # orders 3..9 test 6 + 100 + 1,722 + 49,320 quadruples
+    assert 0 < tests < factorial(9)
 
 
 def test_doctests():

@@ -570,25 +570,10 @@ def test_mixed_operators_return_richer_type(left, right, op):
 
 
 # ---------------------------------------------------------------------------
-# mul_q_int against the schoolbook product
+# quotients by 1 + q^e and 1 + t q^e against exact_div
 # ---------------------------------------------------------------------------
 
 signed_polys = st.lists(st.integers(-(10**30), 10**30), max_size=30).map(QPoly)
-
-
-@given(signed_polys, st.integers(0, 40))
-def test_mul_q_int_matches_schoolbook(p, m):
-    assert p.mul_q_int(m) == q_int(m) * p
-
-
-def test_mul_q_int_rejects_negative_arguments():
-    with pytest.raises(ValueError):
-        P(1).mul_q_int(-1)
-
-
-# ---------------------------------------------------------------------------
-# quotients by 1 + q^e and 1 + t q^e against exact_div
-# ---------------------------------------------------------------------------
 
 
 @given(signed_polys, st.lists(st.integers(1, 12), max_size=4))

@@ -47,12 +47,24 @@ def word_des(w):
 
 
 def word_maj(w):
-    """Major index: sum of the (1-based) descent positions."""
+    """Major index: sum of the (1-based) descent positions.
+
+    >>> word_maj((0, 1, 3, 2)), word_des((0, 1, 3, 2))
+    (3, 1)
+    >>> word_maj((0, 3, 1, 2)), word_des((0, 3, 1, 2))
+    (2, 1)
+    """
     return sum(i + 1 for i in range(len(w) - 1) if w[i] > w[i + 1])
 
 
 def cmaj_prime(d):
-    """``maj(w) - (n+1) des(w) + n^2`` on the boustrophedon word."""
+    """``maj(w) - (n+1) des(w) + n^2`` on the boustrophedon word.
+
+    >>> cmaj_prime(Doubloon((0, 1), (2, 3)))
+    2
+    >>> cmaj_prime(Doubloon((0, 3), (2, 1)))
+    1
+    """
     n = len(d.top) - 1
     w = d.reading_word()
     return word_maj(w) - (n + 1) * word_des(w) + n * n
@@ -61,7 +73,13 @@ def cmaj_prime(d):
 def is_interlaced(d):
     """True iff every column quadruple ``(a_{k-1}, a_k, b_{k-1}, b_k)`` has a
     cyclic rotation that is strictly monotonic.  Only the four rotations are
-    tested (not reversals)."""
+    tested (not reversals).
+
+    >>> is_interlaced(Doubloon((0, 1), (2, 3)))
+    True
+    >>> is_interlaced(Doubloon((0, 2), (1, 3)))
+    False
+    """
     a, b = d.top, d.bottom
     return all(_quad(a[k - 1], a[k], b[k - 1], b[k]) for k in range(1, len(a)))
 

@@ -9,17 +9,14 @@ reports carry wall time in a separate field only.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
 import sys
 import time
-from collections.abc import Callable
+from collections import namedtuple
 from fractions import Fraction
-from importlib import resources
 from itertools import count
-from pathlib import Path
 
 from . import doubloon, eulerian, special, unimodality
 from .eulerian import (
@@ -62,20 +59,20 @@ OEIS_SEQUENCES = {"A101280": "a", "A008971": "b"}
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass
-class ReportItem:
-    name: str
-    # "pass" or "fail"; counters() keeps a "reported" key at 0 because the
-    # verify JSON, and the digests over it, carry that key
-    status: str
-    detail: str = ""
+# status is "pass" or "fail"; counters() keeps a "reported" key at 0 because
+# the verify JSON, and the digests over it, carry that key
+ReportItem = namedtuple("ReportItem", "name status detail", defaults=("",))
 
 
-@dataclasses.dataclass
 class Report:
-    suite: str
-    items: list[ReportItem] = dataclasses.field(default_factory=list)
-    wall_time_s: float = 0.0
+    """One suite's items in check order, and its wall time once run."""
+
+    __slots__ = ("suite", "items", "wall_time_s")
+
+    def __init__(self, suite: str):
+        self.suite = suite
+        self.items: list[ReportItem] = []
+        self.wall_time_s = 0.0
 
     def check(self, name: str, ok: bool, detail: str = "") -> None:
         self.items.append(ReportItem(name, "pass" if ok else "fail", detail))
@@ -95,7 +92,8 @@ class Report:
             "suite": self.suite,
             "status": "pass" if self.ok else "fail",
             "counters": self.counters(),
-            "items": [dict(vars(i)) for i in self.items],
+            "items": [{"name": i.name, "status": i.status, "detail": i.detail}
+                      for i in self.items],
             "wall_time_s": round(self.wall_time_s, 6),
         }
 
@@ -133,27 +131,20 @@ def _timed(fn):
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class Block:
+class Block(namedtuple("Block", "first checks cap by_point", defaults=(None, False))):
     """One loop of a suite.  ``checks`` are its checks in report order, each
     a function of one index that returns one ``(name, ok[, detail])`` item.
     The indices are ``(n,)`` for ``n = first..min(max_n, cap)``, or
     ``(q0, n)`` over the sample points and that range when ``by_point``."""
 
-    first: int
-    checks: tuple[Callable[..., tuple], ...]
-    cap: int | None = None
-    by_point: bool = False
+    __slots__ = ()
 
 
-@dataclasses.dataclass(frozen=True)
-class Suite:
+class Suite(namedtuple("Suite", "default_max_n max_n_limit blocks")):
     """A suite's blocks, its default ``--max-n`` and the largest
     ``--max-n`` the CLI accepts for it."""
 
-    default_max_n: int
-    max_n_limit: int
-    blocks: tuple[Block, ...]
+    __slots__ = ()
 
     def indices(self, max_n: int | None, points) -> list[tuple[Block, tuple]]:
         """Every ``(block, index)`` the suite checks, in report order: the
@@ -368,7 +359,12 @@ def parse_bfile(text: str) -> list[int]:
     return values
 
 
-def default_fixture_path(sequence: str) -> Path:
+def default_fixture_path(sequence: str):
+    """The bundled b-file of ``sequence``, a :class:`pathlib.Path`.  Only
+    ``oeis-check`` reads a fixture, so only it imports these modules."""
+    from importlib import resources
+    from pathlib import Path
+
     return Path(str(resources.files("qeuler").joinpath("data", f"b{sequence[1:]}.txt")))
 
 
@@ -519,7 +515,10 @@ def cmd_conjecture(args, parser) -> int:
         doc = {
             "conjecture": "positivity of the G*_{2n}(q) coefficients",
             "verdict": scan.verdict,
-            "rows": [dict(vars(r)) for r in scan.rows],
+            "rows": [{"n": r.n, "degree": r.degree, "min_coeff": r.min_coeff,
+                      "value_at_one": r.value_at_one, "secant": r.secant,
+                      "palindromic": r.palindromic, "consistent": r.consistent}
+                     for r in scan.rows],
         }
         print(json.dumps(doc))
     else:
@@ -541,6 +540,8 @@ MAX_FIXTURE_BYTES = 16 * 2**20
 
 
 def cmd_oeis_check(args, parser) -> int:
+    from pathlib import Path  # the one command that reads a file
+
     if not 1 <= args.max_n <= TABLE_MAX_N:
         parser.error(f"--max-n must be in 1..{TABLE_MAX_N}")
     if args.skip < 0:

@@ -59,12 +59,12 @@ order.
 
 from __future__ import annotations
 
-import dataclasses
+from collections import namedtuple
+from collections.abc import Callable, Iterator
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
 from operator import add, sub
-from typing import Callable, Iterator
 
 from .qring import QLaurent, QPoly, TQPoly, _mul_q_ratio, poch_t, q_int
 
@@ -73,17 +73,13 @@ from .qring import QLaurent, QPoly, TQPoly, _mul_q_ratio, poch_t, q_int
 Beta = tuple[int, tuple[int, ...], int]
 
 
-@dataclasses.dataclass(frozen=True)
-class Family:
+class Family(namedtuple("Family", "first_n seed_n krange alpha beta")):
     """One triangle of the two-term recurrence (see the module docstring):
-    ``alpha(n, k)`` is the ``u`` of ``[u]_q`` and ``beta(n, k)`` the
-    :data:`Beta` spec ``(e, fs, v)``."""
+    ``first_n`` and ``seed_n`` are row numbers, ``krange(n)`` is the
+    ``range`` of columns of row ``n``, ``alpha(n, k)`` is the ``u`` of
+    ``[u]_q`` and ``beta(n, k)`` the :data:`Beta` spec ``(e, fs, v)``."""
 
-    first_n: int
-    seed_n: int
-    krange: Callable[[int], range]
-    alpha: Callable[[int, int], int]
-    beta: Callable[[int, int], Beta]
+    __slots__ = ()
 
 
 FAMILIES = {

@@ -14,19 +14,22 @@ canonicalizes its result, so ``==`` is structural equality.  Rational values
 :class:`fractions.Fraction` objects.
 
 All values are immutable after construction and all operations are pure,
-so everything here is safe to share across threads.
+so everything here is safe to share across threads.  The three types are
+plain classes with ``__slots__`` and written-out ``__eq__``/``__hash__``, not
+dataclasses: importing ``dataclasses`` (which imports ``inspect``) and
+decorating the classes took longer, in every cold CLI process, than a small
+command's work, and a slotted instance carries no ``__dict__``.
 """
 
 from __future__ import annotations
 
-import dataclasses
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress
 from operator import add, indexOf, sub
-from typing import Iterable, Sequence, Union
 
-RatLike = Union[Fraction, int]
+RatLike = Fraction | int
 
 
 class NotDivisible:
@@ -89,7 +92,6 @@ def _mul_q_ratio(p: QPoly, a: int, b: int) -> QPoly:
     return QPoly(out)
 
 
-@dataclasses.dataclass(init=False, eq=True, unsafe_hash=True)
 class QPoly:
     """A polynomial in ``q`` with integer coefficients, stored densely:
     ``coeffs[i]`` is the coefficient of ``q^i``.  Trailing zeros are trimmed,
@@ -103,6 +105,7 @@ class QPoly:
     True
     """
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()):
@@ -114,6 +117,14 @@ class QPoly:
             # one slice, to the last nonzero coefficient found by a C-level scan
             cs = cs[: next(compress(range(len(cs), 0, -1), reversed(cs)), 0)]
         self.coeffs = cs
+
+    def __eq__(self, other):
+        if other.__class__ is not QPoly:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
 
     @staticmethod
     def zero() -> QPoly:
@@ -233,7 +244,6 @@ class QPoly:
         return _fmt(self.coeffs)
 
 
-@dataclasses.dataclass(init=False, eq=True, unsafe_hash=True)
 class QLaurent:
     """A Laurent polynomial ``q^offset * base`` where ``base`` is a
     :class:`QPoly`.  Canonical form: either zero (offset 0), or ``base`` has a
@@ -249,6 +259,7 @@ class QLaurent:
     so the constructor keeps it as it is.
     """
 
+    __slots__ = ("base", "offset")
     base: QPoly
     offset: int
 
@@ -262,6 +273,14 @@ class QLaurent:
             v = base.valuation()
             self.base = QPoly(base.coeffs[v:]) if v else base
             self.offset = offset + v
+
+    def __eq__(self, other):
+        if other.__class__ is not QLaurent:
+            return NotImplemented
+        return self.offset == other.offset and self.base == other.base
+
+    def __hash__(self) -> int:
+        return hash((self.base.coeffs, self.offset))
 
     @staticmethod
     def coerce(x: int | QPoly | QLaurent) -> QLaurent:
@@ -370,7 +389,6 @@ class QLaurent:
         return _fmt(self.base.coeffs, self.offset)
 
 
-@dataclasses.dataclass(init=False, eq=True, unsafe_hash=True)
 class TQPoly:
     """A polynomial in ``t`` whose coefficients are :class:`QLaurent` values;
     ``terms[d]`` is the coefficient of ``t^d``.  The highest-index term is
@@ -380,6 +398,7 @@ class TQPoly:
     TQPoly('1 + q t')
     """
 
+    __slots__ = ("terms",)
     terms: tuple[QLaurent, ...]
 
     def __init__(self, terms: Iterable[int | QPoly | QLaurent] = ()):
@@ -387,6 +406,14 @@ class TQPoly:
         while ts and ts[-1].is_zero():
             ts.pop()
         self.terms = tuple(ts)
+
+    def __eq__(self, other):
+        if other.__class__ is not TQPoly:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(self.terms)
 
     @staticmethod
     def coerce(x: int | QPoly | QLaurent | TQPoly) -> TQPoly:

@@ -13,7 +13,7 @@ because it would contradict an established identity, i.e. signal a bug).
 
 from __future__ import annotations
 
-import dataclasses
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
@@ -258,23 +258,18 @@ def secant_number(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class GStarScanRow:
+class GStarScanRow(namedtuple(
+        "GStarScanRow", "n degree min_coeff value_at_one secant palindromic consistent")):
     """Evidence about one ``G*_{2n}(q)``: the positivity verdict plus the
     structural observations the scan records along the way."""
 
-    n: int
-    degree: int
-    min_coeff: int
-    value_at_one: int
-    secant: int
-    palindromic: bool
-    consistent: bool
+    __slots__ = ()
 
 
-@dataclasses.dataclass(frozen=True)
-class GStarScanReport:
-    rows: tuple[GStarScanRow, ...]
+class GStarScanReport(namedtuple("GStarScanReport", "rows")):
+    """The scan's :class:`GStarScanRow` tuple, one row per ``n``."""
+
+    __slots__ = ()
 
     @property
     def verdict(self) -> str:

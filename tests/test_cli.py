@@ -1185,6 +1185,26 @@ print(sorted(top - set(sys.stdlib_module_names) - {"__main__", "qeuler"}))
     assert proc.stdout == "[]\n"
 
 
+def test_cli_import_loads_no_unused_machinery():
+    # the same -S subprocess as above; oeis-check imports pathlib and
+    # importlib.resources when it runs, and nothing needs the rest
+    script = """
+import sys
+from qeuler import cli
+cli.build_parser()
+print(sorted(set(sys.argv[1:]) & set(sys.modules)))
+"""
+    unused = ["dataclasses", "inspect", "typing", "pathlib", "importlib.resources",
+              "tempfile", "zipfile"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script, *unused],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_main_reuses_one_parser():
     assert cli.build_parser() is cli.build_parser()
 

@@ -1,4 +1,5 @@
 import operator
+import pickle
 import random
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qeuler.eulerian import FAMILIES
 from qeuler.qring import (
     NOT_DIVISIBLE,
     NotDivisible,
@@ -452,6 +454,64 @@ def test_predicates():
     assert not is_unimodal_ints((1, 4, 1, 2))
     assert is_palindromic(QPoly())
     assert is_unimodal_ints(())
+
+
+# ---------------------------------------------------------------------------
+# the ring types as values
+# ---------------------------------------------------------------------------
+
+# drawn from a small space, so that independently drawn pairs are often equal
+tiny_polys = st.lists(st.integers(-1, 1), max_size=3).map(QPoly)
+tiny_laurents = st.builds(QLaurent, tiny_polys, st.integers(-1, 1))
+tiny_values = st.one_of(
+    tiny_polys, tiny_laurents, st.lists(tiny_laurents, max_size=2).map(TQPoly)
+)
+REBUILD = {  # the same value by another construction
+    QPoly: lambda p, k: QPoly(list(p.coeffs) + [0] * k),
+    QLaurent: lambda p, k: QLaurent(p.base.shift(k), p.offset - k),
+    TQPoly: lambda p, k: TQPoly(list(p.terms) + [0] * k),
+}
+
+
+@given(tiny_values, tiny_values, st.integers(0, 3))
+def test_equal_values_have_equal_hashes(x, y, k):
+    if x == y:
+        assert hash(x) == hash(y)
+    rebuilt = REBUILD[type(x)](x, k)
+    assert rebuilt is not x
+    assert rebuilt == x
+    assert hash(rebuilt) == hash(x)
+
+
+def test_values_of_different_types_are_unequal():
+    assert (QPoly((1,)) == QLaurent(1)) is False
+    assert (TQPoly([1]) == QPoly((1,))) is False
+    assert (QPoly(()) == 0) is False
+    for value in (P(1), QLaurent(1), TQPoly([1])):
+        assert value.__eq__(1) is NotImplemented
+        assert value.__eq__((1,)) is NotImplemented
+
+
+@pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+def test_values_survive_pickle(protocol):
+    for value in (P(1, -2, 3), P(), QLaurent(P(1, 1), -3), QLaurent(),
+                  TQPoly([1, QLaurent(P(0, 1), -1)]), TQPoly()):
+        back = pickle.loads(pickle.dumps(value, protocol))
+        assert type(back) is type(value)
+        assert back == value
+        assert repr(back) == repr(value)
+
+
+def test_values_have_no_instance_dict():
+    for value in (P(1), QLaurent(1), TQPoly([1])):
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(AttributeError):
+            value.note = "x"
+
+
+def test_family_entries_are_read_only():
+    with pytest.raises(AttributeError):
+        FAMILIES["A"].first_n = 2
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .eulerian import (
     gamma_b_entry,
     gamma_expand_A,
     gamma_expand_B,
+    iter_q1_rows,
     iter_rows,
     typeB_entry,
     typeB_poly,
@@ -407,10 +408,10 @@ def run_oeis_check(sequence: str, max_n: int, terms: list[int], skip: int = 0) -
 # ---------------------------------------------------------------------------
 
 
-# At 60 the slowest tables (B as text or json) take about 1.9 s cold on a
-# 2 vCPU VM.  Rows are streamed, not cached, and written as they are
-# formatted, so memory is two rows plus one formatted entry: every table
-# peaks under 30 MB at 60.
+# At 60 the slowest tables (B as text or json) take about 1.0-1.3 s cold on
+# a 2 vCPU VM, A about 0.7 s, and any --q1 table about 0.1 s.  Rows are
+# streamed, not cached, and written as they are formatted, so memory is two
+# rows plus one formatted entry: every table peaks under 30 MB at 60.
 TABLE_MAX_N = 60
 
 
@@ -418,7 +419,9 @@ def cmd_table(args, parser) -> int:
     if not 1 <= args.max_n <= TABLE_MAX_N:
         parser.error(f"--max-n must be in 1..{TABLE_MAX_N}")
     fam = FAMILIES[args.family]
-    value = spec_q1 if args.q1 else to_json if args.format == "json" else render
+    # at q = 1 the rows are integers, computed in Z without any q-row
+    rows = (iter_q1_rows if args.q1 else iter_rows)(args.family, args.max_n)
+    value = to_json if args.format == "json" else render
     out = sys.stdout
     # no CSV field needs quoting: they are ints and rendered polynomials
     if args.format == "csv":
@@ -427,8 +430,8 @@ def cmd_table(args, parser) -> int:
         # the document's own bytes, its "rows" list filled in one row at a time
         head = {"family": args.family, "max_n": args.max_n, "q1": bool(args.q1), "rows": []}
         out.write(json.dumps(head)[:-2])
-    for n, row in iter_rows(args.family, args.max_n):
-        kr, values = fam.krange(n), map(value, row)
+    for n, row in rows:
+        kr, values = fam.krange(n), row if args.q1 else map(value, row)
         if args.format == "csv":
             out.writelines(f"{n},{k},{v}\n" for k, v in zip(kr, values))
         elif args.format == "json":
@@ -457,9 +460,9 @@ def _last_row_poly(family: str, n: int) -> TQPoly:
 
 POLY_BUILDERS = {
     # name -> (min n, max n, builder); the largest n builds rows to 100 or
-    # 101.  Cold on a 2 vCPU VM: B at 100, its rows streamed, about 6 s and
-    # 0.22 GB; at 50, with rows cached, Eq (B) about 7 s and 0.83 GB, Gstar
-    # and Estar (b) 3 s and 0.40 GB, T and dn (a) 1.6 s and 0.19 GB.
+    # 101.  Cold on a 2 vCPU VM: B at 100, its rows streamed, about 4 s and
+    # 0.22 GB; at 50, with rows cached, Eq (B) about 5 s and 0.83 GB, Gstar
+    # and Estar (b) 2.4 s and 0.40 GB, T and dn (a) 1.1 s and 0.19 GB.
     "A": (1, 100, lambda n: _last_row_poly("A", n)),
     "B": (0, 100, lambda n: _last_row_poly("B", n)),
     "T": (0, 50, lambda n: special.q_tangent(n)),

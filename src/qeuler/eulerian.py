@@ -25,7 +25,12 @@ the seed row ``(1,)`` at ``seed_n``, the first public row ``first_n``,
 As ``[m]_q = (1 - q^m) / (1 - q)``, each entry is one running sum of
 ``x - q^u x + q^e y' - q^(e+v) y'``, where ``x = P[n-1,k]``,
 ``y = P[n-1,k-1]`` and ``y' = y prod_f (1 + q^f)`` takes one pass per ``f``:
-O(degree) per entry, and no product of two polynomials.
+O(degree) per entry, and no product of two polynomials.  The passes run over
+each entry's support only: they start at the lowest power that ``x`` or
+``q^e y`` reaches, and the zeros below it are prepended once.  That matters
+because ``A[n,k]`` and ``B[n,k]`` have ``C(k,2)`` and ``k^2`` leading zeros:
+the rows of ``A`` to 30 hold 67,890 coefficients, of which 31,930 are past
+each entry's leading zeros.
 
 ``A_n(t,q) = sum_k A[n,k] t^(k-1)`` and ``B_n(t,q) = sum_k B[n,k] t^k`` are
 also definable through their generating series
@@ -54,7 +59,11 @@ with ``d = i-j``.  ``gamma_expand_*`` and ``basis_change_*`` use these sums.
 
 Rows are built once, bottom up, and cached.  :func:`iter_rows` walks the
 same row step without the cache, for readers that need each row once and in
-order.
+order.  :func:`iter_q1_rows` walks the recurrence at ``q = 1`` in Z, where
+``[m]_q`` is ``m`` and each ``1 + q^f`` is 2, so the integer rows cost no
+q-row; it shares the package's one integer row engine with
+``classical_gamma_a/b``, which keep their own coefficients as independent
+``q = 1`` references.
 """
 
 from __future__ import annotations
@@ -62,7 +71,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable, Iterator
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, compress, count
 from math import comb
 from operator import add, sub
 
@@ -116,23 +125,45 @@ FAMILIES = {
 
 def _recur(x: tuple[int, ...], u: int, y: tuple[int, ...], beta: Beta) -> QPoly:
     """``[u] x + q^e prod_f (1 + q^f) [v] y`` for ``beta = (e, fs, v)``, from
-    the coefficients ``x`` and ``y`` (empty for a zero operand).  As
-    ``[m] = (1 - q^m) / (1 - q)``, it is the prefix sums of
-    ``x - q^u x + q^e y' - q^(e+v) y'`` with ``y' = y prod_f (1 + q^f)``."""
+    the coefficients ``x`` and ``y`` of two ``QPoly`` values (empty for a zero
+    operand).  As ``[m] = (1 - q^m) / (1 - q)``, it is the prefix sums of
+    ``x - q^u x + q^e y' - q^(e+v) y'`` with ``y' = y prod_f (1 + q^f)``.
+    Each operand is read from its first nonzero coefficient: every partial
+    sum below ``min(vx, e + vy)``, the lowest power that ``x`` or ``q^e y``
+    reaches, is 0, so the sums start there and those zeros are prepended."""
     e, fs, v = beta
-    for f in fs:
-        pad = (0,) * f
-        y = tuple([*map(add, y + pad, pad + y)])
-    lx, ly = len(x), len(y)
-    out = [0] * max(u + lx, e + v + ly if y else 0)
-    out[:lx] = x
-    out[u:u + lx] = map(sub, out[u:u + lx], x)
+    if x:
+        vx = next(compress(count(), x))
+        x = x[vx:]
     if y:  # B and b have no y at k = 0, where e is -1
-        out[e:e + ly] = map(add, out[e:e + ly], y)
-        out[e + v:e + v + ly] = map(sub, out[e + v:e + v + ly], y)
+        vy = next(compress(count(), y))
+        y = y[vy:]
+        for f in fs:
+            pad = (0,) * f
+            y = tuple([*map(add, y + pad, pad + y)])
+        vy += e
+        low = min(vx, vy) if x else vy
+    elif x:
+        low = vx
+    else:
+        return QPoly()
+    lx, ly = len(x), len(y)
+    out = [0] * (max(vx + u + lx if x else 0, vy + v + ly if y else 0) - low)
+    if x:
+        i = vx - low
+        out[i:i + lx] = x
+        i += u
+        out[i:i + lx] = map(sub, out[i:i + lx], x)
+    if y:
+        i = vy - low
+        out[i:i + ly] = map(add, out[i:i + ly], y)
+        i += v
+        out[i:i + ly] = map(sub, out[i:i + ly], y)
     # 1 - q divides the whole, so the sums total zero: the last prefix sum is 0
     out.pop()
-    return QPoly(accumulate(out))
+    coeffs = [0] * low
+    coeffs += accumulate(out)
+    return QPoly(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -356,30 +387,56 @@ def basis_change_B(n: int, k: int) -> QPoly:
 # ---------------------------------------------------------------------------
 
 
-def _classical_rows(N: int, krange, alpha, beta) -> list[list[int]]:
-    """Integer rows 1..N of ``P[n,k] = alpha(n,k) P[n-1,k] + beta(n,k) P[n-1,k-1]``
-    from ``P[1] = [1]``, row ``n`` over ``krange(n)``; every row starts at the
-    same ``k``, so entry ``j`` reads row ``n-1``, zero-padded, at ``j+1`` and ``j``."""
+def _classical_rows(N: int, seed_n: int, krange, alpha, beta) -> Iterator[tuple[int, list[int]]]:
+    """``(n, P[n])`` for ``n = seed_n..N`` of the integer recurrence
+    ``P[n,k] = alpha(n,k) P[n-1,k] + beta(n,k) P[n-1,k-1]`` from
+    ``P[seed_n] = [1]``, row ``n`` over ``krange(n)``, each row built from the
+    one before it and none kept; every row starts at the same ``k``, so entry
+    ``j`` reads row ``n-1``, zero-padded, at ``j+1`` and ``j``."""
+    row = [1]
+    yield seed_n, row
+    for n in range(seed_n + 1, N + 1):
+        prev = [0, *row, 0]
+        row = [alpha(n, k) * prev[j + 1] + beta(n, k) * prev[j]
+               for j, k in enumerate(krange(n))]
+        yield n, row
+
+
+def iter_q1_rows(family: str, N: int) -> Iterator[tuple[int, list[int]]]:
+    """:func:`iter_rows` at ``q = 1``: ``(n, [P[n,k](1) for k in krange(n)])``
+    for ``n = first_n..N``, computed in Z by the ``FAMILIES`` recurrence at
+    ``q = 1``, where ``[m]_q`` is ``m`` and each ``1 + q^f`` is 2, so no
+    q-row is built."""
+    fam = FAMILIES[family]
+    if N < fam.first_n:
+        raise ValueError(f"family {family} needs N >= {fam.first_n}, got {N}")
+
+    def beta(n: int, k: int) -> int:
+        _, fs, v = fam.beta(n, k)
+        return v << len(fs)
+
+    for n, row in _classical_rows(N, fam.seed_n, fam.krange, fam.alpha, beta):
+        if n >= fam.first_n:
+            yield n, row
+
+
+def _classical_triangle(N: int, krange, alpha, beta) -> list[list[int]]:
+    """Rows 1..N of :func:`_classical_rows` from ``P[1] = [1]``."""
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
-    rows = [[1]]
-    for n in range(2, N + 1):
-        prev = [0, *rows[-1], 0]
-        rows.append([alpha(n, k) * prev[j + 1] + beta(n, k) * prev[j]
-                     for j, k in enumerate(krange(n))])
-    return rows
+    return [row for _, row in _classical_rows(N, 1, krange, alpha, beta)]
 
 
 def classical_gamma_a(N: int) -> list[list[int]]:
     """Integer rows 1..N by ``a[n,k] = k a[n-1,k] + 2(n+2-2k) a[n-1,k-1]``."""
-    return _classical_rows(N, lambda n: range(1, (n + 1) // 2 + 1),
-                           lambda n, k: k, lambda n, k: 2 * (n + 2 - 2 * k))
+    return _classical_triangle(N, lambda n: range(1, (n + 1) // 2 + 1),
+                               lambda n, k: k, lambda n, k: 2 * (n + 2 - 2 * k))
 
 
 def classical_gamma_b(N: int) -> list[list[int]]:
     """Integer rows 1..N by ``b[n,k] = (2k+1) b[n-1,k] + 4(n+1-2k) b[n-1,k-1]``."""
-    return _classical_rows(N, lambda n: range(0, n // 2 + 1),
-                           lambda n, k: 2 * k + 1, lambda n, k: 4 * (n + 1 - 2 * k))
+    return _classical_triangle(N, lambda n: range(0, n // 2 + 1),
+                               lambda n, k: 2 * k + 1, lambda n, k: 4 * (n + 1 - 2 * k))
 
 
 # ---------------------------------------------------------------------------

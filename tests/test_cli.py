@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import hashlib
 import importlib
 import importlib.util
@@ -187,6 +188,38 @@ def test_table_json_is_the_whole_document(capsys, family, q1):
         assert main(["table", family, "--max-n", str(N), "--format", "json"]
                     + ["--q1"] * q1) == 0
         assert capsys.readouterr().out == json.dumps(doc) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _q1_by_q_rows(family):
+    """Every q-row of ``family`` to 60, taken at q = 1."""
+    return tuple((n, [spec_q1(p) for p in row]) for n, row in iter_rows(family, 60))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_table_q1_builds_no_q_row(monkeypatch, capsys, family, fmt):
+    # the integers of `table --q1` come from the recurrence at q = 1, never
+    # from a q-row; the bytes are those of the q-rows taken at q = 1
+    q_rows = _q1_by_q_rows(family)
+
+    def q_row_route(fam, N):
+        assert fam == family
+        return (item for item in q_rows if item[0] <= N)
+
+    def no_q_row(*args):
+        raise AssertionError("table --q1 built a q-row")
+
+    for N in (1, 2, 17, 60):
+        argv = ["table", family, "--max-n", str(N), "--format", fmt, "--q1"]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "iter_q1_rows", q_row_route)
+            assert main(argv) == 0
+        want = capsys.readouterr().out
+        with monkeypatch.context() as m:
+            m.setattr(eulerian, "_next_row", no_q_row)
+            assert main(argv) == 0
+        assert capsys.readouterr().out == want
 
 
 def _traced_peak(fn):

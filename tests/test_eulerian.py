@@ -1,10 +1,13 @@
 import itertools
 import math
+import operator
 import subprocess
 import sys
 from collections import Counter
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qeuler import eulerian
 from qeuler.eulerian import (
@@ -22,6 +25,7 @@ from qeuler.eulerian import (
     gamma_b_entry,
     gamma_expand_A,
     gamma_expand_B,
+    iter_q1_rows,
     iter_rows,
     q_int_ext,
     typeB_entry,
@@ -686,3 +690,92 @@ def test_iter_rows_caches_nothing():
     for family in FAMILIES:
         assert sum(1 for _ in iter_rows(family, 20)) == 21 - FAMILIES[family].first_n
     assert [row.cache_info().currsize for row in ROW_CACHES.values()] == [0, 0, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# the row step over each entry's support against the dense row step
+# ---------------------------------------------------------------------------
+
+
+def _dense_recur(x, u, y, beta):
+    # the dense row step, the reference: every pass also runs over the
+    # operands' leading zeros
+    e, fs, v = beta
+    for f in fs:
+        pad = (0,) * f
+        y = tuple([*map(operator.add, y + pad, pad + y)])
+    lx, ly = len(x), len(y)
+    out = [0] * max(u + lx, e + v + ly if y else 0)
+    out[:lx] = x
+    out[u:u + lx] = map(operator.sub, out[u:u + lx], x)
+    if y:
+        out[e:e + ly] = map(operator.add, out[e:e + ly], y)
+        out[e + v:e + v + ly] = map(operator.sub, out[e + v:e + v + ly], y)
+    out.pop()
+    return QPoly(itertools.accumulate(out))
+
+
+@st.composite
+def operands(draw):
+    """The coefficients of a ``QPoly``: empty, or ending in a nonzero, with
+    any number of leading zeros and coefficients of either sign."""
+    body = draw(st.lists(st.integers(-40, 40), max_size=8))
+    if not body and draw(st.booleans()):
+        return ()
+    zeros = draw(st.integers(0, 12))
+    return (0,) * zeros + tuple(body) + (draw(st.integers(-40, 40).filter(bool)),)
+
+
+@st.composite
+def recur_args(draw):
+    x, y = draw(operands()), draw(operands())
+    # e is -1 only where there is no y, as for B and b at k = 0
+    e = draw(st.integers(0 if y else -1, 10))
+    fs = tuple(draw(st.lists(st.integers(0, 6), max_size=2)))
+    # every family's u and v are at least 1
+    return x, draw(st.integers(1, 8)), y, (e, fs, draw(st.integers(1, 8)))
+
+
+@given(recur_args())
+# the low ends cancel: x + q^2 y has no q^2 term
+@example(((0, 0, 3, 1), 2, (-3, 5), (2, (1,), 1)))
+@example(((0, 0, 3), 1, (-3,), (2, (), 4)))
+@example(((0, 4), 1, (), (-1, (), 3)))
+@example(((), 1, (0, 0, -2), (1, (0, 3), 2)))
+@example(((), 3, (), (-1, (), 1)))
+def test_recur_matches_the_dense_step(args):
+    x, u, y, beta = args
+    assert eulerian._recur(x, u, y, beta) == _dense_recur(x, u, y, beta)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_rows_match_the_dense_step_to_30(monkeypatch, family):
+    with monkeypatch.context() as m:
+        m.setattr(eulerian, "_recur", _dense_recur)
+        want = list(iter_rows(family, 30))
+    row = ROW_CACHES[family]
+    row.cache_clear()
+    assert list(iter_rows(family, 30)) == want
+    assert [(n, row(n)) for n, _ in want] == want
+
+
+# ---------------------------------------------------------------------------
+# the rows at q = 1, computed in Z
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("below", [1, 2, 50])
+def test_q1_rows_reject_n_below_the_first_row_as_iter_rows_does(family, below):
+    N = FAMILIES[family].first_n - below
+    with pytest.raises(ValueError) as q_rows:
+        list(iter_rows(family, N))
+    with pytest.raises(ValueError) as q1_rows:
+        list(iter_q1_rows(family, N))
+    assert str(q1_rows.value) == str(q_rows.value)
+
+
+def test_q1_rows_are_the_classical_gamma_triangles():
+    # the two classical oracles keep their own coefficients, and agree
+    assert [row for _, row in iter_q1_rows("a", 30)] == classical_gamma_a(30)
+    assert [row for _, row in iter_q1_rows("b", 30)] == classical_gamma_b(30)

@@ -21,6 +21,7 @@ from itertools import count
 from . import doubloon, eulerian, special, unimodality
 from .eulerian import (
     FAMILIES,
+    _central_entry,
     _gamma_a_row,
     _gamma_b_row,
     basis_change_A,
@@ -28,8 +29,6 @@ from .eulerian import (
     carlitz_entry,
     carlitz_poly,
     carlitz_series_oracle,
-    gamma_a_entry,
-    gamma_b_entry,
     gamma_expand_A,
     gamma_expand_B,
     iter_q1_rows,
@@ -132,18 +131,22 @@ def _timed(fn):
 # ---------------------------------------------------------------------------
 
 
-class Block(namedtuple("Block", "first checks cap by_point", defaults=(None, False))):
+class Block(namedtuple("Block", "first checks cap by_point rows", defaults=(None, False, None))):
     """One loop of a suite.  ``checks`` are its checks in report order, each
     a function of one index that returns one ``(name, ok[, detail])`` item.
     The indices are ``(n,)`` for ``n = first..min(max_n, cap)``, or
-    ``(q0, n)`` over the sample points and that range when ``by_point``."""
+    ``(q0, n)`` over the sample points and that range when ``by_point``.
+    ``rows``, when given, is ``(family, rows_of)``: the checks at ``n`` also
+    take the rows ``rows_of(n)`` of ``family``, consecutive and in order, as
+    :func:`iter_rows` streams them."""
 
     __slots__ = ()
 
 
-class Suite(namedtuple("Suite", "default_max_n max_n_limit blocks")):
-    """A suite's blocks, its default ``--max-n`` and the largest
-    ``--max-n`` the CLI accepts for it."""
+class Suite(namedtuple("Suite", "default_max_n max_n_limit blocks central", defaults=(None,))):
+    """A suite's blocks, its default ``--max-n``, the largest ``--max-n``
+    the CLI accepts for it, and the gamma family, if any, whose central
+    entries its checks read up to their largest ``n``."""
 
     __slots__ = ()
 
@@ -222,7 +225,7 @@ def _brackets(kind, identity, first, n):
 
 def _doubloon(n):
     gf = doubloon.interlaced_gf(n)
-    want = gamma_a_entry(2 * n + 1, n + 1)
+    want = _central_entry("a", n)
     detail = f"count={spec_q1(gf)}"
     if gf != want:
         detail += f"; {_first_difference(gf, want)}"
@@ -232,20 +235,32 @@ def _doubloon(n):
 # the detail of strict growth, for unimodality._first_fall's (k, a, b)
 _FALL = "first bad k={0}: {2} does not exceed {1}"
 
+
+def _reconstructs(n, row):
+    """The item ``A_{2n} / (1 + t q^n)`` times ``1 + t q^n`` is ``A_{2n}``,
+    for ``row`` row ``2n`` of ``A``."""
+    poly = TQPoly(row)
+    return _equal(f"A_{2*n}/(1+tq^{n}) reconstructs",
+                  _mul_one_plus_t_q_power(special.even_quotient(n, poly), n), poly)
+
+
 # Each suite's default --max-n, its --max-n limit and its blocks, in report
-# order.  Every check is a function of its index that makes one item, looking
-# up the library functions it calls as it runs, and it finds its claim's
-# first counterexample in one pass.  The doubloon cap bounds an enumeration
-# whose leaves are the tangent numbers (order 9 at most), so the doubloon
-# suite costs the same at any --max-n from 4 on.  The caps 5 and 4 on the d_n
-# and G* rational identities are not for cost (compared cleared in Z[q], both
-# take under 2 s for every n up to their suite's limit): raising them would
-# change `verify` output and its digests, so it waits until a benchmark
-# baseline is recorded and the digests can be re-recorded on purpose.  At
-# each limit a cold run takes about 10 s or less and at most 0.25 GB on a
-# 2 vCPU VM: series 2.6 s, expansionA 4.1 s, expansionB 4.0 s, tangent 4.3 s / 232 MB,
-# secant 2.8 s, monotone 3.2 s, brackets 0.3 s, reciprocity 2.0 s / 138 MB,
-# doubloon 0.13 s.
+# order.  Every check is a function of its index, and of the rows its block
+# streams, that makes one item, looking up the library functions it calls as
+# it runs, and it finds its claim's first counterexample in one pass.  The
+# doubloon cap bounds an enumeration whose leaves are the tangent numbers
+# (order 9 at most), so the doubloon suite costs the same at any --max-n from
+# 4 on.  The caps 5 and 4 on the d_n and G* rational identities are not for
+# cost (compared cleared in Z[q], both take under 2 s for every n up to their
+# suite's limit): raising them would change `verify` output and its digests,
+# so it waits until a benchmark baseline is recorded and the digests can be
+# re-recorded on purpose.  At each limit a cold run takes under 5 s and
+# 40 MB on a 2 vCPU VM (Python 3.11): series 2.2 s, expansionA 4.4 s,
+# expansionB 3.1 s, tangent 1.3 s / 37 MB, secant 0.9 s / 29 MB, monotone
+# 0.2 s, brackets 0.3 s, reciprocity 0.7 s / 27 MB, doubloon 0.1 s.  No
+# suite caches a row it reads once: tangent, secant and reciprocity stream
+# theirs, and tangent, secant and doubloon read their central entries from
+# the cone.
 SUITES = {
     "expansionA": Suite(14, 35, (Block(1, (
         lambda n: _equal(f"gamma_expand_A({n}) == carlitz_poly({n})",
@@ -267,43 +282,51 @@ SUITES = {
     )),
     "tangent": Suite(6, 40, (
         Block(0, (
-            lambda n: _nonnegative_poly(f"T_{2*n+1} polynomial with nonneg coeffs",
-                                        special.q_tangent(n)),
-            lambda n: _equal(f"T_{2*n+1} == a*[{2*n+1},{n+1}]",
-                             special._signed_value(carlitz_poly(2 * n + 1), n, n * (n - 1) // 2,
-                                                   n, f"T_{2*n+1}"),
-                             special.a_star(2 * n + 1, n + 1)),
-        )),
+            lambda n, _: _nonnegative_poly(f"T_{2*n+1} polynomial with nonneg coeffs",
+                                           special.q_tangent(n)),
+            lambda n, row: _equal(f"T_{2*n+1} == a*[{2*n+1},{n+1}]",
+                                  special._signed_value(TQPoly(row), n, n * (n - 1) // 2,
+                                                        n, f"T_{2*n+1}"),
+                                  special.a_star(2 * n + 1, n + 1)),
+        ), rows=("A", lambda n: (2 * n + 1,))),
         Block(1, (
-            lambda n: _nonnegative_poly(f"d_{n} in Z[q] with nonneg coeffs", special.d_poly(n)),
-            lambda n: _equal(f"A_{2*n}/(1+tq^{n}) reconstructs",
-                             _mul_one_plus_t_q_power(special.even_quotient(n), n),
-                             carlitz_poly(2 * n)),
-        )),
+            lambda n, _: _nonnegative_poly(f"d_{n} in Z[q] with nonneg coeffs",
+                                           special.d_poly(n)),
+            _reconstructs,
+        ), rows=("A", lambda n: (2 * n,))),
         Block(1, (lambda n: _equal(f"d_{n} rational identity", *special._d_identity(n)),),
               cap=5),
-    )),
+    ), central="a"),
     "secant": Suite(5, 30, (
         Block(0, (
-            lambda n: (f"B_{2*n+1}(-q^-{2*n+1}, q) == 0", special.b_odd_vanish(n)),
-            lambda n: _equal(f"b_central({n}) == b[{2*n},{n}]",
-                             special.b_central(n), gamma_b_entry(2 * n, n)),
-            lambda n: _equal(f"E*_{2*n} q^{n*n} == b[{2*n},{n}]",
-                             special.e_star(n).shift(n * n), special.b_central(n)),
-            lambda n: _equal(f"G*_{2*n}(1) == E_{2*n} == {special.secant_number(n)}",
-                             spec_q1(special.g_star(n)), special.secant_number(n)),
-            lambda n: _equal(f"E_{2*n}(q) at q=1 == 4^{n} E_{2*n}",
-                             spec_q1(special.e_q_secant(n)), 4**n * special.secant_number(n)),
-        )),
+            lambda n, _, odd: (f"B_{2*n+1}(-q^-{2*n+1}, q) == 0",
+                               special.b_odd_vanish(n, TQPoly(odd))),
+            lambda n, even, _: _equal(f"b_central({n}) == b[{2*n},{n}]",
+                                      special.b_central(n, TQPoly(even)),
+                                      _central_entry("b", n)),
+            lambda n, even, _: _equal(f"E*_{2*n} q^{n*n} == b[{2*n},{n}]",
+                                      special.e_star(n).shift(n * n),
+                                      special.b_central(n, TQPoly(even))),
+            lambda n, *_: _equal(f"G*_{2*n}(1) == E_{2*n} == {special.secant_number(n)}",
+                                 spec_q1(special.g_star(n)), special.secant_number(n)),
+            lambda n, even, _: _equal(f"E_{2*n}(q) at q=1 == 4^{n} E_{2*n}",
+                                      spec_q1(special.e_q_secant(n, TQPoly(even))),
+                                      4**n * special.secant_number(n)),
+        ), rows=("B", lambda n: (2 * n, 2 * n + 1))),
         Block(0, (lambda n: _equal(f"G*_{2*n} rational identity", *special._gstar_identity(n)),),
               cap=4),
-    )),
-    "doubloon": Suite(3, 60, (Block(1, (_doubloon,), cap=doubloon.DEFAULT_ORDER_LIMIT),)),
+    ), central="b"),
+    "doubloon": Suite(3, 60, (Block(1, (_doubloon,), cap=doubloon.DEFAULT_ORDER_LIMIT),),
+                      central="a"),
     "reciprocity": Suite(12, 60, (
-        Block(1, (lambda n: _first_bad(f"A row reversal n={n}",
-                                       unimodality._first_unreversed("A", n), "first bad k={}"),)),
-        Block(0, (lambda n: _first_bad(f"B row reversal n={n}",
-                                       unimodality._first_unreversed("B", n), "first bad k={}"),)),
+        Block(1, (lambda n, row: _first_bad(f"A row reversal n={n}",
+                                            unimodality._first_unreversed("A", n, row),
+                                            "first bad k={}"),),
+              rows=("A", lambda n: (n,))),
+        Block(0, (lambda n, row: _first_bad(f"B row reversal n={n}",
+                                            unimodality._first_unreversed("B", n, row),
+                                            "first bad k={}"),),
+              rows=("B", lambda n: (n,))),
     )),
     "monotone": Suite(10, 30, (Block(2, (
         lambda q0, n: _first_bad(f"A strict growth n={n} q0={q0}",
@@ -318,21 +341,61 @@ SUITES = {
 }
 
 
+def _items(block, index, rows) -> list[tuple]:
+    """The items of ``block``'s checks at ``index``, given ``rows``.  Each
+    check is called on its own, so a check that raises ``ArithmeticError``
+    (a broken library claim) is a failed item naming its index, and the
+    checks after it still run."""
+    out = []
+    for check in block.checks:
+        try:
+            out.append(check(*index, *rows))
+        except ArithmeticError as exc:
+            where = (f"q0={index[0]}, " if block.by_point else "") + f"n={index[-1]}"
+            out.append((f"{type(exc).__name__} at {where}", False, str(exc)))
+    return out
+
+
 @_timed
 def run_suite(name: str, max_n: int | None = None, points=None) -> Report:
     """Run suite ``name`` up to ``max_n`` (default: the suite's own bound),
     sampling monotonicity at ``points`` (default :data:`DEFAULT_POINTS`).
-    Each check of a block is called on its own at each index, so a check
-    that raises ``ArithmeticError`` (a broken library claim) is a failed item
-    naming its index, and the checks after it still run."""
+
+    The suite's central entries are filled first, by one cone stream, and
+    each family that its blocks read rows of is walked once, by one
+    :func:`iter_rows` stream: an index's checks run when the stream reaches
+    the last row they read, with at most as many rows held as one index
+    reads.  The items are reported in the suite's order all the same."""
+    indices = SUITES[name].indices(max_n, points)
+    central = SUITES[name].central
+    if central and indices:
+        _central_entry(central, max(index[-1] for _, index in indices))
+    items = [None] * len(indices)
+    # family -> last row read -> (position, rows read) of each index that
+    # reads it, and family -> the most rows one index reads
+    streams: dict[str, dict[int, list[tuple]]] = {}
+    span: dict[str, int] = {}
+    for i, (block, index) in enumerate(indices):
+        if block.rows is None:
+            items[i] = _items(block, index, ())
+            continue
+        family, rows_of = block.rows
+        ms = rows_of(index[-1])
+        streams.setdefault(family, {}).setdefault(ms[-1], []).append((i, ms))
+        span[family] = max(span.get(family, 1), len(ms))
+    for family, ready in streams.items():
+        held = {}
+        for m, row in iter_rows(family, max(ready)):
+            held[m] = row
+            for i, ms in ready.get(m, ()):
+                block, index = indices[i]
+                items[i] = _items(block, index, [held[k] for k in ms])
+            # an index still to run reads no row below m + 2 - span
+            held.pop(m + 1 - span[family], None)
     r = Report(name)
-    for block, index in SUITES[name].indices(max_n, points):
-        for check in block.checks:
-            try:
-                r.check(*check(*index))
-            except ArithmeticError as exc:
-                where = (f"q0={index[0]}, " if block.by_point else "") + f"n={index[-1]}"
-                r.check(f"{type(exc).__name__} at {where}", False, str(exc))
+    for checked in items:
+        for item in checked:
+            r.check(*item)
     return r
 
 
@@ -460,16 +523,18 @@ def _last_row_poly(family: str, n: int) -> TQPoly:
 
 POLY_BUILDERS = {
     # name -> (min n, max n, builder); the largest n builds rows to 100 or
-    # 101.  Cold on a 2 vCPU VM: B at 100, its rows streamed, about 4 s and
-    # 0.22 GB; at 50, with rows cached, Eq (B) about 5 s and 0.83 GB, Gstar
-    # and Estar (b) 2.4 s and 0.40 GB, T and dn (a) 1.1 s and 0.19 GB.
+    # 101, and none is cached.  Cold on a 2 vCPU VM (Python 3.11): B at 100,
+    # its rows streamed, about 3.7 s and 0.22 GB, and A 1.8 s and 0.10 GB; at
+    # 50, Eq (B streamed to 100) about 3.3 s and 89 MB, and from the cone of
+    # their central entry Estar and Gstar (b) 0.8 s and 30 MB, T and dn (a)
+    # 0.5 s and 22 MB.
     "A": (1, 100, lambda n: _last_row_poly("A", n)),
     "B": (0, 100, lambda n: _last_row_poly("B", n)),
     "T": (0, 50, lambda n: special.q_tangent(n)),
     "dn": (1, 50, lambda n: special.d_poly(n)),
     "Estar": (0, 50, lambda n: special.e_star(n)),
     "Gstar": (0, 50, lambda n: special.g_star(n)),
-    "Eq": (0, 50, lambda n: special.e_q_secant(n)),
+    "Eq": (0, 50, lambda n: special.e_q_secant(n, _last_row_poly("B", 2 * n))),
 }
 
 
@@ -505,8 +570,9 @@ def cmd_verify(args, parser) -> int:
     return 0 if all_ok else 1
 
 
-# Cold on a 2 vCPU VM, the scan takes about 1.6 s and 0.15 GB at 40 (rows of
-# b to 80 stay cached), and about 4.5 s and 0.40 GB at 50.
+# Cold on a 2 vCPU VM (Python 3.11), the scan takes about 0.7 s and 21 MB at
+# 40, all of it one cone stream of b to row 80, and in process about 1.4 s
+# and 27 MB at 50 and 2.9 s and 39 MB at 60.
 CONJECTURE_MAX_N = 40
 
 

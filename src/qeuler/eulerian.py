@@ -57,13 +57,16 @@ and by the q-binomial theorem its ``t^i`` coefficient, ``A[n,i+1]`` or
 ``B[n,i]``, is ``sum_{j<=i} [n+s-2-2j choose d]_{q^s} q^(s C(d,2) + (s j+1) d) g_j``
 with ``d = i-j``.  ``gamma_expand_*`` and ``basis_change_*`` use these sums.
 
-Rows are built once, bottom up, and cached.  :func:`iter_rows` walks the
-same row step without the cache, for readers that need each row once and in
-order.  :func:`iter_q1_rows` walks the recurrence at ``q = 1`` in Z, where
-``[m]_q`` is ``m`` and each ``1 + q^f`` is 2, so the integer rows cost no
-q-row; it shares the package's one integer row engine with
-``classical_gamma_a/b``, which keep their own coefficients as independent
-``q = 1`` references.
+The ``*_entry`` functions and the generating polynomials read rows built
+once, bottom up, and cached.  :func:`iter_rows` walks the same row step
+without the cache, for readers that need each row once and in order, and
+with a lag it walks only the dependency cone of the entries near the
+diagonal: the central entries ``a[2n+1, n+1]`` and ``b[2n, n]`` that the
+q-tangent and q-secant families read come from one such stream each.
+:func:`iter_q1_rows` walks the recurrence at ``q = 1`` in Z, where ``[m]_q``
+is ``m`` and each ``1 + q^f`` is 2, so the integer rows cost no q-row; it
+shares the package's one integer row engine with ``classical_gamma_a/b``,
+which keep their own coefficients as independent ``q = 1`` references.
 """
 
 from __future__ import annotations
@@ -201,13 +204,30 @@ def _row_builder(family: str) -> Callable[[int], tuple[QPoly, ...]]:
     return row
 
 
-def iter_rows(family: str, N: int) -> Iterator[tuple[int, tuple[QPoly, ...]]]:
+def iter_rows(family: str, N: int, lag: int | None = None
+              ) -> Iterator[tuple[int, tuple[QPoly, ...]]]:
     """``(n, row(n))`` for ``n = first_n..N`` of ``family``, each row built
     from the one before it and none cached: a reader of the rows in order
-    holds two rows at a time, not the triangle."""
+    holds two rows at a time, not the triangle.
+
+    With ``lag``, row ``n`` holds only its columns ``k >= kmin(n) = n - lag``,
+    in ``krange(n)`` order from the first of them.  A row step keeps ``k`` or
+    raises it by one, so these are the entries that the entries ``(n, k)``
+    with ``n - k <= lag`` depend on: their dependency cone."""
     fam = FAMILIES[family]
     if N < fam.first_n:
         raise ValueError(f"family {family} needs N >= {fam.first_n}, got {N}")
+    if lag is not None:
+        # the one row step reads the columns of the previous row, and builds
+        # those of its own, through krange: the cone is the family with
+        # krange bounded below
+        full = fam.krange
+
+        def krange(n: int) -> range:
+            kr = full(n)
+            return range(max(kr.start, n - lag), kr.stop)
+
+        fam = fam._replace(krange=krange)
     row = (QPoly.one(),)
     for n in range(fam.seed_n, N + 1):
         if n > fam.seed_n:
@@ -222,6 +242,33 @@ _carlitz_row = _row_builder("A")
 _gamma_a_row = _row_builder("a")
 _typeB_row = _row_builder("B")
 _gamma_b_row = _row_builder("b")
+
+
+# The central entries by n, ``a[2n+1, n+1]`` under "a" and ``b[2n, n]``
+# under "b", each tuple filled by one cone stream (see _central_entry).
+_CENTRAL: dict[str, tuple[QPoly, ...]] = {"a": (), "b": ()}
+
+
+def _central_entry(family: str, n: int) -> QPoly:
+    """The central entry ``a[2n+1, n+1]`` (``family`` "a") or ``b[2n, n]``
+    ("b"), the last entry of row ``2n+1`` or ``2n``, read from the cache.
+
+    A miss streams the dependency cone of lag ``n`` (:func:`iter_rows`).  That
+    cone holds the central entry of every ``n' <= n``, so the one stream
+    fills the cache up to ``n``, and the rows of the triangle below the cone
+    are never built."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    entries = _CENTRAL[family]
+    if n >= len(entries):
+        odd = family == "a"
+        # b[0,0] is the seed row, which no stream yields
+        entries = () if odd else (QPoly.one(),)
+        if 2 * n + odd >= 1:
+            entries += tuple(row[-1] for m, row in iter_rows(family, 2 * n + odd, lag=n)
+                             if m % 2 == odd)
+        _CENTRAL[family] = entries
+    return entries[n]
 
 
 def _entry(family: str, row, n: int, k: int) -> QPoly:

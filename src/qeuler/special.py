@@ -3,8 +3,10 @@ numbers, the central-column rescaling, the tangent quotients d_n, type-B
 vanishing and central values, the q-secant families E*, G*, E, and a scanner
 for positivity of the G* coefficients.  ``T_{2n+1}`` and ``E*_{2n}`` are one
 central gamma entry each, rescaled, and ``d_n`` and ``G*_{2n}`` their exact
-quotients; the substitutions ``t = -q^(-e)`` into a row that define those
-two stay as the oracles ``verify`` checks them by, and give the rest.
+quotients.  The central entries come from their dependency cone, cached by
+``n``, and never from the cached rows.  The substitutions ``t = -q^(-e)``
+into a row that define those two stay as the oracles ``verify`` checks them
+by, and give the rest; each also takes the row from a caller that streams it.
 
 Every function here returns exact objects; "X must be a polynomial" style
 claims are enforced (a negative Laurent offset raises ArithmeticError,
@@ -17,7 +19,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
-from .eulerian import FAMILIES, carlitz_poly, gamma_a_entry, gamma_b_entry, typeB_poly
+from .eulerian import FAMILIES, _central_entry, carlitz_poly, gamma_a_entry, typeB_poly
 from .qring import (
     NotDivisible,
     QLaurent,
@@ -68,7 +70,9 @@ def a_star(n: int, k: int) -> QPoly:
     """
     if k not in FAMILIES["a"].krange(n):
         raise ValueError(f"need 1 <= k <= (n+1)//2, got k={k}, n={n}")
-    value = QLaurent(gamma_a_entry(n, k)).shift(-(k * (k - 1) // 2))
+    # a central entry a[2k-1, k] comes from its cone, any other from the rows
+    entry = _central_entry("a", k - 1) if n == 2 * k - 1 else gamma_a_entry(n, k)
+    value = QLaurent(entry).shift(-(k * (k - 1) // 2))
     return _as_poly(value, f"a*[{n},{k}]")
 
 
@@ -139,12 +143,13 @@ def verify_d_identity(n: int) -> bool:
     return lhs == rhs
 
 
-def even_quotient(n: int) -> TQPoly:
+def even_quotient(n: int, poly: TQPoly | None = None) -> TQPoly:
     """``A_{2n}(t,q) / (1 + t q^n)``, a bivariate polynomial whose Laurent
-    coefficients all have nonnegative offset and coefficients."""
+    coefficients all have nonnegative offset and coefficients.  ``poly``, when
+    given, is ``A_{2n}(t,q)``, from a caller that holds row ``2n`` already."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    quot = _div_one_plus_t_q_power(carlitz_poly(2 * n), n)
+    quot = _div_one_plus_t_q_power(carlitz_poly(2 * n) if poly is None else poly, n)
     if isinstance(quot, NotDivisible):
         raise ArithmeticError(f"A_{2*n}(t,q) not divisible by 1 + t q^{n}")
     for d, c in enumerate(quot.terms):
@@ -155,19 +160,23 @@ def even_quotient(n: int) -> TQPoly:
     return quot
 
 
-def b_odd_vanish(n: int) -> bool:
-    """``B_{2n+1}(-q^(-2n-1), q) == 0``, exactly."""
+def b_odd_vanish(n: int, poly: TQPoly | None = None) -> bool:
+    """``B_{2n+1}(-q^(-2n-1), q) == 0``, exactly; ``poly``, when given, is
+    ``B_{2n+1}(t,q)``."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    return subst_t_signed_power(typeB_poly(2 * n + 1), -(2 * n + 1)).is_zero()
+    poly = typeB_poly(2 * n + 1) if poly is None else poly
+    return subst_t_signed_power(poly, -(2 * n + 1)).is_zero()
 
 
-def b_central(n: int) -> QPoly:
+def b_central(n: int, poly: TQPoly | None = None) -> QPoly:
     """``(-1)^n q^(n(2n+1)) B_{2n}(-q^(-2n-1), q)``, the substitution that
-    checks ``b[2n,n](q) = q^(n^2) E*_{2n}(q)``."""
+    checks ``b[2n,n](q) = q^(n^2) E*_{2n}(q)``; ``poly``, when given, is
+    ``B_{2n}(t,q)``."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    return _signed_value(typeB_poly(2 * n), n, n * (2 * n + 1), 2 * n + 1, f"b[{2*n},{n}]")
+    poly = typeB_poly(2 * n) if poly is None else poly
+    return _signed_value(poly, n, n * (2 * n + 1), 2 * n + 1, f"b[{2*n},{n}]")
 
 
 def e_star(n: int) -> QPoly:
@@ -176,7 +185,7 @@ def e_star(n: int) -> QPoly:
     ``E*_{2n}(1) = 4^n E_{2n}``."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    return _as_poly(QLaurent(gamma_b_entry(2 * n, n)).shift(-n * n), f"E*_{2*n}")
+    return _as_poly(QLaurent(_central_entry("b", n)).shift(-n * n), f"E*_{2*n}")
 
 
 def g_star(n: int) -> QPoly:
@@ -222,11 +231,13 @@ def verify_gstar_identity(n: int) -> bool:
     return lhs == rhs
 
 
-def e_q_secant(n: int) -> QPoly:
-    """The alternative q-secant ``E_{2n}(q) = (-1)^n q^(n^2) B_{2n}(-q^(-2n), q)``."""
+def e_q_secant(n: int, poly: TQPoly | None = None) -> QPoly:
+    """The alternative q-secant ``E_{2n}(q) = (-1)^n q^(n^2) B_{2n}(-q^(-2n), q)``;
+    ``poly``, when given, is ``B_{2n}(t,q)``."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    return _signed_value(typeB_poly(2 * n), n, n * n, 2 * n, f"E_{2*n}(q)")
+    poly = typeB_poly(2 * n) if poly is None else poly
+    return _signed_value(poly, n, n * n, 2 * n, f"E_{2*n}(q)")
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +296,7 @@ def conjecture_scan_gstar(N: int) -> GStarScanReport:
     """
     if N < 0:
         raise ValueError(f"need N >= 0, got {N}")
+    _central_entry("b", N)  # one cone stream gives every E*_{2n}, n <= N
     rows = []
     for n in range(N + 1):
         g = g_star(n)

@@ -21,15 +21,18 @@ from .qring import (
 )
 
 
-def _first_unreversed(family: str, n: int) -> int | None:
+def _first_unreversed(family: str, n: int, row=None) -> int | None:
     """The first ``k`` at which row ``n`` of ``A`` or ``B`` breaks the
     reciprocity of :func:`reciprocity_A` or :func:`reciprocity_B`, or
     ``None``: read backwards, the row must be itself under ``q -> 1/q``
-    times ``q^e``.  The row is read once, with no product, and each mirrored
-    pair is compared once: pair ``i`` and pair ``len - 1 - i`` are the same
-    equation under ``q -> 1/q`` times ``q^e``, so the front half finds the
-    first bad ``k`` of any row."""
-    row, e = (_carlitz_row(n), n * (n - 1) // 2) if family == "A" else (_typeB_row(n), n * n)
+    times ``q^e``.  ``row``, when given, is that row, from a caller that
+    holds it already.  The row is read once, with no product, and each
+    mirrored pair is compared once: pair ``i`` and pair ``len - 1 - i`` are
+    the same equation under ``q -> 1/q`` times ``q^e``, so the front half
+    finds the first bad ``k`` of any row."""
+    if row is None:
+        row = (_carlitz_row if family == "A" else _typeB_row)(n)
+    e = n * (n - 1) // 2 if family == "A" else n * n
     front = row[: (len(row) + 1) // 2]
     bad = next((i for i, (p, back) in enumerate(zip(front, reversed(row)))
                 if QLaurent(back) != subst_q_recip(p).shift(e)), None)

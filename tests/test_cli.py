@@ -8,10 +8,12 @@ import inspect
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -147,16 +149,78 @@ def _bfile(terms):
     return "".join(f"{i} {v}\n" for i, v in enumerate(terms, 1))
 
 
+def _cold_central(monkeypatch):
+    """Empty the central-entry cache for one test; the old one is restored
+    after it."""
+    for family in "ab":
+        monkeypatch.setitem(eulerian._CENTRAL, family, ())
+
+
 @pytest.mark.parametrize("args", [
     *(["table", family, "--max-n", "12", *opts] for family in "AaBb"
       for opts in (["--format", "text"], ["--format", "csv"], ["--format", "json"], ["--q1"])),
     *(["poly", name, "--n", "12", "--format", fmt] for name in "AB" for fmt in ("text", "json")),
+    # the central entries come from their cone, the verify rows from streams
+    *(["poly", name, "--n", "12"] for name in ("T", "dn", "Estar", "Gstar", "Eq")),
+    ["conjecture", "--max-n", "12"],
+    *(["verify", suite, "--max-n", "9"]
+      for suite in ("tangent", "secant", "reciprocity", "doubloon", "brackets")),
 ], ids=" ".join)
-def test_streaming_commands_leave_the_row_caches_empty(capsys, args):
+def test_streaming_commands_leave_the_row_caches_empty(monkeypatch, capsys, args):
+    _cold_central(monkeypatch)
     _clear_row_caches()
     assert main(args) == 0
     assert capsys.readouterr().out
     assert _cached_rows() == [0, 0, 0, 0]
+
+
+# each command's rows by family, every one built by one step from the row
+# below it; a family's first step builds the row above its seed
+ROWS_BUILT = [
+    # T_{2n+1} from a, A_{2n+1} and A_{2n} for n <= 9
+    (["verify", "tangent", "--max-n", "9"], {"A": range(2, 20), "a": range(2, 20)}),
+    (["verify", "secant", "--max-n", "9"], {"B": range(1, 20), "b": range(1, 19)}),
+    (["verify", "reciprocity", "--max-n", "9"], {"A": range(2, 10), "B": range(1, 10)}),
+    (["verify", "doubloon", "--max-n", "9"], {"a": range(2, 10)}),
+    (["conjecture", "--max-n", "9"], {"b": range(1, 19)}),
+    (["poly", "Eq", "--n", "9"], {"B": range(1, 19)}),
+]
+
+
+@pytest.mark.parametrize("args, rows", ROWS_BUILT, ids=[" ".join(a) for a, _ in ROWS_BUILT])
+def test_cone_and_stream_commands_build_each_row_once(monkeypatch, capsys, args, rows):
+    # a cone row and a full row of one family both count as that row
+    family_of = {fam.alpha: name for name, fam in FAMILIES.items()}
+    steps = Counter()
+    next_row = eulerian._next_row
+
+    def counted(fam, n, prev):
+        steps[family_of[fam.alpha], n] += 1
+        return next_row(fam, n, prev)
+
+    monkeypatch.setattr(eulerian, "_next_row", counted)
+    _cold_central(monkeypatch)
+    _clear_row_caches()
+    assert main(args) == 0
+    assert capsys.readouterr().out
+    assert steps == Counter({(family, n): 1 for family, ns in rows.items() for n in ns})
+
+
+def _quiet(args):
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        assert main(args) == 0
+
+
+@pytest.mark.parametrize("args, bound_mb", [
+    # the cached rows of b to 60 peaked at 35.8 MB; the cone peaks at 1.8 MB
+    (["conjecture", "--max-n", "30"], 5),
+    # the cached rows of A and B to 40 peaked at 19.1 MB; the streams at 2.7 MB
+    (["verify", "reciprocity", "--max-n", "40"], 6),
+], ids=["conjecture 30", "reciprocity 40"])
+def test_cone_and_stream_commands_hold_no_triangle(monkeypatch, args, bound_mb):
+    _cold_central(monkeypatch)
+    _clear_row_caches()
+    assert _traced_peak(lambda: _quiet(args)) < bound_mb * 10**6
 
 
 @pytest.mark.parametrize("sequence", sorted(cli.OEIS_SEQUENCES))
@@ -511,14 +575,15 @@ def test_series_oracle_failure_names_t_and_q(monkeypatch, oracle, label):
 
 
 def test_secant_central_failures_name_the_first_difference(monkeypatch):
-    # b[4,2] from the triangle is compared with the substitution b_central(2)
+    # b[4,2] from its cone is compared with the substitution b_central(2)
     # only; E*_4 reads b[4,2] through special, which is not patched
-    original = cli.gamma_b_entry
+    original = cli._central_entry
     monkeypatch.setattr(
-        cli, "gamma_b_entry", lambda n, k: original(n, k) + (QPoly.monomial(5, 3) if n == 4 else 0)
+        cli, "_central_entry",
+        lambda family, n: original(family, n) + (QPoly.monomial(5, 3) if n == 2 else 0)
     )
     report = run_suite("secant", 2)
-    want = original(4, 2)[5]
+    want = original("b", 2)[5]
     assert [(i.name, i.detail) for i in report.items if i.status == "fail"] == [
         ("b_central(2) == b[4,2]", f"first difference at q^5: expected {want + 3}, got {want}"),
     ]
@@ -579,7 +644,7 @@ def test_reconstruction_failure_names_t_and_q(monkeypatch):
     original = special.even_quotient
     extra = TQPoly.t_monomial(1, QPoly.monomial(2, 4))
     monkeypatch.setattr(special, "even_quotient",
-                        lambda n: original(n) + (extra if n == 2 else 0))
+                        lambda n, *poly: original(n, *poly) + (extra if n == 2 else 0))
     report = run_suite("tangent", 2)
     # A_4 / (1 + t q^2) gains 4q^2 t, so A_4 gains 4q^2 t + 4q^4 t^2
     c = carlitz_poly(4).coeff(1)
@@ -594,7 +659,7 @@ def test_secant_value_failures_give_the_value_got(monkeypatch):
     g, e = special.g_star, special.e_q_secant
     monkeypatch.setattr(special, "g_star", lambda n: g(n) + (3 if n == 2 else 0))
     monkeypatch.setattr(special, "e_q_secant",
-                        lambda n: e(n) + (QPoly.monomial(1) if n == 1 else 0))
+                        lambda n, *poly: e(n, *poly) + (QPoly.monomial(1) if n == 1 else 0))
     report = run_suite("secant", 2)
     assert [(i.name, i.detail) for i in report.items if i.status == "fail"] == [
         ("E_2(q) at q=1 == 4^1 E_2", "expected 4, got 5"),
@@ -635,17 +700,24 @@ def test_identity_failure_at_the_cap_exits_1(monkeypatch, capsys, suite, family,
 
 
 def _perturbed_row(monkeypatch, row_name, n, i, entry):
-    """Make ``unimodality.<row_name>`` return row ``n`` with entry ``i``
-    replaced by ``entry(row)``."""
-    original = getattr(unimodality, row_name)
+    """Make ``unimodality.<row_name>``, and the rows of its family that
+    ``verify`` streams, give row ``n`` with entry ``i`` replaced by
+    ``entry(row)``."""
+    original, stream = getattr(unimodality, row_name), cli.iter_rows
+    family = {"_carlitz_row": "A", "_typeB_row": "B"}[row_name]
 
-    def row(m):
-        r = list(original(m))
-        if m == n:
-            r[i] = entry(r)
+    def perturbed(m, r):
+        if m != n:
+            return r
+        r = list(r)
+        r[i] = entry(r)
         return tuple(r)
 
-    monkeypatch.setattr(unimodality, row_name, row)
+    def rows(fam, N, *args):
+        return ((m, perturbed(m, r) if fam == family else r) for m, r in stream(fam, N, *args))
+
+    monkeypatch.setattr(unimodality, row_name, lambda m: perturbed(m, original(m)))
+    monkeypatch.setattr(cli, "iter_rows", rows)
 
 
 @pytest.mark.parametrize("family, row_name, n, k", [
@@ -1287,3 +1359,72 @@ def test_suite_functions_report_wall_time():
     assert report.wall_time_s >= 0
     report = run_suite("monotone", 3, (2,))
     assert report.ok
+
+
+# ---------------------------------------------------------------------------
+# seeded argv fuzz: every input exits 0, 1 or 2, never with a traceback
+# ---------------------------------------------------------------------------
+
+# small sizes that run, and sizes past every --max-n and --n limit
+FUZZ_INTS = ["0", "1", "2", "3", "4", "-1", "-7", "101", "10" * 12, "", "x", "2.5", "3e1",
+             " 2", "0x3", "½", "٣"]
+FUZZ_POINTS = ["2", "3/2,1/2", "1", "0", "-2", "1/0", "x", "", "1e5", "2,,3", "5/4,", "9" * 31,
+               "1/" + "9" * 29, ",".join(["1/2"] * 41), "10" * 2200, "0.5", "-1/2,3"]
+FUZZ_WORDS = {
+    "table": ["a", "b", "A", "B", "c", ""],
+    "poly": [*cli.POLY_BUILDERS, "central", "x"],
+    "verify": ["all", *SUITES, "nope"],
+    "conjecture": [],
+    "oeis-check": [*cli.OEIS_SEQUENCES, "A000001"],
+}
+
+
+def _fuzz_fixtures(tmp_path):
+    """Fixture paths: missing, a directory, empty, binary, malformed, good."""
+    files = {"empty.txt": b"", "binary.txt": bytes(range(256)),
+             "malformed.txt": b"1 1\n2\n", "good.txt": b"1 1\n2 1\n3 1\n3 2\n"}
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    return [str(tmp_path / name) for name in (*files, "missing.txt")] + [str(tmp_path)]
+
+
+def _fuzz_argv(rng, fixtures):
+    command = rng.choice([*FUZZ_WORDS, "bogus", ""])
+    argv = [command] if command else []
+    words = FUZZ_WORDS.get(command)
+    if words and rng.random() < 0.9:
+        argv.append(rng.choice(words))
+    for _ in range(rng.randint(0, 4)):
+        opt = rng.choice(["--max-n", "--n", "--format", "--points", "--fixture", "--skip",
+                          "--q1", "--bogus", "-h"])
+        argv.append(opt)
+        if rng.random() < 0.1:
+            continue  # an option without its value
+        if opt in ("--max-n", "--n", "--skip"):
+            argv.append(rng.choice(FUZZ_INTS))
+        elif opt == "--format":
+            argv.append(rng.choice(["text", "csv", "json", "xml", ""]))
+        elif opt == "--points":
+            argv.append(rng.choice(FUZZ_POINTS))
+        elif opt == "--fixture":
+            argv.append(rng.choice(fixtures))
+    return argv
+
+
+def test_fuzzed_argv_exits_0_1_or_2_without_traceback(tmp_path):
+    rng = random.Random(20261019)
+    fixtures = _fuzz_fixtures(tmp_path)
+    codes = Counter()
+    for _ in range(1500):
+        argv = _fuzz_argv(rng, fixtures)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+        assert rc in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue(), argv
+        codes[rc] += 1
+    # the draw reaches every exit code
+    assert set(codes) == {0, 1, 2}

@@ -693,6 +693,70 @@ def test_iter_rows_caches_nothing():
 
 
 # ---------------------------------------------------------------------------
+# the dependency cone of the central entries
+# ---------------------------------------------------------------------------
+
+# the central entry n of each gamma family, as (row, column)
+CENTRAL = {"a": lambda n: (2 * n + 1, n + 1), "b": lambda n: (2 * n, n)}
+
+
+@pytest.fixture
+def cold_central(monkeypatch):
+    """An empty central-entry cache for one test, the old one restored after."""
+    for family in CENTRAL:
+        monkeypatch.setitem(eulerian._CENTRAL, family, ())
+
+
+@pytest.mark.parametrize("lag", [0, 1, 2, 5, 9])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_cone_rows_are_the_rows_from_their_lowest_column(family, lag):
+    krange = FAMILIES[family].krange
+    for (n, cone), (m, row) in zip(iter_rows(family, 18, lag), iter_rows(family, 18), strict=True):
+        assert n == m
+        assert cone == row[max(0, n - lag - krange(n).start):]
+
+
+@pytest.mark.parametrize("family", sorted(CENTRAL))
+def test_cone_central_entries_are_the_triangle_entries(cold_central, family):
+    entry = gamma_a_entry if family == "a" else gamma_b_entry
+    want = [entry(*CENTRAL[family](n)) for n in range(21)]
+    # each n past the cache streams the cone of lag n
+    assert [eulerian._central_entry(family, n) for n in range(21)] == want
+    # and one stream of the cone of lag 20 gives every entry below it
+    eulerian._CENTRAL[family] = ()
+    eulerian._central_entry(family, 20)
+    assert list(eulerian._CENTRAL[family]) == want
+
+
+@pytest.mark.parametrize("family", sorted(CENTRAL))
+def test_cone_builds_no_entry_below_it(monkeypatch, cold_central, family):
+    # every entry built goes through alpha once: record which they are
+    fam, built = FAMILIES[family], []
+
+    def alpha(n, k):
+        built.append((n, k))
+        return fam.alpha(n, k)
+
+    monkeypatch.setitem(FAMILIES, family, fam._replace(alpha=alpha))
+    N = 12
+    eulerian._central_entry(family, N)
+    top = CENTRAL[family](N)[0]
+    cone = [(m, k) for m in range(fam.seed_n + 1, top + 1) for k in fam.krange(m) if k >= m - N]
+    assert built == cone
+    # a[25,13] and b[24,12] each take 90 of the 168 entries of their rows
+    triangle = sum(len(fam.krange(m)) for m in range(fam.seed_n + 1, top + 1))
+    assert (len(cone), triangle) == (90, 168)
+    # a cache hit builds nothing
+    eulerian._central_entry(family, N - 3)
+    assert len(built) == len(cone)
+
+
+def test_central_entry_rejects_negative_n():
+    with pytest.raises(ValueError, match="need n >= 0, got -1"):
+        eulerian._central_entry("a", -1)
+
+
+# ---------------------------------------------------------------------------
 # the row step over each entry's support against the dense row step
 # ---------------------------------------------------------------------------
 

@@ -119,36 +119,35 @@ def test_central_entries_are_the_defining_substitutions(n):
     assert e_star(n) == _signed_substitution(typeB_poly(2 * n), n, n * (n + 1), 2 * n + 1)
 
 
-def test_central_families_build_no_eulerian_row():
+def test_central_families_build_no_eulerian_row(monkeypatch):
     rows = [getattr(eulerian, name) for name in
             ("_carlitz_row", "_gamma_a_row", "_typeB_row", "_gamma_b_row")]
     for row in rows:
         row.cache_clear()
+    for family in "ab":
+        monkeypatch.setitem(eulerian._CENTRAL, family, ())
     q_tangent(6)
     d_poly(6)
     e_star(6)
     g_star(6)
     assert conjecture_scan_gstar(6).verdict == "consistent"
-    # only the two gamma triangles are read
-    assert [row.cache_info().currsize > 0 for row in rows] == [False, True, False, True]
+    # the central entries come from their cones, never from a cached row
+    assert [row.cache_info().currsize for row in rows] == [0, 0, 0, 0]
+    assert [len(eulerian._CENTRAL[family]) for family in "ab"] == [7, 7]
 
 
-def _perturbed_gamma_row(monkeypatch, row_name, n, i):
-    """Add ``q^9`` to entry ``i`` of row ``n`` of ``eulerian.<row_name>``."""
-    original = getattr(eulerian, row_name)
-
-    def row(m):
-        r = list(original(m))
-        if m == n:
-            r[i] = r[i] + QPoly.monomial(9)
-        return tuple(r)
-
-    monkeypatch.setattr(eulerian, row_name, row)
+def _perturbed_central(monkeypatch, family, n):
+    """Add ``q^9`` to the cached central entry ``n`` of ``family``, in a
+    cache filled to 6, past every ``n`` the suites below read."""
+    eulerian._central_entry(family, 6)
+    entries = list(eulerian._CENTRAL[family])
+    entries[n] = entries[n] + QPoly.monomial(9)
+    monkeypatch.setitem(eulerian._CENTRAL, family, tuple(entries))
 
 
 def test_a_perturbed_central_entry_fails_its_oracle_items(monkeypatch):
-    _perturbed_gamma_row(monkeypatch, "_gamma_a_row", 5, 2)  # a[5,3]
-    _perturbed_gamma_row(monkeypatch, "_gamma_b_row", 4, 2)  # b[4,2]
+    _perturbed_central(monkeypatch, "a", 2)  # a[5,3]
+    _perturbed_central(monkeypatch, "b", 2)  # b[4,2]
     tangent = [i.name for i in run_suite("tangent", 3).items if i.status == "fail"]
     assert [name for name in tangent if "a*" in name] == ["T_5 == a*[5,3]"]
     secant = [i.name for i in run_suite("secant", 3).items if i.status == "fail"]
@@ -191,14 +190,16 @@ def test_cleared_sums_read_no_quotient_and_no_row(monkeypatch):
         raise AssertionError("the cleared sum must not call this")
 
     monkeypatch.setattr(special, "_div_one_plus_q_powers", boom)
-    for row in ("_carlitz_row", "_gamma_a_row", "_typeB_row", "_gamma_b_row"):
+    for row in ("_carlitz_row", "_gamma_a_row", "_typeB_row", "_gamma_b_row", "_next_row"):
         monkeypatch.setattr(eulerian, row, boom)
+    for family in "ab":
+        monkeypatch.setitem(eulerian._CENTRAL, family, ())
     monkeypatch.setattr(special, "FAMILIES", {})
     for n, want in want_d.items():
         assert (-1) ** (n + 1) * special._cleared_f_sum(2 * n + 1, 0, 1, -n) == want
     for n, want in want_g.items():
         assert (-1) ** n * special._cleared_f_sum(2 * n, 1, 2, -2 * n - 1) == want
-    # the patches bite: d_poly and g_star each read a gamma row
+    # the patches bite: d_poly and g_star each stream a gamma cone
     monkeypatch.setattr(special, "FAMILIES", eulerian.FAMILIES)
     for fn in (d_poly, g_star):
         with pytest.raises(AssertionError):
@@ -573,8 +574,9 @@ def test_signed_families_make_no_product(monkeypatch):
 def test_brackets_and_tangent_reconstruction_make_no_product(monkeypatch):
     calls = []
     quotient_checks = cli.SUITES["tangent"].blocks[1].checks  # d_n, then A_{2n} rebuilt
+    rows = {n: eulerian._carlitz_row(2 * n) for n in range(1, 8)}
     for n in range(1, 8):
-        [check(n) for check in quotient_checks]  # warms the rows
+        [check(n, rows[n]) for check in quotient_checks]  # warms the central entries
     for cls in (QPoly, QLaurent, TQPoly):
 
         def counted(self, other, mul=cls.__mul__):
@@ -585,7 +587,7 @@ def test_brackets_and_tangent_reconstruction_make_no_product(monkeypatch):
         monkeypatch.setattr(cls, "__rmul__", counted)
     assert run_suite("brackets", 12).ok
     for n in range(1, 8):
-        assert [check(n)[1] for check in quotient_checks] == [True, True]
+        assert [check(n, rows[n])[1] for check in quotient_checks] == [True, True]
     assert calls == []
     TQPoly([1]) * 2  # the counter sees this product and the two inside it
     assert len(calls) == 3

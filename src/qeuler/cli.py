@@ -257,10 +257,10 @@ def _reconstructs(n, row):
 # re-recorded on purpose.  At each limit a cold run takes under 5 s and
 # 40 MB on a 2 vCPU VM (Python 3.11): series 2.2 s, expansionA 4.4 s,
 # expansionB 3.1 s, tangent 1.3 s / 37 MB, secant 0.9 s / 29 MB, monotone
-# 0.2 s, brackets 0.3 s, reciprocity 0.7 s / 27 MB, doubloon 0.1 s.  No
-# suite caches a row it reads once: tangent, secant and reciprocity stream
-# theirs, and tangent, secant and doubloon read their central entries from
-# the cone.
+# 0.2 s, brackets 0.08 s (each lemma is decided once, at import),
+# reciprocity 0.6 s / 27 MB, doubloon 0.1 s.  No suite caches a row it reads
+# once: tangent, secant and reciprocity stream theirs, and tangent, secant and
+# doubloon read their central entries from the cone.
 SUITES = {
     "expansionA": Suite(14, 35, (Block(1, (
         lambda n: _equal(f"gamma_expand_A({n}) == carlitz_poly({n})",

@@ -532,11 +532,9 @@ def _cancels(lhs, rhs) -> bool:
     return sorted(plus) == sorted(minus)
 
 
-def bracket_identity_A(n: int, k: int, s: int) -> bool:
-    """Exact identity behind the type-A gamma recurrence:
-    ``[n+1-2s][s] + [n-k-s+1](1+q^s)[k-s] = [k][n-k-s+1] + [n+1-k][k-s]``.
-    Brackets with negative arguments take the Laurent extension, so the
-    check covers every triple ``1 <= s <= k <= n``."""
+def _bracket_A(n: int, k: int, s: int) -> bool:
+    """The cleared type-A lemma at one triple: the body of
+    :func:`bracket_identity_A`."""
     a, b = n - k - s + 1, k - s
     return _cancels(
         [((-1, n + 1 - 2 * s), (-1, s)), ((-1, a), (1, s), (-1, b))],
@@ -544,12 +542,42 @@ def bracket_identity_A(n: int, k: int, s: int) -> bool:
     )
 
 
-def bracket_identity_B(n: int, k: int, s: int) -> bool:
-    """Type-B analogue:
-    ``[n-2s]_{q^2}[2s+1] + [n-k-s]_{q^2}(1+q)(1+q^(2s+1))[k-s]_{q^2}
-      = [2k+1][n-k-s]_{q^2} + [2n+1-2k][k-s]_{q^2}``."""
+def _bracket_B(n: int, k: int, s: int) -> bool:
+    """The cleared type-B lemma at one triple: the body of
+    :func:`bracket_identity_B`."""
     a, b = 2 * (n - k - s), 2 * (k - s)
     return _cancels(
         [((-1, 2 * (n - 2 * s)), (-1, 2 * s + 1)), ((-1, a), (1, 2 * s + 1), (-1, b))],
         [((-1, 2 * k + 1), (-1, a)), ((-1, 2 * n + 1 - 2 * k), (-1, b))],
     )
+
+
+# Every exponent in the two lemma bodies is a linear form in (n, k, s) with
+# coefficients of a few units, and so is each monomial's exponent, a sum of at
+# most three of them.  At n = X, k = X^2, s = X^3 a form c + c_n n + c_k k +
+# c_s s takes the value c + c_n X + c_k X^2 + c_s X^3, and two distinct forms
+# whose difference has every coefficient below X/2 in size take distinct
+# values there.  So one check at that point tells whether the two sides
+# cancel term for term as forms; when they do, they cancel at every integer
+# triple.  Each verdict is computed once, at import.
+_X = 2**20
+_HOLDS_A = _bracket_A(_X, _X**2, _X**3)
+_HOLDS_B = _bracket_B(_X, _X**2, _X**3)
+
+
+def bracket_identity_A(n: int, k: int, s: int) -> bool:
+    """Exact identity behind the type-A gamma recurrence:
+    ``[n+1-2s][s] + [n-k-s+1](1+q^s)[k-s] = [k][n-k-s+1] + [n+1-k][k-s]``.
+    Brackets with negative arguments take the Laurent extension, so the
+    check covers every triple ``1 <= s <= k <= n``.  Whether the lemma holds
+    at every integer triple is decided once (``_HOLDS_A``); the triple itself
+    is checked only when that verdict is false."""
+    return _HOLDS_A or _bracket_A(n, k, s)
+
+
+def bracket_identity_B(n: int, k: int, s: int) -> bool:
+    """Type-B analogue:
+    ``[n-2s]_{q^2}[2s+1] + [n-k-s]_{q^2}(1+q)(1+q^(2s+1))[k-s]_{q^2}
+      = [2k+1][n-k-s]_{q^2} + [2n+1-2k][k-s]_{q^2}``,
+    decided like :func:`bracket_identity_A`."""
+    return _HOLDS_B or _bracket_B(n, k, s)

@@ -12,13 +12,20 @@ from fractions import Fraction
 from itertools import pairwise
 
 from .eulerian import FAMILIES, _carlitz_row, _typeB_row, iter_rows
-from .qring import (
-    QLaurent,
-    RatLike,
-    is_unimodal_ints,
-    spec_q1,
-    subst_q_recip,
-)
+from .qring import RatLike, is_unimodal_ints, spec_q1
+
+
+def _mirrors(back, front, e: int) -> bool:
+    """``back(q) == q^e front(1/q)``, compared as coefficient tuples: the
+    right side is ``front``'s coefficients from its top term down to its
+    lowest nonzero one, after ``e - deg front`` zeros.  When ``e`` is below
+    the degree, the right side has a negative power and no polynomial equals
+    it."""
+    cs = front.coeffs
+    if not cs:
+        return not back.coeffs
+    pad = e + 1 - len(cs)
+    return pad >= 0 and back.coeffs == (0,) * pad + cs[::-1][: len(cs) - front.valuation()]
 
 
 def _first_unreversed(family: str, n: int, row=None) -> int | None:
@@ -27,15 +34,15 @@ def _first_unreversed(family: str, n: int, row=None) -> int | None:
     ``None``: read backwards, the row must be itself under ``q -> 1/q``
     times ``q^e``.  ``row``, when given, is that row, from a caller that
     holds it already.  The row is read once, with no product, and each
-    mirrored pair is compared once: pair ``i`` and pair ``len - 1 - i`` are
-    the same equation under ``q -> 1/q`` times ``q^e``, so the front half
-    finds the first bad ``k`` of any row."""
+    mirrored pair is compared once, by :func:`_mirrors`: pair ``i`` and pair
+    ``len - 1 - i`` are the same equation under ``q -> 1/q`` times ``q^e``,
+    so the front half finds the first bad ``k`` of any row."""
     if row is None:
         row = (_carlitz_row if family == "A" else _typeB_row)(n)
     e = n * (n - 1) // 2 if family == "A" else n * n
     front = row[: (len(row) + 1) // 2]
     bad = next((i for i, (p, back) in enumerate(zip(front, reversed(row)))
-                if QLaurent(back) != subst_q_recip(p).shift(e)), None)
+                if not _mirrors(back, p, e)), None)
     return None if bad is None else FAMILIES[family].krange(n).start + bad
 
 

@@ -527,6 +527,12 @@ def test_bracket_identities_match_dense_reference(n):
             assert bracket_identity_B(n, k, s) == _dense_bracket_B(n, k, s), (n, k, s)
 
 
+# the point at which each lemma is decided once, and the per-triple bodies
+X = eulerian._X
+GENERIC = (X, X**2, X**3)
+BODIES = {bracket_identity_A: eulerian._bracket_A, bracket_identity_B: eulerian._bracket_B}
+
+
 @pytest.mark.parametrize(
     "identity, triple",
     [
@@ -534,14 +540,18 @@ def test_bracket_identities_match_dense_reference(n):
         (bracket_identity_A, (12, 5, 2)),
         (bracket_identity_B, (7, 6, 2)),  # n-k-s = -1
         (bracket_identity_B, (11, 5, 1)),
+        (bracket_identity_A, GENERIC),
+        (bracket_identity_B, GENERIC),
     ],
 )
 def test_bracket_check_fails_when_any_exponent_changes(monkeypatch, identity, triple):
-    # every binomial of these triples is nonzero, so no product vanishes
+    # every binomial of these triples is nonzero, so no product vanishes; the
+    # sides are captured from the lemma body, which the public function calls
+    # only when the generic verdict is false
     sides = []
     original = eulerian._cancels
     monkeypatch.setattr(eulerian, "_cancels", lambda lhs, rhs: sides.append((lhs, rhs)) or True)
-    identity(*triple)
+    BODIES[identity](*triple)
     ((lhs, rhs),) = sides
     assert original(lhs, rhs)
     for side in (0, 1):
@@ -552,6 +562,51 @@ def test_bracket_check_fails_when_any_exponent_changes(monkeypatch, identity, tr
                     products = [list(lhs), list(rhs)]
                     products[side][i] = factors[:j] + ((sign, changed),) + factors[j + 1:]
                     assert not original(*products), (side, i, j, changed)
+
+
+def test_both_lemmas_hold_at_the_generic_point():
+    assert eulerian._HOLDS_A is True and eulerian._HOLDS_B is True
+    assert eulerian._bracket_A(*GENERIC) and eulerian._bracket_B(*GENERIC)
+
+
+@pytest.mark.parametrize("body", [eulerian._bracket_A, eulerian._bracket_B])
+def test_generic_verdict_is_the_same_at_a_second_generic_point(body):
+    Y = 2**24
+    assert body(Y, Y**2, Y**3) == body(*GENERIC)
+
+
+@pytest.mark.parametrize("body", [eulerian._bracket_A, eulerian._bracket_B])
+def test_lemma_exponents_are_small_linear_forms(monkeypatch, body):
+    # The generic point decides a lemma only if every factor exponent is
+    # c + c_n n + c_k k + c_s s with every coefficient far below X/2: fit each
+    # form at the origin and the unit steps, then check it on a grid.
+    sides = []
+    monkeypatch.setattr(eulerian, "_cancels", lambda lhs, rhs: sides.append((lhs, rhs)) or True)
+
+    def at(triple):
+        body(*triple)
+        lhs, rhs = sides.pop()
+        signs = [[tuple(sign for sign, _ in f) for f in side] for side in (lhs, rhs)]
+        return signs, [e for side in (lhs, rhs) for f in side for _, e in f]
+
+    signs, base = at((0, 0, 0))
+    steps = [at(unit)[1] for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    forms = [(c, *(e - c for e in es)) for c, *es in zip(base, *steps)]
+    for triple in itertools.product(range(-3, 4), repeat=3):
+        assert at(triple) == (signs, [c + cn * triple[0] + ck * triple[1] + cs * triple[2]
+                                      for c, cn, ck, cs in forms]), triple
+    # a monomial's exponent sums at most one product's factors, and two such
+    # sums differ by at most twice that in each coefficient
+    most = max(len(f) for side in signs for f in side)
+    assert 2 * most * max(abs(c) for form in forms for c in form) < X // 2
+
+
+def test_bracket_identity_checks_the_triple_only_without_a_generic_verdict(monkeypatch):
+    calls = []
+    monkeypatch.setattr(eulerian, "_bracket_A", lambda *t: calls.append(t) or False)
+    assert bracket_identity_A(5, 3, 2) and not calls
+    monkeypatch.setattr(eulerian, "_HOLDS_A", False)
+    assert not bracket_identity_A(5, 3, 2) and calls == [(5, 3, 2)]
 
 
 # ---------------------------------------------------------------------------

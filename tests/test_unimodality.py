@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qeuler import unimodality
-from qeuler.eulerian import FAMILIES, carlitz_entry, typeB_entry
+from qeuler.eulerian import FAMILIES, carlitz_entry, iter_rows, typeB_entry
 from qeuler.qring import QLaurent, QPoly, spec_q1, subst_q_recip
 from qeuler.unimodality import (
     monotone_check_A,
@@ -183,12 +183,13 @@ RECIPROCITY_ROWS = [("A", "_carlitz_row", 6, 15), ("A", "_carlitz_row", 7, 21),
 @pytest.mark.parametrize("family, row_name, n, e", RECIPROCITY_ROWS)
 def test_first_unreversed_compares_each_mirrored_pair_once(monkeypatch, family, row_name, n, e):
     calls = []
+    mirrors = unimodality._mirrors
 
-    def counted(p):
+    def counted(back, p, e):
         calls.append(p)
-        return subst_q_recip(p)
+        return mirrors(back, p, e)
 
-    monkeypatch.setattr(unimodality, "subst_q_recip", counted)
+    monkeypatch.setattr(unimodality, "_mirrors", counted)
     assert unimodality._first_unreversed(family, n) is None
     assert len(calls) == -(-len(getattr(unimodality, row_name)(n)) // 2)
 
@@ -204,3 +205,43 @@ def test_first_unreversed_finds_the_full_scans_first_bad_k(monkeypatch, family, 
             expected = _full_scan_first_unreversed(row, e, first_k)
             assert expected == first_k + min(i, length - 1 - i)
             assert unimodality._first_unreversed(family, n) == expected
+
+
+def _times_q(p):
+    return QPoly((0, *p.coeffs))
+
+
+PERTURBATIONS = [("zero", lambda p: QPoly()), ("times q", _times_q),
+                 ("plus 1", lambda p: p + QPoly.monomial(0))]
+
+
+@pytest.mark.parametrize("family, N", [("A", 30), ("B", 25)])
+def test_first_unreversed_matches_the_full_scan(family, N):
+    # the tuple comparison against the QLaurent reference, on every true row
+    # and on rows with one entry perturbed; "times q" on row 1 of A or row 0
+    # of B, (1,), puts a front entry's degree above e = 0
+    for n, row in iter_rows(family, N):
+        e = n * (n - 1) // 2 if family == "A" else n * n
+        first_k = FAMILIES[family].krange(n).start
+        assert unimodality._first_unreversed(family, n, row) is None
+        assert _full_scan_first_unreversed(row, e, first_k) is None
+        for i in range(len(row)):
+            for name, change in PERTURBATIONS:
+                bad = row[:i] + (change(row[i]),) + row[i + 1:]
+                assert (unimodality._first_unreversed(family, n, bad)
+                        == _full_scan_first_unreversed(bad, e, first_k)), (n, i, name)
+
+
+@pytest.mark.parametrize("back, front, e, want", [
+    (QPoly(), QPoly(), 3, True),
+    (QPoly([0, 0, 0, 1]), QPoly([1]), 3, True),          # q^3 == q^3 * 1
+    (QPoly([0, 2, 1]), QPoly([0, 1, 2]), 3, True),      # q + 2q^2 mirrors 2q + q^2
+    (QPoly([0, 1, 2]), QPoly([0, 1, 2]), 3, False),
+    (QPoly([1, 2]), QPoly([0, 1, 2]), 3, False),        # the leading zeros count
+    (QPoly([2, 1]), QPoly([0, 1, 2]), 1, False),        # q^1 front(1/q) has q^-1
+    (QPoly(), QPoly([1]), 0, False),
+    (QPoly([1]), QPoly(), 0, False),
+])
+def test_mirrors_hand_cases(back, front, e, want):
+    assert unimodality._mirrors(back, front, e) is want
+    assert (QLaurent(back) == subst_q_recip(front).shift(e)) is want

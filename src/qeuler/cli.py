@@ -638,15 +638,17 @@ def cmd_oeis_check(args, parser) -> int:
 
 # The most digits a --points numerator or denominator may have, in lowest
 # terms.  Evaluating a row entry at a/b works on integers of about its degree
-# times the digits of a and b: cold on a 2 vCPU VM, `verify monotone --max-n
-# 30` takes 5.8 s at the two 30-digit points (10^30-1)/(10^30-2) and its
-# reciprocal, 9.2 s at 40 digits and 0.8 s at 10^10 and 10^-10.
+# times the digits of a and b: cold on a 2 vCPU VM (Python 3.11), `verify
+# monotone --max-n 30` takes 0.7-1.1 s at the two 30-digit points
+# (10^30-1)/(10^30-2) and its reciprocal, 1.4 s at 40 digits and 0.3 s at
+# 10^10 and 10^-10.
 MAX_POINT_DIGITS = 30
 
 # The most digits all --points entries may have together, counted as above.
-# Points below 1 cost the most: at this budget the slowest list, two points
-# of 60 digits each such as (10^30-2)/(10^30-1), takes `verify monotone
-# --max-n 30` 8.0 s cold, and forty points 1/2 take 1.8 s.
+# Points below 1 cost the most, about 1.5 times a point above 1 of the same
+# digits: at this budget the slowest list, two points of 60 digits each just
+# below 1 such as (10^30-2)/(10^30-1) and (10^30-3)/(10^30-2), takes `verify
+# monotone --max-n 30` 1.1 s cold, and forty points 1/2 take 0.6 s.
 POINTS_DIGIT_BUDGET = 120
 
 

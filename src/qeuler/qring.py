@@ -212,30 +212,36 @@ class QPoly:
         return _power(self, n, QPoly.one())
 
     def shift(self, e: int) -> QPoly:
-        """Multiply by ``q^e`` (``e >= 0``)."""
-        if e < 0:
-            raise ValueError("negative shift leaves Z[q]")
+        """Multiply by ``q^e``; for ``e < 0`` only when ``q^-e`` divides."""
         if e == 0 or self.is_zero():
             return self
-        return QPoly((0,) * e + self.coeffs)
+        if e > 0:
+            return QPoly((0,) * e + self.coeffs)
+        if (low := self.valuation() + e) < 0:
+            raise ValueError(f"negative offset {low}: not a polynomial")
+        return QPoly(self.coeffs[-e:])
+
+    def _scaled(self, a: int, b: int, top: int) -> int:
+        """``b^top p(a/b)`` in Z, ``top >= deg p = d``: homogeneous Horner from the
+        lowest nonzero ``c_v`` up, with a running ``b^(d-i)``, times ``a^v b^(top-d)``."""
+        v = self.valuation()
+        coeffs = reversed(self.coeffs[v:])
+        acc, power = next(coeffs, 0), 1
+        for c in coeffs:
+            power *= b
+            acc = acc * a + c * power
+        return acc * a**v * b ** (top - self.degree())
 
     def __call__(self, x: RatLike) -> Fraction:
-        """Exact evaluation at ``x = a/b`` in Z: homogeneous Horner builds
-        ``N = sum c_i a^i b^(d-i)`` with a running ``b^(d-i)``, and the value
-        is the one fraction ``N / b^d``.
+        """Exact evaluation at ``x = a/b``: the one fraction ``b^d p(a/b) / b^d``.
 
         >>> QPoly([1, 1])(Fraction(1, 2))
         Fraction(3, 2)
         >>> QPoly([1, 0, 2])(-3)
         Fraction(19, 1)
         """
-        a, b = x.numerator, x.denominator
-        coeffs = reversed(self.coeffs)
-        acc, power = next(coeffs, 0), 1
-        for c in coeffs:
-            power *= b
-            acc = acc * a + c * power
-        return Fraction(acc, power)
+        d = max(self.degree(), 0)
+        return Fraction(self._scaled(x.numerator, x.denominator, d), x.denominator**d)
 
     def __repr__(self) -> str:
         return f"QPoly('{self._fmt()}')"
@@ -326,10 +332,6 @@ class QLaurent:
         >>> QLaurent(QPoly([1, 1]), 1).to_qpoly()
         QPoly('q + q^2')
         """
-        if self.is_zero():
-            return QPoly()
-        if self.offset < 0:
-            raise ValueError(f"negative offset {self.offset}: not a polynomial")
         return self.base.shift(self.offset)
 
     def __bool__(self) -> bool:
@@ -443,10 +445,7 @@ class TQPoly:
         return len(self.terms) - 1
 
     def t_valuation(self) -> int:
-        for i, c in enumerate(self.terms):
-            if not c.is_zero():
-                return i
-        return 0
+        return next((i for i, c in enumerate(self.terms) if c), 0)
 
     def coeff(self, d: int) -> QLaurent:
         """Coefficient of ``t^d`` (zero out of range)."""
@@ -669,23 +668,23 @@ def subst_q_recip(p: QPoly | QLaurent) -> QLaurent:
     return QLaurent(QPoly(tuple(reversed(p.base.coeffs))), -p.degree())
 
 
-def subst_t_signed_power(p: TQPoly, e: int) -> QLaurent:
-    """Substitute ``t -> -q^e`` into ``p``, exactly, in one pass over the
-    coefficients and with no product.
+def subst_t_signed_power(p: TQPoly, e: int, shift: int) -> QPoly:
+    """``q^shift p(-q^e, q)``, exactly, in one pass over the coefficients and
+    with no product; a ``ValueError`` when a negative power of q survives.
 
-    >>> subst_t_signed_power(TQPoly([1, QPoly([0, 1])]), -1)   # 1+qt at t=-1/q
-    QLaurent('0')
+    >>> subst_t_signed_power(TQPoly([1, QPoly([0, 1])]), -1, 0)   # 1+qt at t=-1/q
+    QPoly('0')
     """
-    # ``(-1)^d c_d q^(e*d)`` is ``c_d``'s coefficients from exponent
-    # ``c_d.offset + e*d``, added or (for odd d) subtracted in place.
-    terms = [(c.offset + e * d, c.base.coeffs, sub if d % 2 else add)
+    # ``(-1)^d c_d q^(shift+e*d)`` is ``c_d``'s coefficients from exponent
+    # ``c_d.offset + shift + e*d``, added or (for odd d) subtracted in place.
+    terms = [(c.offset + shift + e * d, c.base.coeffs, sub if d % 2 else add)
              for d, c in enumerate(p.terms) if c]
     low = min((off for off, _, _ in terms), default=0)
     out = [0] * max((off + len(cs) - low for off, cs, _ in terms), default=0)
     for off, cs, op in terms:
         i = off - low
         out[i:i + len(cs)] = map(op, out[i:i + len(cs)], cs)
-    return QLaurent(QPoly(out), low)
+    return QPoly(out).shift(low)
 
 
 # ---------------------------------------------------------------------------

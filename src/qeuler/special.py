@@ -8,9 +8,9 @@ quotients.  The central entries come from their dependency cone, cached by
 into a row that define those two stay as the oracles ``verify`` checks them
 by, and give the rest; each also takes the row from a caller that streams it.
 
-Every function here returns exact objects; "X must be a polynomial" style
-claims are enforced (a negative Laurent offset raises ArithmeticError,
-because it would contradict an established identity, i.e. signal a bug).
+Every function here computes in Z[q], exactly; "X must be a polynomial"
+style claims are enforced (a negative power of q left by a substitution or
+rescaling raises ArithmeticError, as it would contradict an identity).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from math import comb
 from .eulerian import FAMILIES, _central_entry, carlitz_poly, gamma_a_entry, typeB_poly
 from .qring import (
     NotDivisible,
-    QLaurent,
     QPoly,
     RatLike,
     TQPoly,
@@ -35,17 +34,18 @@ from .qring import (
 )
 
 
-def _as_poly(value: QLaurent, what: str) -> QPoly:
+def _as_poly(what: str, step, *args) -> QPoly:
+    """``step(*args)``: a Z[q] step's ValueError, a negative power of q, is an ArithmeticError."""
     try:
-        return value.to_qpoly()
+        return step(*args)
     except ValueError as exc:
         raise ArithmeticError(f"{what} is not a polynomial: {exc}") from None
 
 
 def _signed_value(p: TQPoly, n: int, E: int, e: int, what: str) -> QPoly:
     """``(-1)^n q^E p(-q^(-e), q)``, which must be a polynomial."""
-    value = subst_t_signed_power(p, -e).shift(E)
-    return _as_poly(-value if n % 2 else value, what)
+    value = _as_poly(what, subst_t_signed_power, p, -e, E)
+    return -value if n % 2 else value
 
 
 def q_tangent(n: int) -> QPoly:
@@ -72,8 +72,7 @@ def a_star(n: int, k: int) -> QPoly:
         raise ValueError(f"need 1 <= k <= (n+1)//2, got k={k}, n={n}")
     # a central entry a[2k-1, k] comes from its cone, any other from the rows
     entry = _central_entry("a", k - 1) if n == 2 * k - 1 else gamma_a_entry(n, k)
-    value = QLaurent(entry).shift(-(k * (k - 1) // 2))
-    return _as_poly(value, f"a*[{n},{k}]")
+    return _as_poly(f"a*[{n},{k}]", entry.shift, -(k * (k - 1) // 2))
 
 
 def d_poly(n: int) -> QPoly:
@@ -166,7 +165,9 @@ def b_odd_vanish(n: int, poly: TQPoly | None = None) -> bool:
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     poly = typeB_poly(2 * n + 1) if poly is None else poly
-    return subst_t_signed_power(poly, -(2 * n + 1)).is_zero()
+    # the shift leaving q^0 the lowest power: being zero does not depend on it
+    shift = max(((2 * n + 1) * d - c.offset for d, c in enumerate(poly.terms) if c), default=0)
+    return subst_t_signed_power(poly, -(2 * n + 1), shift).is_zero()
 
 
 def b_central(n: int, poly: TQPoly | None = None) -> QPoly:
@@ -185,7 +186,7 @@ def e_star(n: int) -> QPoly:
     ``E*_{2n}(1) = 4^n E_{2n}``."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    return _as_poly(QLaurent(_central_entry("b", n)).shift(-n * n), f"E*_{2*n}")
+    return _as_poly(f"E*_{2*n}", _central_entry("b", n).shift, -n * n)
 
 
 def g_star(n: int) -> QPoly:

@@ -72,12 +72,21 @@ def _first_fall(family: str, n: int, q0: Fraction) -> tuple[int, Fraction, Fract
     or :func:`monotone_check_B` fails at ``q0``, with the value that should
     be exceeded and the one that should exceed it, or ``None``.  The checked
     slice of row ``n`` is read as it is when ``q0 > 1`` and backwards when
-    ``0 < q0 < 1``; each entry is evaluated once."""
+    ``0 < q0 < 1``.  At ``q0 = a/b`` each entry is evaluated once, as the
+    integer ``b^D p(a/b)``, ``D`` the slice's top degree, and only a failing
+    pair is made into fractions."""
     row, lo, hi = (
         (_carlitz_row(n), 0, (n + 1) // 2) if family == "A" else (_typeB_row(n), 1, n // 2 + 1)
     )
-    values = (p(q0) for p in (row if q0 > 1 else row[::-1])[lo:hi])
-    return next(((k, a, b) for k, (a, b) in enumerate(pairwise(values), 1) if not a < b), None)
+    entries = (row if q0 > 1 else row[::-1])[lo:hi]
+    a, b = q0.numerator, q0.denominator
+    top = max(p.degree() for p in entries)
+    values = (p._scaled(a, b, top) for p in entries)
+    bad = next(((k, x, y) for k, (x, y) in enumerate(pairwise(values), 1) if not x < y), None)
+    if bad is None:
+        return None
+    k, x, y = bad
+    return k, Fraction(x, b**top), Fraction(y, b**top)
 
 
 def monotone_check_A(n: int, q0: RatLike) -> bool:

@@ -339,18 +339,44 @@ laurents = st.builds(
 laurent_terms = st.one_of(st.just(QLaurent.zero()), laurents)
 
 
-@given(st.lists(laurent_terms, max_size=8).map(TQPoly), st.integers(-8, 8))
-def test_subst_t_signed_power_matches_accumulated_products(p, e):
-    got = subst_t_signed_power(p, e)
-    assert repr(got) == repr(_accumulated_subst(p, e))
-    assert got == _accumulated_subst(p, e)
+@given(st.lists(laurent_terms, max_size=8).map(TQPoly), st.integers(-8, 8), st.integers(0, 4))
+def test_subst_t_signed_power_matches_accumulated_products(p, e, extra):
+    # at the smallest shift that clears the value's negative powers, and
+    # ``extra`` above it, the result is the reference times that power of q;
+    # one below the smallest, a negative power survives
+    want = _accumulated_subst(p, e)
+    shift = extra - want.offset
+    got = subst_t_signed_power(p, e, shift)
+    assert repr(got) == repr(QPoly((0,) * extra + want.base.coeffs))
+    assert got == QPoly((0,) * extra + want.base.coeffs)
+    if want:
+        with pytest.raises(ValueError, match="^negative offset -1: not a polynomial$"):
+            subst_t_signed_power(p, e, -want.offset - 1)
 
 
 def test_subst_t_signed_power():
     b2 = TQPoly([1, P(0, 1, 0, 1), QPoly.monomial(4)])  # 1 + (q+q^3)t + q^4 t^2
-    got = subst_t_signed_power(b2, -2)
-    assert got == QLaurent(P(-1, 2, -1), -1)  # 2 - q^-1 - q
-    assert subst_t_signed_power(TQPoly([1, P(0, 1)]), -1).is_zero()
+    got = subst_t_signed_power(b2, -2, 1)
+    assert got == P(-1, 2, -1)  # q (2 - q^-1 - q)
+    with pytest.raises(ValueError, match="^negative offset -1: not a polynomial$"):
+        subst_t_signed_power(b2, -2, 0)
+    assert subst_t_signed_power(TQPoly([1, P(0, 1)]), -1, 0).is_zero()
+    assert subst_t_signed_power(TQPoly([1, P(0, 1)]), -1, -5).is_zero()
+
+
+@given(st.lists(st.integers(-9, 9), max_size=10).map(QPoly), st.integers(0, 6),
+       st.integers(0, 12))
+def test_qpoly_negative_shift_divides_exactly_or_raises(base, k, m):
+    # q^m divides p exactly when p's valuation is at least m; the quotient
+    # is p's coefficients past the first m, else the negative offset is named
+    p = QPoly((0,) * k + base.coeffs)
+    v = p.valuation()
+    if p.is_zero() or v >= m:
+        assert p.shift(-m) == QPoly(p.coeffs[m:])
+        assert p.shift(m).shift(-m) == p
+    else:
+        with pytest.raises(ValueError, match=f"^negative offset {v - m}: not a polynomial$"):
+            p.shift(-m)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import os
 from fractions import Fraction
 from itertools import count, islice
 
@@ -109,8 +111,8 @@ def test_a_star_range_validation():
 
 def _signed_substitution(p, n, E, e):
     """``(-1)^n q^E p(-q^(-e), q)``, as a polynomial."""
-    value = subst_t_signed_power(p, -e).shift(E)
-    return (-value if n % 2 else value).to_qpoly()
+    value = subst_t_signed_power(p, -e, E)
+    return -value if n % 2 else value
 
 
 @pytest.mark.parametrize("n", range(21))
@@ -136,12 +138,12 @@ def test_central_families_build_no_eulerian_row(monkeypatch):
     assert [len(eulerian._CENTRAL[family]) for family in "ab"] == [7, 7]
 
 
-def _perturbed_central(monkeypatch, family, n):
-    """Add ``q^9`` to the cached central entry ``n`` of ``family``, in a
+def _perturbed_central(monkeypatch, family, n, term=QPoly.monomial(9)):
+    """Add ``term`` to the cached central entry ``n`` of ``family``, in a
     cache filled to 6, past every ``n`` the suites below read."""
     eulerian._central_entry(family, 6)
     entries = list(eulerian._CENTRAL[family])
-    entries[n] = entries[n] + QPoly.monomial(9)
+    entries[n] = entries[n] + term
     monkeypatch.setitem(eulerian._CENTRAL, family, tuple(entries))
 
 
@@ -153,6 +155,68 @@ def test_a_perturbed_central_entry_fails_its_oracle_items(monkeypatch):
     secant = [i.name for i in run_suite("secant", 3).items if i.status == "fail"]
     assert [name for name in secant if "b[" in name] == ["b_central(2) == b[4,2]",
                                                         "E*_4 q^4 == b[4,2]"]
+
+
+def _failures(suite):
+    return [(i.name, i.detail) for i in run_suite(suite, 3).items if i.status == "fail"]
+
+
+def _with_top_entry_plus_one(monkeypatch, family, m):
+    """Stream row ``m`` of ``family`` to ``verify`` with 1 added to its last
+    entry, so its substitution keeps a negative power of q."""
+    original = cli.iter_rows
+
+    def rows(fam, N, *args):
+        for k, row in original(fam, N, *args):
+            yield k, (row[:-1] + (row[-1] + 1,) if (fam, k) == (family, m) else row)
+
+    monkeypatch.setattr(cli, "iter_rows", rows)
+
+
+def _not_poly(what, offset):
+    detail = f"{what} is not a polynomial: negative offset {offset}: not a polynomial"
+    return "ArithmeticError at n=2", detail
+
+
+def test_a_negative_power_left_by_a_substitution_fails_with_its_offset(monkeypatch):
+    # each detail names the lowest power of q left negative
+    with monkeypatch.context() as m:
+        _with_top_entry_plus_one(m, "A", 5)  # A_5's t^4 term leaves q^(1-8)
+        assert _failures("tangent") == [_not_poly("T_5", -7)]
+    with monkeypatch.context() as m:
+        _with_top_entry_plus_one(m, "B", 4)  # B_4's t^4 term leaves q^(10-20) and q^(4-16)
+        assert _failures("secant") == [_not_poly("b[4,2]", -10)] * 2 + [_not_poly("E_4(q)", -12)]
+
+
+def test_a_negative_power_left_by_a_rescaling_fails_with_its_offset(monkeypatch):
+    with monkeypatch.context() as m:
+        _perturbed_central(m, "a", 2, 1)  # a[5,3] + 1 over q^3
+        assert _failures("tangent") == [_not_poly("a*[5,3]", -3)] * 4
+    with monkeypatch.context() as m:
+        _perturbed_central(m, "b", 2, 1)  # b[4,2] + 1 over q^4
+        assert _failures("secant") == [
+            ("b_central(2) == b[4,2]", "first difference at q^0: expected 1, got 0"),
+            *[_not_poly("E*_4", -4)] * 3]
+
+
+def test_no_command_builds_a_negative_power_of_q(monkeypatch):
+    # the tangent and secant families are polynomials, and every step that
+    # gives them stays in Z[q]: no QLaurent with a negative offset is built
+    offsets = []
+    init = QLaurent.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        offsets.append(self.offset)
+
+    monkeypatch.setattr(QLaurent, "__init__", recorded)
+    commands = [["verify", "tangent", "--max-n", "6"], ["verify", "secant", "--max-n", "6"],
+                *(["poly", name, "--n", "6"] for name in ("T", "dn", "Estar", "Gstar", "Eq")),
+                ["conjecture", "--max-n", "6"], ["verify", "all"]]
+    for args in commands:
+        with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+            assert cli.main(args) == 0, args
+    assert offsets and min(offsets) >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +431,13 @@ def test_even_quotient_reconstructs_and_is_nonneg(n):
 @pytest.mark.parametrize("n", range(0, 6))
 def test_b_odd_vanish(n):
     assert b_odd_vanish(n)
+    # a row that does not vanish is a plain False, never a negative power of
+    # q: at every t-degree of B_{2n+1} and two above it, and with a q^-1 term
+    poly = typeB_poly(2 * n + 1)
+    assert not any(b_odd_vanish(n, poly + TQPoly.t_monomial(d)) for d in range(2 * n + 4))
+    assert not b_odd_vanish(n, poly + TQPoly.t_monomial(1, QLaurent.q_power(-1)))
+    # a vanishing value stays True whatever its t-degree or offsets
+    assert b_odd_vanish(n, poly * TQPoly([QLaurent.q_power(-1), 0, 0, 1]))
 
 
 @pytest.mark.parametrize("n", range(0, 6))

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from itertools import pairwise
 
 import pytest
 
 from qeuler import unimodality
+from qeuler.cli import DEFAULT_POINTS
 from qeuler.eulerian import FAMILIES, carlitz_entry, iter_rows, typeB_entry
 from qeuler.qring import QLaurent, QPoly, spec_q1, subst_q_recip
 from qeuler.unimodality import (
@@ -245,3 +247,62 @@ def test_first_unreversed_matches_the_full_scan(family, N):
 def test_mirrors_hand_cases(back, front, e, want):
     assert unimodality._mirrors(back, front, e) is want
     assert (QLaurent(back) == subst_q_recip(front).shift(e)) is want
+
+
+# the default points of `verify monotone` and a 60-digit pair either side of 1
+FALL_POINTS = [*DEFAULT_POINTS, Fraction(10**30 - 2, 10**30 - 1), Fraction(10**30 - 1, 10**30 - 2)]
+
+
+def _checked(family, n, length, q0):
+    """The positions in row ``n`` of the entries the strict-growth claim at
+    ``q0`` reads, in reading order."""
+    lo, hi = (0, (n + 1) // 2) if family == "A" else (1, n // 2 + 1)
+    return range(lo, hi) if q0 > 1 else range(length - 1 - lo, length - 1 - hi, -1)
+
+
+def _fraction_first_fall(family, n, q0, row, value):
+    """The first fall as the claim reads it, each entry's value a
+    ``Fraction`` from ``value``."""
+    values = (value(row[i], q0) for i in _checked(family, n, len(row), q0))
+    return next(((k, a, b) for k, (a, b) in enumerate(pairwise(values), 1) if not a < b), None)
+
+
+@pytest.mark.parametrize("family, N", [("A", 30), ("B", 25)])
+def test_first_fall_matches_the_fraction_reference(family, N, monkeypatch):
+    # every entry of every half-row at every point is its QPoly.__call__
+    # value times the slice's power of the denominator; every half-row, and
+    # every checked entry of it zeroed, times q or plus 1, gives the same
+    # first bad k and the same two fractions as the QPoly.__call__ values;
+    # the wide points perturb the rows to n = 12 only, each of those calls
+    # costing a whole half-row
+    row_name = "_carlitz_row" if family == "A" else "_typeB_row"
+    memo = {}
+
+    def value(p, q0):
+        if (p, q0) not in memo:
+            memo[p, q0] = p(q0)
+        return memo[p, q0]
+
+    for n, row in iter_rows(family, N):
+        if n < 2:
+            continue
+        for q0 in FALL_POINTS:
+            entries = [row[i] for i in _checked(family, n, len(row), q0)]
+            top = max(p.degree() for p in entries)
+            scale = q0.denominator**top
+            for p in entries:
+                scaled = p._scaled(q0.numerator, q0.denominator, top)
+                v = value(p, q0)
+                assert scaled * v.denominator == v.numerator * scale
+            assert unimodality._first_fall(family, n, q0) is None
+            assert _fraction_first_fall(family, n, q0, row, value) is None
+            if n > 12 and q0 not in DEFAULT_POINTS:
+                continue
+            for i in _checked(family, n, len(row), q0):
+                for name, change in PERTURBATIONS:
+                    bad = row[:i] + (change(row[i]),) + row[i + 1:]
+                    monkeypatch.setattr(unimodality, row_name, lambda m, bad=bad: bad)
+                    got = unimodality._first_fall(family, n, q0)
+                    monkeypatch.undo()
+                    want = _fraction_first_fall(family, n, q0, bad, value)
+                    assert repr(got) == repr(want), (n, q0, i, name)

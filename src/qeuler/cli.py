@@ -131,14 +131,17 @@ def _timed(fn):
 # ---------------------------------------------------------------------------
 
 
-class Block(namedtuple("Block", "first checks cap by_point rows", defaults=(None, False, None))):
+class Block(namedtuple("Block", "first checks cap by_point rows prepare",
+                       defaults=(None, False, None, None))):
     """One loop of a suite.  ``checks`` are its checks in report order, each
     a function of one index that returns one ``(name, ok[, detail])`` item.
     The indices are ``(n,)`` for ``n = first..min(max_n, cap)``, or
     ``(q0, n)`` over the sample points and that range when ``by_point``.
     ``rows``, when given, is ``(family, rows_of)``: the checks at ``n`` also
     take the rows ``rows_of(n)`` of ``family``, consecutive and in order, as
-    :func:`iter_rows` streams them."""
+    :func:`iter_rows` streams them.  ``prepare``, when given, turns an
+    index and its rows, once per index, into what the checks take after the
+    index instead of the rows."""
 
     __slots__ = ()
 
@@ -244,6 +247,15 @@ def _reconstructs(n, row):
                   _mul_one_plus_t_q_power(special.even_quotient(n, poly), n), poly)
 
 
+def _secant_rows(n, even, odd):
+    """Rows ``2n`` and ``2n + 1`` of ``B`` as the secant checks at ``n``
+    take them: each as ``B_m(t,q)``, made once, and ``b_central(n)`` from
+    the first as a call that substitutes once, when a check first asks, and
+    raises again for the next check if it raised."""
+    even = TQPoly(even)
+    return even, TQPoly(odd), functools.cache(lambda: special.b_central(n, even))
+
+
 # Each suite's default --max-n, its --max-n limit and its blocks, in report
 # order.  Every check is a function of its index, and of the rows its block
 # streams, that makes one item, looking up the library functions it calls as
@@ -299,20 +311,18 @@ SUITES = {
     ), central="a"),
     "secant": Suite(5, 30, (
         Block(0, (
-            lambda n, _, odd: (f"B_{2*n+1}(-q^-{2*n+1}, q) == 0",
-                               special.b_odd_vanish(n, TQPoly(odd))),
-            lambda n, even, _: _equal(f"b_central({n}) == b[{2*n},{n}]",
-                                      special.b_central(n, TQPoly(even)),
-                                      _central_entry("b", n)),
-            lambda n, even, _: _equal(f"E*_{2*n} q^{n*n} == b[{2*n},{n}]",
-                                      special.e_star(n).shift(n * n),
-                                      special.b_central(n, TQPoly(even))),
+            lambda n, _, odd, __: (f"B_{2*n+1}(-q^-{2*n+1}, q) == 0",
+                                   special.b_odd_vanish(n, odd)),
+            lambda n, _, __, central: _equal(f"b_central({n}) == b[{2*n},{n}]",
+                                             central(), _central_entry("b", n)),
+            lambda n, _, __, central: _equal(f"E*_{2*n} q^{n*n} == b[{2*n},{n}]",
+                                             special.e_star(n).shift(n * n), central()),
             lambda n, *_: _equal(f"G*_{2*n}(1) == E_{2*n} == {special.secant_number(n)}",
                                  spec_q1(special.g_star(n)), special.secant_number(n)),
-            lambda n, even, _: _equal(f"E_{2*n}(q) at q=1 == 4^{n} E_{2*n}",
-                                      spec_q1(special.e_q_secant(n, TQPoly(even))),
-                                      4**n * special.secant_number(n)),
-        ), rows=("B", lambda n: (2 * n, 2 * n + 1))),
+            lambda n, even, *_: _equal(f"E_{2*n}(q) at q=1 == 4^{n} E_{2*n}",
+                                       spec_q1(special.e_q_secant(n, even)),
+                                       4**n * special.secant_number(n)),
+        ), rows=("B", lambda n: (2 * n, 2 * n + 1)), prepare=_secant_rows),
         Block(0, (lambda n: _equal(f"G*_{2*n} rational identity", *special._gstar_identity(n)),),
               cap=4),
     ), central="b"),
@@ -346,6 +356,8 @@ def _items(block, index, rows) -> list[tuple]:
     check is called on its own, so a check that raises ``ArithmeticError``
     (a broken library claim) is a failed item naming its index, and the
     checks after it still run."""
+    if block.prepare is not None:
+        rows = block.prepare(*index, *rows)
     out = []
     for check in block.checks:
         try:

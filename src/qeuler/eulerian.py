@@ -78,7 +78,7 @@ from itertools import accumulate, compress, count
 from math import comb
 from operator import add, sub
 
-from .qring import QLaurent, QPoly, TQPoly, _mul_q_ratio, poch_t, q_int
+from .qring import QLaurent, QPoly, TQPoly, poch_t, q_int
 
 
 # ``(e, fs, v)`` stands for ``q^e prod_{f in fs} (1 + q^f) [v]_q``.
@@ -396,9 +396,11 @@ def gamma_expand_B(n: int) -> TQPoly:
 
 def _basis_change(row, n: int, i: int, s: int) -> QPoly:
     """The ``t^i`` coefficient of :func:`_gamma_expand` (module docstring),
-    each ``[N, d]_{q^s} g_j`` made by ``min(d, N - d)`` ratio factors applied
-    to ``g_j``; ``d > N`` gives 0."""
-    acc = QPoly.zero()
+    summed in one integer list: each ``[N, d]_{q^s} g_j`` is made from
+    ``g_j``'s coefficients by ``min(d, N - d)`` ratio factors, each the
+    prefix sums of ``g - q^a g`` along the residue classes mod ``b``, as
+    :func:`~qeuler.qring._mul_q_ratio` makes them; ``d > N`` gives 0."""
+    acc = []
     for j, g in enumerate(row(n)[: i + 1]):
         d, N = i - j, n + s - 2 - 2 * j
         if d > N:
@@ -406,16 +408,26 @@ def _basis_change(row, n: int, i: int, s: int) -> QPoly:
         # [N, d]_{q^s} = prod_{m=1}^{d'} (1 - q^(s(N-d'+m))) / (1 - q^(s m)),
         # d' = min(d, N - d); each partial product is [N-d'+m, m]_{q^s} g
         low = min(d, N - d)
+        g = g.coeffs
         for m in range(1, low + 1):
-            g = _mul_q_ratio(g, s * (N - low + m), s * m)
-        acc = acc + g.shift(s * (d * (d - 1) // 2) + (s * j + 1) * d)
-    return acc
+            a, b = s * (N - low + m), s * m
+            pad = [0] * a
+            g = list(map(sub, [*g, *pad], [*pad, *g]))
+            for r in range(b):
+                g[r::b] = accumulate(g[r::b])
+            del g[-b:]  # the last b sums run through whole residue classes: 0
+        e = s * (d * (d - 1) // 2) + (s * j + 1) * d
+        end = e + len(g)
+        if len(acc) < end:
+            acc += [0] * (end - len(acc))
+        acc[e:end] = map(add, acc[e:end], g)
+    return QPoly(acc)
 
 
 def basis_change_A(n: int, k: int) -> QPoly:
     """``A[n,k](q)`` computed from the gamma row:
     ``sum_s [n+1-2s choose k-s]_q q^((k-s)s + C(k-s,2)) a[n,s](q)``."""
-    if k not in FAMILIES["A"].krange(n):
+    if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     return _basis_change(_gamma_a_row, n, k - 1, 1)
 
@@ -424,7 +436,7 @@ def basis_change_B(n: int, k: int) -> QPoly:
     """``B[n,k](q)`` from the gamma row, with the Gaussian binomial taken in
     the variable ``q^2``:
     ``sum_s [n-2s choose k-s]_{q^2} q^(k^2 - s^2) b[n,s](q)``."""
-    if k not in FAMILIES["B"].krange(n):
+    if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     return _basis_change(_gamma_b_row, n, k, 2)
 

@@ -2,14 +2,20 @@
 q-Eulerian triangles.
 
 The monotonicity statements hold for every real q on either side of 1; this
-module checks them by exact rational arithmetic at caller-chosen sample
-points (evidence at the sampled points, not a proof over the interval).
+module checks them exactly at caller-chosen rational sample points, each
+entry evaluated in integers as ``b^D p(a/b)`` (evidence at the sampled
+points, not a proof over the interval).
+
+Each predicate decides in one pass over the cached row's coefficient
+tuples.  ``verify`` names the first bad ``k`` through the locators
+:func:`_first_unreversed` and :func:`_first_fall`; the monotonicity
+predicates share the second, and the reciprocity predicates decide by
+:func:`_reciprocal` without a locator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import pairwise
 
 from .eulerian import FAMILIES, _carlitz_row, _typeB_row, iter_rows
 from .qring import RatLike, is_unimodal_ints, spec_q1
@@ -40,53 +46,81 @@ def _first_unreversed(family: str, n: int, row=None) -> int | None:
     if row is None:
         row = (_carlitz_row if family == "A" else _typeB_row)(n)
     e = n * (n - 1) // 2 if family == "A" else n * n
-    front = row[: (len(row) + 1) // 2]
-    bad = next((i for i, (p, back) in enumerate(zip(front, reversed(row)))
-                if not _mirrors(back, p, e)), None)
-    return None if bad is None else FAMILIES[family].krange(n).start + bad
+    for i in range((len(row) + 1) // 2):
+        if not _mirrors(row[~i], row[i], e):
+            return FAMILIES[family].krange(n).start + i
+    return None
+
+
+def _reciprocal(row, e: int) -> bool:
+    """Whether ``row``, read backwards, is itself under ``q -> 1/q`` times
+    ``q^e``: :func:`_first_unreversed` returns ``None``.  Over the front
+    half of the row, entry ``i`` padded to ``e + 1`` coefficients and read
+    backwards must be entry ``len - 1 - i`` padded alike.  A front entry
+    with more coefficients, whose mirror would have a negative power, fails
+    at once, and a back entry with more cannot equal ``e + 1`` padded ones."""
+    zeros = (0,) * (e + 1)
+    for i in range((len(row) + 1) // 2):
+        cs = row[i].coeffs
+        back = row[~i].coeffs
+        if len(cs) > e + 1 or (cs + zeros[len(cs):])[::-1] != back + zeros[len(back):]:
+            return False
+    return True
 
 
 def reciprocity_A(n: int) -> bool:
     """``A[n, n-k+1](q) == q^(n(n-1)/2) A[n,k](1/q)`` for every k, exactly."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return _first_unreversed("A", n) is None
+    return _reciprocal(_carlitz_row(n), n * (n - 1) // 2)
 
 
 def reciprocity_B(n: int) -> bool:
     """``B[n, n-k](q) == q^(n^2) B[n,k](1/q)`` for every k, exactly."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    return _first_unreversed("B", n) is None
+    return _reciprocal(_typeB_row(n), n * n)
 
 
-def _check_q0(q0: Fraction) -> Fraction:
-    q0 = Fraction(q0)
-    if q0 <= 0 or q0 == 1:
+def _check_q0(q0: RatLike) -> RatLike:
+    """``q0``, an ``int`` or a ``Fraction`` that is positive and not 1,
+    read from its numerator and denominator alone."""
+    try:
+        a, b = q0.numerator, q0.denominator
+    except AttributeError:
+        raise TypeError(f"q0 must be an int or a Fraction, got {q0!r}") from None
+    if a <= 0 or a == b:
         raise ValueError(f"q0 must be positive and != 1, got {q0}")
     return q0
 
 
-def _first_fall(family: str, n: int, q0: Fraction) -> tuple[int, Fraction, Fraction] | None:
+def _first_fall(family: str, n: int, q0: RatLike) -> tuple[int, Fraction, Fraction] | None:
     """The first ``k`` at which the strict growth of :func:`monotone_check_A`
     or :func:`monotone_check_B` fails at ``q0``, with the value that should
     be exceeded and the one that should exceed it, or ``None``.  The checked
     slice of row ``n`` is read as it is when ``q0 > 1`` and backwards when
-    ``0 < q0 < 1``.  At ``q0 = a/b`` each entry is evaluated once, as the
-    integer ``b^D p(a/b)``, ``D`` the slice's top degree, and only a failing
-    pair is made into fractions."""
-    row, lo, hi = (
-        (_carlitz_row(n), 0, (n + 1) // 2) if family == "A" else (_typeB_row(n), 1, n // 2 + 1)
-    )
-    entries = (row if q0 > 1 else row[::-1])[lo:hi]
-    a, b = q0.numerator, q0.denominator
-    top = max(p.degree() for p in entries)
-    values = (p._scaled(a, b, top) for p in entries)
-    bad = next(((k, x, y) for k, (x, y) in enumerate(pairwise(values), 1) if not x < y), None)
-    if bad is None:
+    ``0 < q0 < 1``; a slice of fewer than two entries compares nothing, so
+    its row is not read.  At ``q0 = a/b`` each entry is evaluated once, as
+    the integer ``b^D p(a/b)``, ``D`` the slice's top degree, and only a
+    failing pair is made into fractions."""
+    lo, hi = (0, (n + 1) // 2) if family == "A" else (1, n // 2 + 1)
+    if hi - lo < 2:
         return None
-    k, x, y = bad
-    return k, Fraction(x, b**top), Fraction(y, b**top)
+    row = (_carlitz_row if family == "A" else _typeB_row)(n)
+    a, b = q0.numerator, q0.denominator
+    entries = row[lo:hi] if a > b else row[-1 - lo:-1 - hi:-1]
+    top = 0
+    for p in entries:
+        if len(p.coeffs) > top:
+            top = len(p.coeffs)
+    top -= 1
+    x = entries[0]._scaled(a, b, top)
+    for k in range(1, len(entries)):
+        y = entries[k]._scaled(a, b, top)
+        if not x < y:
+            return k, Fraction(x, b**top), Fraction(y, b**top)
+        x = y
+    return None
 
 
 def monotone_check_A(n: int, q0: RatLike) -> bool:
@@ -95,16 +129,14 @@ def monotone_check_A(n: int, q0: RatLike) -> bool:
     the mirrored strict decrease at 0 < q0 < 1."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    q0 = _check_q0(q0)
-    return _first_fall("A", n, q0) is None
+    return _first_fall("A", n, _check_q0(q0)) is None
 
 
 def monotone_check_B(n: int, q0: RatLike) -> bool:
     """Type-B mirror of :func:`monotone_check_A` with ``j = n//2``."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    q0 = _check_q0(q0)
-    return _first_fall("B", n, q0) is None
+    return _first_fall("B", n, _check_q0(q0)) is None
 
 
 def q1_unimodality(family: str, N: int) -> bool:

@@ -8,10 +8,12 @@ or in captured output).
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +66,11 @@ from qeuler.unimodality import (
     reciprocity_A,
     reciprocity_B,
 )
+
+# a child process imports qeuler from this checkout's src/, whether or not
+# PYTHONPATH names it: pytest puts src/ on its own path only
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH"))))}
 
 
 def P(*coeffs):
@@ -291,8 +298,8 @@ def test_criterion_14_kernel_properties():
             assert loads(dumps(v)) == v
         # deterministic byte-identical CLI output
         cmd = [sys.executable, "-m", "qeuler", "table", "b", "--max-n", "7", "--format", "json"]
-        first = subprocess.run(cmd, capture_output=True).stdout
-        second = subprocess.run(cmd, capture_output=True).stdout
+        first = subprocess.run(cmd, capture_output=True, env=CHILD_ENV).stdout
+        second = subprocess.run(cmd, capture_output=True, env=CHILD_ENV).stdout
         assert first == second and first
         json.loads(first.decode())
 

@@ -35,12 +35,18 @@ from qeuler.eulerian import FAMILIES, carlitz_poly, classical_gamma_a, classical
 from qeuler.qring import QLaurent, QPoly, TQPoly, spec_q1
 from qeuler.serialize import csv_rows, from_json, render, to_json
 
+# a child process imports qeuler from this checkout's src/, whether or not
+# PYTHONPATH names it: pytest puts src/ on its own path only
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH"))))}
+
 
 def run_cli(*args, binary=False):
     return subprocess.run(
         [sys.executable, "-m", "qeuler", *args],
         capture_output=True,
         text=not binary,
+        env=CHILD_ENV,
     )
 
 
@@ -892,7 +898,7 @@ def test_verify_points_at_the_digit_cap():
 def test_closed_stdout_pipe_exits_1_without_traceback(argv):
     # both outputs are far longer than a pipe buffer, so the writer is still
     # writing when the reader closes its end
-    proc = subprocess.Popen([sys.executable, "-m", "qeuler", *argv],
+    proc = subprocess.Popen([sys.executable, "-m", "qeuler", *argv], env=CHILD_ENV,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert len(proc.stdout.read(100)) == 100
     proc.stdout.close()

@@ -1,9 +1,11 @@
 import itertools
 import math
 import operator
+import os
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -43,6 +45,11 @@ from qeuler.qring import (
     spec_q1,
     subst_q_power,
 )
+
+# a child process imports qeuler from this checkout's src/, whether or not
+# PYTHONPATH names it: pytest puts src/ on its own path only
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH"))))}
 
 
 def P(*coeffs):
@@ -351,6 +358,13 @@ def test_basis_change_matches_the_dense_reference(n):
         assert basis_change_A(n, k) == _dense_basis_change(eulerian._gamma_a_row, n, k - 1, 1)
     for k in range(0, n + 1):
         assert basis_change_B(n, k) == _dense_basis_change(eulerian._gamma_b_row, n, k, 2)
+    # and just outside the row, the range errors
+    for k in (0, n + 1):
+        with pytest.raises(ValueError, match=f"^need 1 <= k <= n, got k={k}, n={n}$"):
+            basis_change_A(n, k)
+    for k in (-1, n + 1):
+        with pytest.raises(ValueError, match=f"^need 0 <= k <= n, got k={k}, n={n}$"):
+            basis_change_B(n, k)
 
 
 def test_basis_change_makes_no_dense_product(monkeypatch):
@@ -633,7 +647,8 @@ def test_rows_build_without_recursion():
         "sys.setrecursionlimit(40)\n"
         "print(gamma_a_entry(48, 1))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "QPoly('1')\n"
 

@@ -1,10 +1,12 @@
 import operator
+import os
 import pickle
 import random
 import subprocess
 import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -34,6 +36,11 @@ from qeuler.qring import (
     subst_q_recip,
     subst_t_signed_power,
 )
+
+# a child process imports qeuler from this checkout's src/, whether or not
+# PYTHONPATH names it: pytest puts src/ on its own path only
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH"))))}
 
 
 def P(*coeffs):
@@ -224,7 +231,8 @@ def test_q_binom_builds_without_recursion():
         "sys.setrecursionlimit(100)\n"
         "print(q_binom(300, 1) == q_int(300))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "True\n"
 

@@ -47,25 +47,47 @@ def test_monotone_hand_example():
     assert monotone_check_A(3, 2)
 
 
+def _count_evaluations(monkeypatch):
+    """Record every ``QPoly._scaled`` call, one per evaluated entry."""
+    calls, scaled = [], QPoly._scaled
+
+    def counted(p, *args):
+        calls.append(p)
+        return scaled(p, *args)
+
+    monkeypatch.setattr(QPoly, "_scaled", counted)
+    return calls
+
+
 @pytest.mark.parametrize("q0", HI_POINTS + LO_POINTS)
 @pytest.mark.parametrize("n", range(2, 11))
-def test_monotone_A(n, q0):
+def test_monotone_A(n, q0, monkeypatch):
+    # each checked entry is evaluated once; at n = 2 the half-row holds one
+    # entry, so nothing is compared and nothing evaluated
+    calls = _count_evaluations(monkeypatch)
     assert monotone_check_A(n, q0)
+    assert len(calls) == ((n + 1) // 2 if n > 2 else 0)
 
 
 @pytest.mark.parametrize("q0", HI_POINTS + LO_POINTS)
 @pytest.mark.parametrize("n", range(2, 11))
-def test_monotone_B(n, q0):
+def test_monotone_B(n, q0, monkeypatch):
+    # B[n,1..n//2] at n = 2 and 3 is one entry
+    calls = _count_evaluations(monkeypatch)
     assert monotone_check_B(n, q0)
+    assert len(calls) == (n // 2 if n > 3 else 0)
 
 
 def test_monotone_rejects_bad_q0():
-    for bad in (0, 1, Fraction(-1, 2)):
-        with pytest.raises(ValueError):
-            monotone_check_A(4, bad)
-        with pytest.raises(ValueError):
-            monotone_check_B(4, bad)
-    with pytest.raises(ValueError):
+    # also where the half-row is too short to compare anything
+    for check in (monotone_check_A, monotone_check_B):
+        for n in (2, 3, 4):
+            for bad, shown in ((0, "0"), (1, "1"), (Fraction(-1, 2), "-1/2"), (Fraction(4, 4), "1")):
+                with pytest.raises(ValueError, match=f"^q0 must be positive and != 1, got {shown}$"):
+                    check(n, bad)
+            with pytest.raises(TypeError, match=r"^q0 must be an int or a Fraction, got '3/2'$"):
+                check(n, "3/2")
+    with pytest.raises(ValueError, match="^need n >= 2, got 1$"):
         monotone_check_A(1, 2)
 
 
@@ -123,7 +145,9 @@ def _ref_monotone_B(n, q0):
 
 
 @pytest.mark.parametrize("n", range(0, 15))
-def test_reciprocity_matches_the_per_k_reference(n):
+def test_reciprocity_matches_the_per_k_reference(n, monkeypatch):
+    # a reciprocal row is decided without the locator
+    monkeypatch.setattr(unimodality, "_first_unreversed", None)
     if n >= 1:
         assert reciprocity_A(n) == _ref_reciprocity_A(n)
     assert reciprocity_B(n) == _ref_reciprocity_B(n)
@@ -207,6 +231,7 @@ def test_first_unreversed_finds_the_full_scans_first_bad_k(monkeypatch, family, 
             expected = _full_scan_first_unreversed(row, e, first_k)
             assert expected == first_k + min(i, length - 1 - i)
             assert unimodality._first_unreversed(family, n) == expected
+            assert not (reciprocity_A if family == "A" else reciprocity_B)(n)
 
 
 def _times_q(p):
@@ -227,11 +252,14 @@ def test_first_unreversed_matches_the_full_scan(family, N):
         first_k = FAMILIES[family].krange(n).start
         assert unimodality._first_unreversed(family, n, row) is None
         assert _full_scan_first_unreversed(row, e, first_k) is None
+        assert unimodality._reciprocal(row, e)
         for i in range(len(row)):
             for name, change in PERTURBATIONS:
                 bad = row[:i] + (change(row[i]),) + row[i + 1:]
-                assert (unimodality._first_unreversed(family, n, bad)
-                        == _full_scan_first_unreversed(bad, e, first_k)), (n, i, name)
+                first_bad = unimodality._first_unreversed(family, n, bad)
+                assert first_bad == _full_scan_first_unreversed(bad, e, first_k), (n, i, name)
+                # the one-pass decision says what the locator finds
+                assert unimodality._reciprocal(bad, e) is (first_bad is None), (n, i, name)
 
 
 @pytest.mark.parametrize("back, front, e, want", [
@@ -243,10 +271,13 @@ def test_first_unreversed_matches_the_full_scan(family, N):
     (QPoly([2, 1]), QPoly([0, 1, 2]), 1, False),        # q^1 front(1/q) has q^-1
     (QPoly(), QPoly([1]), 0, False),
     (QPoly([1]), QPoly(), 0, False),
+    (QPoly([1, 1]), QPoly([1, 1]), 0, False),           # palindromic, but 1 + q^-1
 ])
 def test_mirrors_hand_cases(back, front, e, want):
     assert unimodality._mirrors(back, front, e) is want
     assert (QLaurent(back) == subst_q_recip(front).shift(e)) is want
+    # the two-entry row (front, back) is that one mirrored pair
+    assert unimodality._reciprocal((front, back), e) is want
 
 
 # the default points of `verify monotone` and a 60-digit pair either side of 1

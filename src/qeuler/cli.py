@@ -146,10 +146,10 @@ class Block(namedtuple("Block", "first checks cap by_point rows prepare",
     __slots__ = ()
 
 
-class Suite(namedtuple("Suite", "default_max_n max_n_limit blocks central", defaults=(None,))):
+class Suite(namedtuple("Suite", "default_max_n max_n_limit blocks central", defaults=((),))):
     """A suite's blocks, its default ``--max-n``, the largest ``--max-n``
-    the CLI accepts for it, and the gamma family, if any, whose central
-    entries its checks read up to their largest ``n``."""
+    the CLI accepts for it, and the families whose central entries its
+    checks read up to their largest ``n``."""
 
     __slots__ = ()
 
@@ -204,6 +204,13 @@ def _nonnegative_poly(name, p):
     """The item ``p`` has no negative coefficient."""
     return _first_bad(name, next(((i, c) for i, c in enumerate(p.coeffs) if c < 0), None),
                       "first negative coefficient at q^{}: {}")
+
+
+def _confirmed(item, quotient, n):
+    """``item``, after ``quotient(n)``, which may raise, when the item passes."""
+    if item[1]:
+        quotient(n)
+    return item
 
 
 def _nonnegative(family, row, n):
@@ -268,7 +275,7 @@ def _secant_rows(n, even, odd):
 # so it waits until a benchmark baseline is recorded and the digests can be
 # re-recorded on purpose.  At each limit a cold run takes under 5 s and
 # 40 MB on a 2 vCPU VM (Python 3.11): series 2.2 s, expansionA 4.4 s,
-# expansionB 3.1 s, tangent 1.3 s / 37 MB, secant 0.9 s / 29 MB, monotone
+# expansionB 3.1 s, tangent 1.3 s / 38 MB, secant 0.9 s / 31 MB, monotone
 # 0.2 s, brackets 0.08 s (each lemma is decided once, at import),
 # reciprocity 0.6 s / 27 MB, doubloon 0.1 s.  No suite caches a row it reads
 # once: tangent, secant and reciprocity stream theirs, and tangent, secant and
@@ -302,13 +309,15 @@ SUITES = {
                                   special.a_star(2 * n + 1, n + 1)),
         ), rows=("A", lambda n: (2 * n + 1,))),
         Block(1, (
-            lambda n, _: _nonnegative_poly(f"d_{n} in Z[q] with nonneg coeffs",
-                                           special.d_poly(n)),
+            lambda n, _: _confirmed(_nonnegative_poly(f"d_{n} in Z[q] with nonneg coeffs",
+                                                      special.d_poly(n)),
+                                    special._check_d_quotient, n),
             _reconstructs,
         ), rows=("A", lambda n: (2 * n,))),
-        Block(1, (lambda n: _equal(f"d_{n} rational identity", *special._d_identity(n)),),
+        Block(1, (lambda n: _confirmed(_equal(f"d_{n} rational identity", *special._d_identity(n)),
+                                       special._check_d_quotient, n),),
               cap=5),
-    ), central="a"),
+    ), central=("a", "abar")),
     "secant": Suite(5, 30, (
         Block(0, (
             lambda n, _, odd, __: (f"B_{2*n+1}(-q^-{2*n+1}, q) == 0",
@@ -317,17 +326,20 @@ SUITES = {
                                              central(), _central_entry("b", n)),
             lambda n, _, __, central: _equal(f"E*_{2*n} q^{n*n} == b[{2*n},{n}]",
                                              special.e_star(n).shift(n * n), central()),
-            lambda n, *_: _equal(f"G*_{2*n}(1) == E_{2*n} == {special.secant_number(n)}",
-                                 spec_q1(special.g_star(n)), special.secant_number(n)),
+            lambda n, *_: _confirmed(
+                _equal(f"G*_{2*n}(1) == E_{2*n} == {special.secant_number(n)}",
+                       spec_q1(special.g_star(n)), special.secant_number(n)),
+                special._check_gstar_quotient, n),
             lambda n, even, *_: _equal(f"E_{2*n}(q) at q=1 == 4^{n} E_{2*n}",
                                        spec_q1(special.e_q_secant(n, even)),
                                        4**n * special.secant_number(n)),
         ), rows=("B", lambda n: (2 * n, 2 * n + 1)), prepare=_secant_rows),
-        Block(0, (lambda n: _equal(f"G*_{2*n} rational identity", *special._gstar_identity(n)),),
-              cap=4),
-    ), central="b"),
+        Block(0, (lambda n: _confirmed(
+            _equal(f"G*_{2*n} rational identity", *special._gstar_identity(n)),
+            special._check_gstar_quotient, n),), cap=4),
+    ), central=("b", "btilde")),
     "doubloon": Suite(3, 60, (Block(1, (_doubloon,), cap=doubloon.DEFAULT_ORDER_LIMIT),),
-                      central="a"),
+                      central=("a",)),
     "reciprocity": Suite(12, 60, (
         Block(1, (lambda n, row: _first_bad(f"A row reversal n={n}",
                                             unimodality._first_unreversed("A", n, row),
@@ -373,15 +385,14 @@ def run_suite(name: str, max_n: int | None = None, points=None) -> Report:
     """Run suite ``name`` up to ``max_n`` (default: the suite's own bound),
     sampling monotonicity at ``points`` (default :data:`DEFAULT_POINTS`).
 
-    The suite's central entries are filled first, by one cone stream, and
-    each family that its blocks read rows of is walked once, by one
-    :func:`iter_rows` stream: an index's checks run when the stream reaches
-    the last row they read, with at most as many rows held as one index
+    The suite's central entries are filled first, by one cone stream per
+    family, and each family that its blocks read rows of is walked once, by
+    one :func:`iter_rows` stream: an index's checks run when the stream
+    reaches the last row they read, with at most as many rows held as one index
     reads.  The items are reported in the suite's order all the same."""
     indices = SUITES[name].indices(max_n, points)
-    central = SUITES[name].central
-    if central and indices:
-        _central_entry(central, max(index[-1] for _, index in indices))
+    for family in SUITES[name].central if indices else ():
+        _central_entry(family, max(index[-1] for _, index in indices))
     items = [None] * len(indices)
     # family -> last row read -> (position, rows read) of each index that
     # reads it, and family -> the most rows one index reads
@@ -536,10 +547,10 @@ def _last_row_poly(family: str, n: int) -> TQPoly:
 POLY_BUILDERS = {
     # name -> (min n, max n, builder); the largest n builds rows to 100 or
     # 101, and none is cached.  Cold on a 2 vCPU VM (Python 3.11): B at 100,
-    # its rows streamed, about 3.7 s and 0.22 GB, and A 1.8 s and 0.10 GB; at
-    # 50, Eq (B streamed to 100) about 3.3 s and 89 MB, and from the cone of
-    # their central entry Estar and Gstar (b) 0.8 s and 30 MB, T and dn (a)
-    # 0.5 s and 22 MB.
+    # its rows streamed, about 2.6-3.0 s and 0.19 GB, and A 1.2-1.7 s and
+    # 85 MB; at 50, Eq (B streamed to 100) 2.3-3.0 s and 88 MB, and from the
+    # cone of their central entry Estar (b) 0.5 s and 30 MB, Gstar (btilde)
+    # 0.45 s and 23 MB, T (a) 0.4 s and 22 MB, and dn (abar) 0.2 s and 19 MB.
     "A": (1, 100, lambda n: _last_row_poly("A", n)),
     "B": (0, 100, lambda n: _last_row_poly("B", n)),
     "T": (0, 50, lambda n: special.q_tangent(n)),
@@ -582,9 +593,9 @@ def cmd_verify(args, parser) -> int:
     return 0 if all_ok else 1
 
 
-# Cold on a 2 vCPU VM (Python 3.11), the scan takes about 0.7 s and 21 MB at
-# 40, all of it one cone stream of b to row 80, and in process about 1.4 s
-# and 27 MB at 50 and 2.9 s and 39 MB at 60.
+# Cold on a 2 vCPU VM (Python 3.11), the scan takes about 0.22 s and 19 MB at
+# 40, all of it one cone stream of btilde to row 80, and in process about
+# 0.4 s and 21 MB at 50 and 0.8 s and 27 MB at 60.
 CONJECTURE_MAX_N = 40
 
 

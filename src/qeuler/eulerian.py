@@ -1,12 +1,13 @@
-"""The four q-Eulerian coefficient triangles and their generating polynomials.
+"""The q-Eulerian coefficient triangles, their generating polynomials, and
+the two triangles whose central entries are the tangent and secant quotients.
 
 Every triangle is built by one two-term recurrence of one shape,
 
-    P[n,k] = [u]_q P[n-1,k] + q^e prod_{f in fs} (1 + q^f) [v]_q P[n-1,k-1].
+    P[n,k] = [u]_q P[n-1,k] + q^e prod_{f in fs} (1 + q^f) [v]_{q^s} P[n-1,k-1].
 
 The ``FAMILIES`` table gives, per family, the column range ``krange(n)``,
 the seed row ``(1,)`` at ``seed_n``, the first public row ``first_n``,
-``alpha(n,k) = u`` and ``beta(n,k) = (e, fs, v)``:
+``alpha(n,k) = u``, ``beta(n,k) = (e, fs, v)`` and the stride ``s``:
 
 * ``A`` -- Carlitz q-Eulerian coefficients ``A[n,k]``, ``1 <= k <= n``,
   ``A[n,k] = [k] A[n-1,k] + q^(k-1) [n+1-k] A[n-1,k-1]``.
@@ -21,10 +22,18 @@ the seed row ``(1,)`` at ``seed_n``, the first public row ``first_n``,
   which is the shape above with ``v = 2(n+1-2k)``, since
   ``[2]_q [m]_{q^2} = [2m]_q``; it seeds at ``b[0,0] = 1`` (forced by
   ``B_0(t,q) = 1``) and is public from n=1.
+* ``abar`` and ``btilde`` -- ``a`` and ``b`` with the factors that every
+  step raising ``k`` carries taken out, ``a[n,k] = q^C(k,2) prod_{i<k}
+  (1 + q^i) abar[n,k]`` and ``b[n,k] = q^(k^2) prod_{i<=k} (1 + q^(2i-1))
+  (1 + q)^k btilde[n,k]``, so that their ``beta`` is ``[n+2-2k]`` and
+  ``[n+1-2k]_{q^2}`` alone.  Every ``u`` and ``v`` is at least 1 on
+  ``krange(n)``, so their entries, sums of products of q-integers, lie in
+  N[q].  Their central entries are ``d_n`` and ``G*_{2n}``.
 
-As ``[m]_q = (1 - q^m) / (1 - q)``, each entry is one running sum of
-``x - q^u x + q^e y' - q^(e+v) y'``, where ``x = P[n-1,k]``,
-``y = P[n-1,k-1]`` and ``y' = y prod_f (1 + q^f)`` takes one pass per ``f``:
+As ``[m]_{q^s} = (1 - q^(s m)) / (1 - q^s)``, each entry times ``1 - q^s`` is
+``[s] (x - q^u x) + q^e y' - q^(e+s v) y'``, where ``x = P[n-1,k]``,
+``y = P[n-1,k-1]``, and ``y' = y prod_f (1 + q^f)`` and ``[s] x`` take one
+pass each; the entry is its running sums along each residue class mod ``s``:
 O(degree) per entry, and no product of two polynomials.  The passes run over
 each entry's support only: they start at the lowest power that ``x`` or
 ``q^e y`` reaches, and the zeros below it are prepended once.  That matters
@@ -57,16 +66,16 @@ and by the q-binomial theorem its ``t^i`` coefficient, ``A[n,i+1]`` or
 ``B[n,i]``, is ``sum_{j<=i} [n+s-2-2j choose d]_{q^s} q^(s C(d,2) + (s j+1) d) g_j``
 with ``d = i-j``.  ``gamma_expand_*`` and ``basis_change_*`` use these sums.
 
-The ``*_entry`` functions and the generating polynomials read rows built
-once, bottom up, and cached.  :func:`iter_rows` walks the same row step
-without the cache, for readers that need each row once and in order, and
-with a lag it walks only the dependency cone of the entries near the
-diagonal: the central entries ``a[2n+1, n+1]`` and ``b[2n, n]`` that the
-q-tangent and q-secant families read come from one such stream each.
-:func:`iter_q1_rows` walks the recurrence at ``q = 1`` in Z, where ``[m]_q``
-is ``m`` and each ``1 + q^f`` is 2, so the integer rows cost no q-row; it
-shares the package's one integer row engine with ``classical_gamma_a/b``,
-which keep their own coefficients as independent ``q = 1`` references.
+The ``*_entry`` functions and the generating polynomials read rows of ``A``,
+``a``, ``B`` and ``b`` built once, bottom up, and cached.  :func:`iter_rows`
+walks the same row step without the cache, for readers that need each row
+once and in order, and with a lag it walks only the dependency cone of the
+entries near the diagonal: each central entry that the q-tangent and q-secant
+families read comes from one such stream per family.  :func:`iter_q1_rows`
+walks the recurrence at ``q = 1`` in Z, where ``[m]_{q^s}`` is ``m`` and each
+``1 + q^f`` is 2, so the integer rows cost no q-row; it shares the package's
+one integer row engine with ``classical_gamma_a/b``, which keep their own
+coefficients as independent ``q = 1`` references.
 """
 
 from __future__ import annotations
@@ -81,11 +90,11 @@ from operator import add, sub
 from .qring import QLaurent, QPoly, TQPoly, poch_t, q_int
 
 
-# ``(e, fs, v)`` stands for ``q^e prod_{f in fs} (1 + q^f) [v]_q``.
+# ``(e, fs, v)`` stands for ``q^e prod_{f in fs} (1 + q^f) [v]_{q^s}``.
 Beta = tuple[int, tuple[int, ...], int]
 
 
-class Family(namedtuple("Family", "first_n seed_n krange alpha beta")):
+class Family(namedtuple("Family", "first_n seed_n krange alpha beta stride", defaults=(1,))):
     """One triangle of the two-term recurrence (see the module docstring):
     ``first_n`` and ``seed_n`` are row numbers, ``krange(n)`` is the
     ``range`` of columns of row ``n``, ``alpha(n, k)`` is the ``u`` of
@@ -124,20 +133,24 @@ FAMILIES = {
         beta=lambda n, k: (2 * k - 1, (2 * k - 1,), 2 * (n + 1 - 2 * k)),
     ),
 }
+# a and b with the factors of each step that raises k taken out (see above)
+FAMILIES["abar"] = FAMILIES["a"]._replace(beta=lambda n, k: (0, (), n + 2 - 2 * k))
+FAMILIES["btilde"] = FAMILIES["b"]._replace(beta=lambda n, k: (0, (), n + 1 - 2 * k), stride=2)
 
 
-def _recur(x: tuple[int, ...], u: int, y: tuple[int, ...], beta: Beta) -> QPoly:
-    """``[u] x + q^e prod_f (1 + q^f) [v] y`` for ``beta = (e, fs, v)``, from
-    the coefficients ``x`` and ``y`` of two ``QPoly`` values (empty for a zero
-    operand).  As ``[m] = (1 - q^m) / (1 - q)``, it is the prefix sums of
-    ``x - q^u x + q^e y' - q^(e+v) y'`` with ``y' = y prod_f (1 + q^f)``.
-    Each operand is read from its first nonzero coefficient: every partial
-    sum below ``min(vx, e + vy)``, the lowest power that ``x`` or ``q^e y``
+def _recur(x: tuple[int, ...], u: int, y: tuple[int, ...], beta: Beta, s: int = 1) -> QPoly:
+    """``[u] x + q^e prod_f (1 + q^f) [v]_{q^s} y`` for ``beta = (e, fs, v)``,
+    from the coefficients ``x`` and ``y`` of two ``QPoly`` values (empty for
+    a zero operand), as the running sums of the module docstring.  Each
+    operand is read from its first nonzero coefficient: every partial sum
+    below ``min(vx, e + vy)``, the lowest power that ``x`` or ``q^e y``
     reaches, is 0, so the sums start there and those zeros are prepended."""
     e, fs, v = beta
     if x:
         vx = next(compress(count(), x))
         x = x[vx:]
+        if s > 1:  # [s] x, the sum of s shifted copies of x
+            x = tuple(map(sum, zip(*[(0,) * i + x + (0,) * (s - 1 - i) for i in range(s)])))
     if y:  # B and b have no y at k = 0, where e is -1
         vy = next(compress(count(), y))
         y = y[vy:]
@@ -151,7 +164,7 @@ def _recur(x: tuple[int, ...], u: int, y: tuple[int, ...], beta: Beta) -> QPoly:
     else:
         return QPoly()
     lx, ly = len(x), len(y)
-    out = [0] * (max(vx + u + lx if x else 0, vy + v + ly if y else 0) - low)
+    out = [0] * (max(vx + u + lx if x else 0, vy + s * v + ly if y else 0) - low)
     if x:
         i = vx - low
         out[i:i + lx] = x
@@ -160,13 +173,15 @@ def _recur(x: tuple[int, ...], u: int, y: tuple[int, ...], beta: Beta) -> QPoly:
     if y:
         i = vy - low
         out[i:i + ly] = map(add, out[i:i + ly], y)
-        i += v
+        i += s * v
         out[i:i + ly] = map(sub, out[i:i + ly], y)
-    # 1 - q divides the whole, so the sums total zero: the last prefix sum is 0
-    out.pop()
-    coeffs = [0] * low
-    coeffs += accumulate(out)
-    return QPoly(coeffs)
+    # 1 - q^s divides the whole, so the last s prefix sums (one per class) are 0
+    del out[-s:]
+    if s == 1:  # one residue class: a plain running sum, with no slice copies
+        return QPoly([*[0] * low, *accumulate(out)])
+    for r in range(s):
+        out[r::s] = accumulate(out[r::s])
+    return QPoly([0] * low + out)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +194,8 @@ def _next_row(fam: Family, n: int, prev: tuple[QPoly, ...]) -> tuple[QPoly, ...]
     pk = fam.krange(n - 1)
     return tuple([
         _recur(prev[k - pk.start].coeffs if k in pk else (), fam.alpha(n, k),
-               prev[k - 1 - pk.start].coeffs if k - 1 in pk else (), fam.beta(n, k))
+               prev[k - 1 - pk.start].coeffs if k - 1 in pk else (), fam.beta(n, k),
+               fam.stride)
         for k in fam.krange(n)
     ])
 
@@ -244,14 +260,14 @@ _typeB_row = _row_builder("B")
 _gamma_b_row = _row_builder("b")
 
 
-# The central entries by n, ``a[2n+1, n+1]`` under "a" and ``b[2n, n]``
-# under "b", each tuple filled by one cone stream (see _central_entry).
-_CENTRAL: dict[str, tuple[QPoly, ...]] = {"a": (), "b": ()}
+# The central entries by n of each family that has them, each tuple filled
+# by one cone stream (see _central_entry).
+_CENTRAL: dict[str, tuple[QPoly, ...]] = {"a": (), "b": (), "abar": (), "btilde": ()}
 
 
 def _central_entry(family: str, n: int) -> QPoly:
-    """The central entry ``a[2n+1, n+1]`` (``family`` "a") or ``b[2n, n]``
-    ("b"), the last entry of row ``2n+1`` or ``2n``, read from the cache.
+    """The central entry ``[2n + seed_n, n + seed_n]`` of ``family``, the
+    last entry of its row, read from the cache.
 
     A miss streams the dependency cone of lag ``n`` (:func:`iter_rows`).  That
     cone holds the central entry of every ``n' <= n``, so the one stream
@@ -261,12 +277,12 @@ def _central_entry(family: str, n: int) -> QPoly:
         raise ValueError(f"need n >= 0, got {n}")
     entries = _CENTRAL[family]
     if n >= len(entries):
-        odd = family == "a"
-        # b[0,0] is the seed row, which no stream yields
-        entries = () if odd else (QPoly.one(),)
-        if 2 * n + odd >= 1:
-            entries += tuple(row[-1] for m, row in iter_rows(family, 2 * n + odd, lag=n)
-                             if m % 2 == odd)
+        fam = FAMILIES[family]
+        # a seed row that no stream yields, b[0,0] or btilde[0,0], is entry 0
+        entries = (QPoly.one(),) * (fam.first_n > fam.seed_n)
+        if 2 * n + fam.seed_n >= fam.first_n:
+            entries += tuple(row[-1] for m, row in iter_rows(family, 2 * n + fam.seed_n, lag=n)
+                             if m % 2 == fam.seed_n)
         _CENTRAL[family] = entries
     return entries[n]
 

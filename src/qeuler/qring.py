@@ -736,24 +736,6 @@ def _qlaurent_exact_div(p: QLaurent, d: QLaurent) -> QLaurent | NotDivisible:
     return QLaurent(base, p.offset - d.offset)
 
 
-def _div_one_plus_q_powers(p: QPoly, exps: Iterable[int]) -> QPoly | NotDivisible:
-    """``p / prod_{e in exps} (1 + q^e)`` (every ``e >= 1``), one factor at
-    a time in O(deg p + e), or :data:`NOT_DIVISIBLE`.  Since
-    ``1 / (1 + q^e) = (1 - q^e) / (1 - q^(2e))``, :func:`_mul_q_ratio` gives
-    the power series quotient through degree ``deg p + e``.  Past ``deg p``
-    its coefficients obey ``s_N = -s_(N-e)``, so the quotient is a
-    polynomial, of degree ``deg p - e``, exactly when the truncation has
-    that degree."""
-    if p.is_zero():
-        return p
-    for e in exps:
-        quot = _mul_q_ratio(p, e, 2 * e)
-        if quot.degree() != p.degree() - e:
-            return NOT_DIVISIBLE
-        p = quot
-    return p
-
-
 def _div_one_plus_t_q_power(p: TQPoly, e: int) -> TQPoly | NotDivisible:
     """``p / (1 + t q^e)``, or :data:`NOT_DIVISIBLE`, by the recurrence
     ``c_d = p_d - q^e c_(d-1)``: the step past the last quotient

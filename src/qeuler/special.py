@@ -2,11 +2,12 @@
 numbers, the central-column rescaling, the tangent quotients d_n, type-B
 vanishing and central values, the q-secant families E*, G*, E, and a scanner
 for positivity of the G* coefficients.  ``T_{2n+1}`` and ``E*_{2n}`` are one
-central gamma entry each, rescaled, and ``d_n`` and ``G*_{2n}`` their exact
-quotients.  The central entries come from their dependency cone, cached by
-``n``, and never from the cached rows.  The substitutions ``t = -q^(-e)``
-into a row that define those two stay as the oracles ``verify`` checks them
-by, and give the rest; each also takes the row from a caller that streams it.
+central gamma entry each, rescaled, and their quotients ``d_n`` and
+``G*_{2n}`` one central entry each of ``abar`` and ``btilde``, all from their
+dependency cone, cached by ``n``, never from the cached rows.  The
+substitutions ``t = -q^(-e)`` into a row that define ``T`` and ``E*`` stay as
+the oracles ``verify`` checks them by, and give the rest; each also takes the
+row from a caller that streams it.
 
 Every function here computes in Z[q], exactly; "X must be a polynomial"
 style claims are enforced (a negative power of q left by a substitution or
@@ -25,7 +26,6 @@ from .qring import (
     QPoly,
     RatLike,
     TQPoly,
-    _div_one_plus_q_powers,
     _div_one_plus_t_q_power,
     is_nonneg,
     is_palindromic,
@@ -76,16 +76,24 @@ def a_star(n: int, k: int) -> QPoly:
 
 
 def d_poly(n: int) -> QPoly:
-    """``d_n(q) = T_{2n+1}(q) / ((1+q)(1+q^2)...(1+q^n))``, exactly.
-
-    Divisibility always holds for these inputs, so NotDivisible raises.
-    """
+    """``d_n(q) = T_{2n+1}(q) / ((1+q)(1+q^2)...(1+q^n)) = abar[2n+1, n+1]``."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    quot = _div_one_plus_q_powers(q_tangent(n), range(1, n + 1))
-    if isinstance(quot, NotDivisible):
+    return _central_entry("abar", n)
+
+
+def _times_one_plus_q_powers(p: QPoly, exps) -> QPoly:
+    """``p prod_{e in exps} (1 + q^e)``, one shift-add pass per factor."""
+    for e in exps:
+        p = p + p.shift(e)
+    return p
+
+
+def _check_d_quotient(n: int) -> None:
+    """Raise the ArithmeticError of an inexact quotient unless the cones of
+    ``abar`` and ``a`` agree: ``(1+q)(1+q^2)...(1+q^n) d_n == T_{2n+1}``."""
+    if _times_one_plus_q_powers(_central_entry("abar", n), range(1, n + 1)) != q_tangent(n):
         raise ArithmeticError(f"T_{2*n+1} not divisible by (1+q)...(1+q^{n})")
-    return quot
 
 
 def _f_sum(m: int, x: RatLike, a: int, b: int, q0: Fraction) -> Fraction:
@@ -117,9 +125,7 @@ def _cleared_f_sum(m: int, x_exp: int, a: int, b: int) -> QPoly:
     for k in range(m + 1):
         e = a * k + b
         term = QPoly.monomial(x_exp * k + max(0, -e), (-1) ** k * comb(m, k))
-        for f in fs - {abs(e)}:
-            term = term + term.shift(f)
-        total = total + term
+        total = total + _times_one_plus_q_powers(term, fs - {abs(e)})
     return total
 
 
@@ -191,13 +197,17 @@ def e_star(n: int) -> QPoly:
 
 def g_star(n: int) -> QPoly:
     """``G*_{2n}(q) = E*_{2n}(q) / ((1+q)(1+q^3)...(1+q^(2n-1)) (1+q)^n)``,
-    exactly; ``G*_{2n}(1) = E_{2n}``, the classical secant number."""
+    which is ``btilde[2n, n]``; ``G*_{2n}(1) = E_{2n}``, the secant number."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    quot = _div_one_plus_q_powers(e_star(n), [*range(1, 2 * n, 2)] + [1] * n)
-    if isinstance(quot, NotDivisible):
+    return _central_entry("btilde", n)
+
+
+def _check_gstar_quotient(n: int) -> None:
+    """:func:`_check_d_quotient` for ``G*_{2n}``, ``btilde`` and ``b``."""
+    exps = [*range(1, 2 * n, 2)] + [1] * n
+    if _times_one_plus_q_powers(_central_entry("btilde", n), exps) != e_star(n):
         raise ArithmeticError(f"E*_{2*n} not divisible by its odd-Pochhammer factor")
-    return quot
 
 
 def f_star_eval(n: int, q0: RatLike) -> Fraction:
@@ -212,9 +222,7 @@ def _gstar_identity(n: int) -> tuple[QPoly, QPoly]:
     """The two sides of :func:`verify_gstar_identity`, cleared of
     denominators: ``q^(n+1) (1+q)^n (1-q)^(2n) G*_{2n}`` and
     ``(-1)^n (-q;q^2)_{n+1} f*_n``."""
-    lhs = g_star(n).shift(n + 1)
-    for _ in range(n):
-        lhs = lhs + lhs.shift(1)
+    lhs = _times_one_plus_q_powers(g_star(n).shift(n + 1), [1] * n)
     for _ in range(2 * n):
         lhs = lhs - lhs.shift(1)
     rhs = _cleared_f_sum(2 * n, 1, 2, -2 * n - 1)
@@ -297,7 +305,7 @@ def conjecture_scan_gstar(N: int) -> GStarScanReport:
     """
     if N < 0:
         raise ValueError(f"need N >= 0, got {N}")
-    _central_entry("b", N)  # one cone stream gives every E*_{2n}, n <= N
+    _central_entry("btilde", N)  # one cone stream gives every G*_{2n}, n <= N
     rows = []
     for n in range(N + 1):
         g = g_star(n)

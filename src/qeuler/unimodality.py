@@ -7,10 +7,9 @@ entry evaluated in integers as ``b^D p(a/b)`` (evidence at the sampled
 points, not a proof over the interval).
 
 Each predicate decides in one pass over the cached row's coefficient
-tuples.  ``verify`` names the first bad ``k`` through the locators
-:func:`_first_unreversed` and :func:`_first_fall`; the monotonicity
-predicates share the second, and the reciprocity predicates decide by
-:func:`_reciprocal` without a locator.
+tuples, by the locator that ``verify`` names the first bad ``k`` with:
+:func:`_first_unreversed` for reciprocity and :func:`_first_fall` for
+monotonicity.
 """
 
 from __future__ import annotations
@@ -52,34 +51,18 @@ def _first_unreversed(family: str, n: int, row=None) -> int | None:
     return None
 
 
-def _reciprocal(row, e: int) -> bool:
-    """Whether ``row``, read backwards, is itself under ``q -> 1/q`` times
-    ``q^e``: :func:`_first_unreversed` returns ``None``.  Over the front
-    half of the row, entry ``i`` padded to ``e + 1`` coefficients and read
-    backwards must be entry ``len - 1 - i`` padded alike.  A front entry
-    with more coefficients, whose mirror would have a negative power, fails
-    at once, and a back entry with more cannot equal ``e + 1`` padded ones."""
-    zeros = (0,) * (e + 1)
-    for i in range((len(row) + 1) // 2):
-        cs = row[i].coeffs
-        back = row[~i].coeffs
-        if len(cs) > e + 1 or (cs + zeros[len(cs):])[::-1] != back + zeros[len(back):]:
-            return False
-    return True
-
-
 def reciprocity_A(n: int) -> bool:
     """``A[n, n-k+1](q) == q^(n(n-1)/2) A[n,k](1/q)`` for every k, exactly."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return _reciprocal(_carlitz_row(n), n * (n - 1) // 2)
+    return _first_unreversed("A", n) is None
 
 
 def reciprocity_B(n: int) -> bool:
     """``B[n, n-k](q) == q^(n^2) B[n,k](1/q)`` for every k, exactly."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    return _reciprocal(_typeB_row(n), n * n)
+    return _first_unreversed("B", n) is None
 
 
 def _check_q0(q0: RatLike) -> RatLike:

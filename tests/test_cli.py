@@ -140,6 +140,8 @@ def test_table_json_roundtrips():
 
 
 ROW_CACHES = ("_carlitz_row", "_gamma_a_row", "_typeB_row", "_gamma_b_row")
+# the families `table` prints; abar and btilde are not among them
+TABLES = sorted("AaBb")
 
 
 def _clear_row_caches():
@@ -158,7 +160,7 @@ def _bfile(terms):
 def _cold_central(monkeypatch):
     """Empty the central-entry cache for one test; the old one is restored
     after it."""
-    for family in "ab":
+    for family in eulerian._CENTRAL:
         monkeypatch.setitem(eulerian._CENTRAL, family, ())
 
 
@@ -183,25 +185,28 @@ def test_streaming_commands_leave_the_row_caches_empty(monkeypatch, capsys, args
 # each command's rows by family, every one built by one step from the row
 # below it; a family's first step builds the row above its seed
 ROWS_BUILT = [
-    # T_{2n+1} from a, A_{2n+1} and A_{2n} for n <= 9
-    (["verify", "tangent", "--max-n", "9"], {"A": range(2, 20), "a": range(2, 20)}),
-    (["verify", "secant", "--max-n", "9"], {"B": range(1, 20), "b": range(1, 19)}),
+    # T_{2n+1} from a, d_n from abar, A_{2n+1} and A_{2n} for n <= 9
+    (["verify", "tangent", "--max-n", "9"],
+     {"A": range(2, 20), "a": range(2, 20), "abar": range(2, 20)}),
+    (["verify", "secant", "--max-n", "9"],
+     {"B": range(1, 20), "b": range(1, 19), "btilde": range(1, 19)}),
     (["verify", "reciprocity", "--max-n", "9"], {"A": range(2, 10), "B": range(1, 10)}),
     (["verify", "doubloon", "--max-n", "9"], {"a": range(2, 10)}),
-    (["conjecture", "--max-n", "9"], {"b": range(1, 19)}),
+    (["conjecture", "--max-n", "9"], {"btilde": range(1, 19)}),
     (["poly", "Eq", "--n", "9"], {"B": range(1, 19)}),
 ]
 
 
 @pytest.mark.parametrize("args, rows", ROWS_BUILT, ids=[" ".join(a) for a, _ in ROWS_BUILT])
 def test_cone_and_stream_commands_build_each_row_once(monkeypatch, capsys, args, rows):
-    # a cone row and a full row of one family both count as that row
-    family_of = {fam.alpha: name for name, fam in FAMILIES.items()}
+    # a cone row and a full row of one family both count as that row; abar
+    # and btilde share alpha with a and b, but no family shares its beta
+    family_of = {fam.beta: name for name, fam in FAMILIES.items()}
     steps = Counter()
     next_row = eulerian._next_row
 
     def counted(fam, n, prev):
-        steps[family_of[fam.alpha], n] += 1
+        steps[family_of[fam.beta], n] += 1
         return next_row(fam, n, prev)
 
     monkeypatch.setattr(eulerian, "_next_row", counted)
@@ -245,7 +250,7 @@ def test_oeis_check_leaves_the_row_caches_empty(capsys, tmp_path, sequence):
 
 
 @pytest.mark.parametrize("q1", [False, True])
-@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("family", TABLES)
 def test_table_json_is_the_whole_document(capsys, family, q1):
     # rows and entries are written one at a time, with the bytes of one dump
     value = spec_q1 if q1 else to_json
@@ -267,7 +272,7 @@ def _q1_by_q_rows(family):
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("family", TABLES)
 def test_table_q1_builds_no_q_row(monkeypatch, capsys, family, fmt):
     # the integers of `table --q1` come from the recurrence at q = 1, never
     # from a q-row; the bytes are those of the q-rows taken at q = 1
@@ -615,7 +620,7 @@ def test_tangent_failure_names_the_first_difference(monkeypatch):
     report = run_suite("tangent", 1)
     bad = [(i.name, i.detail) for i in report.items if i.status == "fail"]
     # T_1 = 1 and T_3 = 1 + q by substitution; q_tangent reads the patched
-    # a*, so d_1 = T_3 / (1 + q) breaks too
+    # a*, so both d_1 items find (1 + q) d_1 != T_3
     not_divisible = ("ArithmeticError at n=1", "T_3 not divisible by (1+q)...(1+q^1)")
     assert bad == [
         ("T_1 == a*[1,1]", "first difference at q^1: expected 5, got 0"),
@@ -627,8 +632,9 @@ def test_tangent_failure_names_the_first_difference(monkeypatch):
 
 def test_nonnegativity_failures_name_the_first_negative_coefficient(monkeypatch):
     # T_{2n+1} and d_n report the first negative q^i and its coefficient;
-    # T == a* compares the substitution with a*, neither of them patched
-    # d_poly divides q_tangent, so both are read before either is patched
+    # T == a* compares the substitution with a*, neither of them patched;
+    # each d_n item reports its own claim's failure before it checks
+    # (1 + q)(1 + q^2) d_2 against the patched T_5
     t = {n: special.q_tangent(n) for n in range(3)}
     d = {n: special.d_poly(n) for n in range(1, 3)}
     monkeypatch.setattr(special, "q_tangent",
@@ -703,6 +709,40 @@ def test_identity_failure_at_the_cap_exits_1(monkeypatch, capsys, suite, family,
     doc = json.loads(capsys.readouterr().out)
     assert [(i["name"], i["detail"]) for i in doc["items"]
             if i["status"] == "fail" and "rational identity" in i["name"]] == [(name, detail)]
+
+
+def _v_plus_one(fam):
+    """``fam`` with ``v + 1`` in every ``beta(n, k)``."""
+    beta = fam.beta
+    return fam._replace(beta=lambda n, k: (*beta(n, k)[:2], beta(n, k)[2] + 1))
+
+
+@pytest.mark.parametrize("family, change, suite, max_n, want", [
+    # [n+3-2k] for [n+2-2k]: every d_n changes
+    ("abar", _v_plus_one, "tangent", 5,
+     [f"ArithmeticError at n={n}" for n in range(1, 6)]
+     + [f"d_{n} rational identity" for n in range(1, 6)]),
+    # [n+2-2k]_{q^2} for [n+1-2k]_{q^2}: G*_{2n}(1) changes too
+    ("btilde", _v_plus_one, "secant", 4,
+     [f"G*_{2*n}(1) == E_{2*n} == {e}" for n, e in zip(range(1, 5), (1, 5, 61, 1385))]
+     + [f"G*_{2*n} rational identity" for n in range(1, 5)]),
+    # [n+1-2k]_q for [n+1-2k]_{q^2}: G*_{2n}(1) stays, and from n = 2 on
+    # the quotient does not
+    ("btilde", lambda fam: fam._replace(stride=1), "secant", 4,
+     [f"ArithmeticError at n={n}" for n in range(2, 5)]
+     + [f"G*_{2*n} rational identity" for n in range(2, 5)]),
+], ids=["abar v+1", "btilde v+1", "btilde stride 1"])
+def test_a_broken_carried_out_triangle_fails_its_suite(monkeypatch, family, change, suite,
+                                                       max_n, want):
+    # d_n and G*_{2n} read the cones of abar and btilde alone; the quotient
+    # checks against T_{2n+1} and E*_{2n}, the values at q = 1 and the
+    # rational identities must see a wrong slot in either table
+    monkeypatch.setitem(FAMILIES, family, change(FAMILIES[family]))
+    _cold_central(monkeypatch)
+    bad = [(i.name, i.detail) for i in run_suite(suite, max_n).items if i.status == "fail"]
+    assert [name for name, _ in bad] == want
+    assert all("not divisible by" in detail for name, detail in bad
+               if name.startswith("ArithmeticError"))
 
 
 def _perturbed_row(monkeypatch, row_name, n, i, entry):
@@ -796,8 +836,8 @@ def test_broken_library_claim_is_a_failed_item(monkeypatch, capsys):
     def broken_at(n):
         return "fail", f"ArithmeticError at n={n}", f"T_{2*n+1} has a negative coefficient"
 
-    # the T_{2n+1} nonnegativity check and the d_n checks (through d_poly)
-    # break at each n; T == a* and the reconstruction of A_{2n}, which do not
+    # the T_{2n+1} nonnegativity check and the d_n checks (through their
+    # quotient check) break at each n; T == a* and the reconstruction of A_{2n}, which do not
     # use q_tangent, still run
     assert [(i["status"], i["name"], i["detail"]) for i in doc["items"]] == (
         [x for n in range(4)

@@ -738,7 +738,7 @@ ROW_CACHES = {"A": eulerian._carlitz_row, "a": eulerian._gamma_a_row,
               "B": eulerian._typeB_row, "b": eulerian._gamma_b_row}
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("family", sorted(ROW_CACHES))
 def test_iter_rows_are_the_triangle_rows(family):
     # b seeds at n=0 and is public from n=1: its row 0 is built on, not yielded
     first = FAMILIES[family].first_n
@@ -766,15 +766,20 @@ def test_iter_rows_caches_nothing():
 # the dependency cone of the central entries
 # ---------------------------------------------------------------------------
 
-# the central entry n of each gamma family, as (row, column)
-CENTRAL = {"a": lambda n: (2 * n + 1, n + 1), "b": lambda n: (2 * n, n)}
+# the central entry n of each family that has them, as (row, column)
+CENTRAL = {"a": lambda n: (2 * n + 1, n + 1), "b": lambda n: (2 * n, n),
+           "abar": lambda n: (2 * n + 1, n + 1), "btilde": lambda n: (2 * n, n)}
 
 
 @pytest.fixture
 def cold_central(monkeypatch):
     """An empty central-entry cache for one test, the old one restored after."""
-    for family in CENTRAL:
+    for family in eulerian._CENTRAL:
         monkeypatch.setitem(eulerian._CENTRAL, family, ())
+
+
+def test_every_central_family_has_a_cache():
+    assert sorted(eulerian._CENTRAL) == sorted(CENTRAL)
 
 
 @pytest.mark.parametrize("lag", [0, 1, 2, 5, 9])
@@ -788,8 +793,9 @@ def test_cone_rows_are_the_rows_from_their_lowest_column(family, lag):
 
 @pytest.mark.parametrize("family", sorted(CENTRAL))
 def test_cone_central_entries_are_the_triangle_entries(cold_central, family):
-    entry = gamma_a_entry if family == "a" else gamma_b_entry
-    want = [entry(*CENTRAL[family](n)) for n in range(21)]
+    fam = FAMILIES[family]
+    rows = {fam.seed_n: (QPoly.one(),), **dict(iter_rows(family, CENTRAL[family](20)[0]))}
+    want = [rows[m][k - fam.krange(m).start] for m, k in map(CENTRAL[family], range(21))]
     # each n past the cache streams the cone of lag n
     assert [eulerian._central_entry(family, n) for n in range(21)] == want
     # and one stream of the cone of lag 20 gives every entry below it
@@ -831,9 +837,10 @@ def test_central_entry_rejects_negative_n():
 # ---------------------------------------------------------------------------
 
 
-def _dense_recur(x, u, y, beta):
+def _dense_recur(x, u, y, beta, s=1):
     # the dense row step, the reference: every pass also runs over the
-    # operands' leading zeros
+    # operands' leading zeros; it has no stride
+    assert s == 1
     e, fs, v = beta
     for f in fs:
         pad = (0,) * f
@@ -882,7 +889,7 @@ def test_recur_matches_the_dense_step(args):
     assert eulerian._recur(x, u, y, beta) == _dense_recur(x, u, y, beta)
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("family", sorted(ROW_CACHES))
 def test_rows_match_the_dense_step_to_30(monkeypatch, family):
     with monkeypatch.context() as m:
         m.setattr(eulerian, "_recur", _dense_recur)
@@ -891,6 +898,62 @@ def test_rows_match_the_dense_step_to_30(monkeypatch, family):
     row.cache_clear()
     assert list(iter_rows(family, 30)) == want
     assert [(n, row(n)) for n, _ in want] == want
+
+
+def _product_recur(x, u, y, beta, s):
+    # the row step as products of polynomials, with [v]_{q^s} from q_int: the
+    # reference for a stride
+    e, fs, v = beta
+    out = q_int(u) * QPoly(x)
+    if y:
+        weight = QPoly.monomial(e) * q_int(v, step=s)
+        for f in fs:
+            weight = weight * (P(1) + QPoly.monomial(f))
+        out = out + weight * QPoly(y)
+    return out
+
+
+@given(recur_args(), st.integers(1, 4))
+# btilde's step: [2k+1] x + [n+1-2k]_{q^2} y
+@example(((1, 2, 1), 5, (0, 1, 1), (0, (), 3)), 2)
+@example(((), 1, (0, 0, -2), (1, (0, 3), 2)), 3)
+def test_recur_with_a_stride_matches_the_products(args, s):
+    x, u, y, beta = args
+    assert eulerian._recur(x, u, y, beta, s) == _product_recur(x, u, y, beta, s)
+
+
+# the prefactor carried out of each gamma triangle at column k: the power of q
+# and the exponents e of its factors 1 + q^e
+CARRIED = {
+    "abar": ("a", lambda k: (k * (k - 1) // 2, range(1, k))),
+    "btilde": ("b", lambda k: (k * k, [*range(1, 2 * k, 2)] + [1] * k)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CARRIED))
+def test_gamma_entries_factor_through_the_carried_out_triangles(family):
+    # a[n,k] = q^C(k,2) prod_{i<k} (1 + q^i) abar[n,k], and
+    # b[n,k] = q^(k^2) prod_{i<=k} (1 + q^(2i-1)) (1 + q)^k btilde[n,k]
+    gamma, carried = CARRIED[family]
+    for (n, row), (m, gamma_row) in zip(iter_rows(family, 20), iter_rows(gamma, 20), strict=True):
+        assert n == m
+        for k, p, want in zip(FAMILIES[family].krange(n), row, gamma_row, strict=True):
+            e, exps = carried(k)
+            p = p.shift(e)
+            for f in exps:
+                p = p + p.shift(f)
+            assert p == want, (n, k)
+
+
+@pytest.mark.parametrize("family", sorted(CARRIED))
+def test_carried_out_weights_are_q_integers_of_positive_arguments(family):
+    # no q^e and no 1 + q^f, and every [u] and [v] argument at least 1 on the
+    # row's columns: each entry is a sum of products of q-integers, in N[q]
+    fam = FAMILIES[family]
+    for n in range(fam.seed_n + 1, 201):
+        for k in fam.krange(n):
+            e, fs, v = fam.beta(n, k)
+            assert (e, fs) == (0, ()) and fam.alpha(n, k) >= 1 and v >= 1, (n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -907,6 +970,13 @@ def test_q1_rows_reject_n_below_the_first_row_as_iter_rows_does(family, below):
     with pytest.raises(ValueError) as q1_rows:
         list(iter_q1_rows(family, N))
     assert str(q1_rows.value) == str(q_rows.value)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_q1_rows_are_the_q_rows_at_one(family):
+    # [v]_{q^s} is v at q = 1, whatever the stride
+    assert list(iter_q1_rows(family, 20)) == [
+        (n, [spec_q1(p) for p in row]) for n, row in iter_rows(family, 20)]
 
 
 def test_q1_rows_are_the_classical_gamma_triangles():

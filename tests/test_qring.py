@@ -19,7 +19,6 @@ from qeuler.qring import (
     QLaurent,
     QPoly,
     TQPoly,
-    _div_one_plus_q_powers,
     _div_one_plus_t_q_power,
     _mul_one_plus_t_q_power,
     eval_rat,
@@ -664,33 +663,8 @@ def test_mixed_operators_return_richer_type(left, right, op):
 
 
 # ---------------------------------------------------------------------------
-# quotients by 1 + q^e and 1 + t q^e against exact_div
+# quotients by 1 + t q^e against exact_div
 # ---------------------------------------------------------------------------
-
-signed_polys = st.lists(st.integers(-(10**30), 10**30), max_size=30).map(QPoly)
-
-
-@given(signed_polys, st.lists(st.integers(1, 12), max_size=4))
-def test_div_one_plus_q_powers_matches_exact_div(p, exps):
-    divisor = P(1)
-    for e in exps:
-        divisor = divisor * (P(1) + QPoly.monomial(e))
-    assert _div_one_plus_q_powers(p * divisor, exps) == exact_div(p * divisor, divisor)
-
-
-@given(small_polys, st.integers(1, 12))
-def test_div_one_plus_q_powers_agrees_on_divisibility(p, e):
-    assert _div_one_plus_q_powers(p, [e]) == exact_div(p, P(1) + QPoly.monomial(e))
-
-
-def test_div_one_plus_q_powers_rejects_other_factors():
-    assert _div_one_plus_q_powers(P(1, 0, 1), [1]) is NOT_DIVISIBLE
-    assert _div_one_plus_q_powers(P(1, 1), [2]) is NOT_DIVISIBLE
-    assert _div_one_plus_q_powers(P(1, 1), [1, 1]) is NOT_DIVISIBLE
-    assert _div_one_plus_q_powers(P(1), [1]) is NOT_DIVISIBLE
-    assert _div_one_plus_q_powers(P(0, 1, 1), [1]) == P(0, 1)
-    assert _div_one_plus_q_powers(P(), [1, 2]) == P()
-
 
 tq_polys = st.lists(
     st.builds(QLaurent, small_polys, st.integers(-3, 3)), max_size=6

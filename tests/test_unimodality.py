@@ -145,9 +145,7 @@ def _ref_monotone_B(n, q0):
 
 
 @pytest.mark.parametrize("n", range(0, 15))
-def test_reciprocity_matches_the_per_k_reference(n, monkeypatch):
-    # a reciprocal row is decided without the locator
-    monkeypatch.setattr(unimodality, "_first_unreversed", None)
+def test_reciprocity_matches_the_per_k_reference(n):
     if n >= 1:
         assert reciprocity_A(n) == _ref_reciprocity_A(n)
     assert reciprocity_B(n) == _ref_reciprocity_B(n)
@@ -252,14 +250,11 @@ def test_first_unreversed_matches_the_full_scan(family, N):
         first_k = FAMILIES[family].krange(n).start
         assert unimodality._first_unreversed(family, n, row) is None
         assert _full_scan_first_unreversed(row, e, first_k) is None
-        assert unimodality._reciprocal(row, e)
         for i in range(len(row)):
             for name, change in PERTURBATIONS:
                 bad = row[:i] + (change(row[i]),) + row[i + 1:]
                 first_bad = unimodality._first_unreversed(family, n, bad)
                 assert first_bad == _full_scan_first_unreversed(bad, e, first_k), (n, i, name)
-                # the one-pass decision says what the locator finds
-                assert unimodality._reciprocal(bad, e) is (first_bad is None), (n, i, name)
 
 
 @pytest.mark.parametrize("back, front, e, want", [
@@ -276,8 +271,10 @@ def test_first_unreversed_matches_the_full_scan(family, N):
 def test_mirrors_hand_cases(back, front, e, want):
     assert unimodality._mirrors(back, front, e) is want
     assert (QLaurent(back) == subst_q_recip(front).shift(e)) is want
-    # the two-entry row (front, back) is that one mirrored pair
-    assert unimodality._reciprocal((front, back), e) is want
+    # the two-entry row (front, back) is that one mirrored pair, in row n of
+    # A with e = C(n, 2)
+    n = {0: 1, 1: 2, 3: 3}[e]
+    assert (unimodality._first_unreversed("A", n, (front, back)) is None) is want
 
 
 # the default points of `verify monotone` and a 60-digit pair either side of 1

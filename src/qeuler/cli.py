@@ -8,7 +8,6 @@ reports carry wall time in a separate field only.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
@@ -17,6 +16,7 @@ import time
 from collections import namedtuple
 from fractions import Fraction
 from itertools import count
+from types import SimpleNamespace
 
 from . import doubloon, eulerian, special, unimodality
 from .eulerian import (
@@ -705,59 +705,175 @@ def _points_arg(text: str) -> tuple[Fraction, ...]:
             points.append(_point(part))
         except ValueError as exc:
             shown = part if len(part) <= 20 else f"{part[:20]}... ({len(part)} characters)"
-            raise argparse.ArgumentTypeError(f"bad points list: entry {i}, {shown!r}: {exc}")
+            raise ValueError(f"bad points list: entry {i}, {shown!r}: {exc}") from None
     digits = sum(len(str(abs(q0.numerator))) + len(str(q0.denominator)) for q0 in points)
     if digits > POINTS_DIGIT_BUDGET:
-        raise argparse.ArgumentTypeError(f"bad points list: {len(points)} entries with {digits} "
-                                         f"digits in all, more than {POINTS_DIGIT_BUDGET}")
+        raise ValueError(f"bad points list: {len(points)} entries with {digits} "
+                         f"digits in all, more than {POINTS_DIGIT_BUDGET}")
     return tuple(points)
 
 
+# One option: ``kind`` makes its value from its argv string (int, str, or
+# _points_arg, whose ValueError carries its message), and bool marks a flag.
+_Option = namedtuple("_Option", "kind default choices required help",
+                     defaults=(None, (), False, ""))
+_HELP = _Option(bool, help="show this help message and exit")
+_MAX_N = _Option(int, 6)
+_TEXT_CSV_JSON = _Option(str, "text", ("text", "csv", "json"))
+_TEXT_JSON = _Option(str, "text", ("text", "json"))
+
+# Each command's help line, handler, positional and its choices (None and ()
+# for none), and options by flag, in usage order.  _TOP is qeuler itself,
+# whose positional is the command.
+_Command = namedtuple("_Command", "help func positional choices options")
+COMMANDS = {
+    "table": _Command("print a coefficient triangle", cmd_table, "family", ("a", "b", "A", "B"), {
+        "--max-n": _MAX_N,
+        "--q1": _Option(bool, False, help="specialize entries at q=1"),
+        "--format": _TEXT_CSV_JSON,
+    }),
+    "poly": _Command("print one polynomial", cmd_poly, "name", tuple(POLY_BUILDERS), {
+        "--n": _Option(int, required=True),
+        "--format": _TEXT_CSV_JSON,
+    }),
+    "verify": _Command("run a verification suite", cmd_verify, "suite", ("all", *SUITES), {
+        "--max-n": _Option(int),
+        "--points": _Option(_points_arg),
+        "--format": _TEXT_JSON,
+    }),
+    "conjecture": _Command("scan G*_{2n}(q) coefficient positivity", cmd_conjecture, None, (), {
+        "--max-n": _MAX_N,
+        "--format": _TEXT_JSON,
+    }),
+    "oeis-check": _Command("compare q=1 triangles against b-file fixtures", cmd_oeis_check,
+                           "sequence", tuple(OEIS_SEQUENCES), {
+        "--max-n": _MAX_N,
+        "--fixture": _Option(str, help="b-file path (default: bundled snapshot)"),
+        "--skip": _Option(int, 0, help="drop this many leading fixture terms"),
+        "--format": _TEXT_JSON,
+    }),
+}
+_TOP = _Command("Exact q-Eulerian polynomial triangles, expansions, and checks.", None,
+                "command", tuple(COMMANDS), {})
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _braced(choices) -> str:
+    return "{" + ",".join(choices) + "}"
+
+
+class _Parser:
+    """Reads argv against :data:`COMMANDS` in one left-to-right pass, and
+    words its usage errors, as argparse did."""
+
+    def format_help(self, name=None) -> str:
+        """The ``-h`` text of command ``name`` (None: of qeuler), the same on
+        every terminal; its first line is the usage an error prints."""
+        spec = COMMANDS[name] if name else _TOP
+        rows = [(flag if o.kind is bool else
+                 f"{flag} {_braced(o.choices) if o.choices else _dest(flag).upper()}", o.help)
+                for flag, o in spec.options.items()]
+        words = [f"qeuler{' ' + name if name else ''} [-h]"]
+        words += [left if o.required else f"[{left}]"
+                  for (left, _), o in zip(rows, spec.options.values())]
+        words += [_braced(spec.choices)] if spec.choices else []
+        if not name:
+            words.append("...")
+            rows = [(command, c.help) for command, c in COMMANDS.items()]
+        width = max(len(left) for left, _ in rows) + 2
+        return "".join([f"usage: {' '.join(words)}\n\n{spec.help}\n\n",
+                        *(f"  {left:{width}}{text}".rstrip() + "\n"
+                          for left, text in [*rows, ("-h, --help", _HELP.help)])])
+
+    def error(self, msg: str, name=None):
+        """Print the usage of command ``name`` (None: of qeuler) and ``msg``
+        to stderr, and exit 2."""
+        usage = self.format_help(name).partition("\n")[0]
+        sys.stderr.write(f"{usage}\nqeuler{' ' + name if name else ''}: error: {msg}\n")
+        raise SystemExit(2)
+
+    def _value(self, what: str, option: _Option, text: str, name):
+        """The value of ``option``, given as ``what``, from its argv string."""
+        try:
+            value = option.kind(text)
+        except ValueError as exc:
+            why = f"invalid int value: {text!r}" if option.kind is int else exc
+            self.error(f"argument {what}: {why}", name)
+        if option.choices and value not in option.choices:
+            self.error(f"argument {what}: invalid choice: {value!r} "
+                       f"(choose from {', '.join(map(repr, option.choices))})", name)
+        return value
+
+    def _match(self, flags, token: str, name):
+        """``(flag, text after "=" or None)`` of an option among ``flags``,
+        ``("", None)`` of an unknown one and ``(None, None)`` of a positional,
+        a negative number or words."""
+        if token[:1] != "-" or token in ("-", "--"):
+            return None, None
+        head, eq, value = token.partition("=")
+        found = [head] if head in flags else [
+            flag for flag in flags if head[:2] == "--" == flag[:2] and flag.startswith(head)]
+        if len(found) > 1:
+            self.error(f"ambiguous option: {token} could match {', '.join(found)}", name)
+        if found:
+            return found[0], value if eq else None
+        whole, dot, fraction = token[1:].partition(".")
+        number = (whole + fraction).isdecimal() and (fraction or not dot)
+        return (None, None) if number or " " in token else ("", None)
+
+    def parse_args(self, argv=None) -> SimpleNamespace:
+        """``command``, ``func``, the command's positional and each of its
+        options under its flag's name, from ``argv`` (default ``sys.argv[1:]``)."""
+        tokens = iter(sys.argv[1:] if argv is None else argv)
+        name, spec, ns = None, _TOP, SimpleNamespace()
+        flags, unknown, dashdash = {"-h": _HELP, "--help": _HELP}, [], False
+        for token in tokens:
+            if token == "--" and name and not dashdash:
+                dashdash = True
+                continue
+            flag, value = (None, None) if dashdash else self._match(flags, token, name)
+            if flag is None and spec.positional and not hasattr(ns, spec.positional):
+                value = self._value(spec.positional, _Option(str, choices=spec.choices), token,
+                                    name)
+                if name is None:
+                    name, spec = value, COMMANDS[value]
+                    flags.update(spec.options)
+                    ns = SimpleNamespace(command=name, func=spec.func,
+                                         **{_dest(f): o.default for f, o in spec.options.items()})
+                else:
+                    setattr(ns, spec.positional, value)
+            elif not flag:
+                unknown.append(token)
+            elif flags[flag].kind is not bool:
+                if value is None:
+                    value = next(tokens, "--")
+                    if value == "--" or self._match(flags, value, name)[0] is not None:
+                        self.error(f"argument {flag}: expected one argument", name)
+                setattr(ns, _dest(flag), self._value(flag, flags[flag], value, name))
+            elif value is not None:
+                shown = "-h/--help" if flags[flag] is _HELP else flag
+                self.error(f"argument {shown}: ignored explicit argument {value!r}", name)
+            elif flags[flag] is _HELP:
+                sys.stdout.write(self.format_help(name))
+                raise SystemExit(0)
+            else:
+                setattr(ns, _dest(flag), True)
+        missing = [p for p in [spec.positional] if p and not hasattr(ns, p)]
+        missing += [f for f, o in spec.options.items()
+                    if o.required and getattr(ns, _dest(f)) is None]
+        if missing:
+            self.error(f"the following arguments are required: {', '.join(missing)}", name)
+        if unknown:  # reported at the top level, as argparse did
+            self.error(f"unrecognized arguments: {' '.join(unknown)}")
+        return ns
+
+
 @functools.cache  # one parser per process, reused by every main() call
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qeuler",
-        description="Exact q-Eulerian polynomial triangles, expansions, and checks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
-        p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-
-    p = sub.add_parser("table", help="print a coefficient triangle")
-    p.add_argument("family", choices=("a", "b", "A", "B"))
-    p.add_argument("--max-n", type=int, default=6)
-    p.add_argument("--q1", action="store_true", help="specialize entries at q=1")
-    add_format(p)
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("poly", help="print one polynomial")
-    p.add_argument("name", choices=tuple(POLY_BUILDERS))
-    p.add_argument("--n", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=cmd_poly)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=("all",) + tuple(SUITES))
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--points", type=_points_arg, default=None)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("conjecture", help="scan G*_{2n}(q) coefficient positivity")
-    p.add_argument("--max-n", type=int, default=6)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_conjecture)
-
-    p = sub.add_parser("oeis-check", help="compare q=1 triangles against b-file fixtures")
-    p.add_argument("sequence", choices=OEIS_SEQUENCES)
-    p.add_argument("--max-n", type=int, default=6)
-    p.add_argument("--fixture", default=None, help="b-file path (default: bundled snapshot)")
-    p.add_argument("--skip", type=int, default=0, help="drop this many leading fixture terms")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_oeis_check)
-
-    return parser
+def build_parser() -> _Parser:
+    return _Parser()
 
 
 def main(argv=None) -> int:

@@ -90,10 +90,10 @@ def _times_one_plus_q_powers(p: QPoly, exps) -> QPoly:
 
 
 def _check_d_quotient(n: int) -> None:
-    """Raise the ArithmeticError of an inexact quotient unless the cones of
+    """Raise ArithmeticError, naming the comparison, unless the cones of
     ``abar`` and ``a`` agree: ``(1+q)(1+q^2)...(1+q^n) d_n == T_{2n+1}``."""
     if _times_one_plus_q_powers(_central_entry("abar", n), range(1, n + 1)) != q_tangent(n):
-        raise ArithmeticError(f"T_{2*n+1} not divisible by (1+q)...(1+q^{n})")
+        raise ArithmeticError(f"(1+q)...(1+q^{n}) d_{n} != T_{2*n+1}")
 
 
 def _f_sum(m: int, x: RatLike, a: int, b: int, q0: Fraction) -> Fraction:
@@ -207,7 +207,7 @@ def _check_gstar_quotient(n: int) -> None:
     """:func:`_check_d_quotient` for ``G*_{2n}``, ``btilde`` and ``b``."""
     exps = [*range(1, 2 * n, 2)] + [1] * n
     if _times_one_plus_q_powers(_central_entry("btilde", n), exps) != e_star(n):
-        raise ArithmeticError(f"E*_{2*n} not divisible by its odd-Pochhammer factor")
+        raise ArithmeticError(f"(-q;q^2)_{n} (1+q)^{n} G*_{2*n} != E*_{2*n}")
 
 
 def f_star_eval(n: int, q0: RatLike) -> Fraction:

@@ -621,7 +621,7 @@ def test_tangent_failure_names_the_first_difference(monkeypatch):
     bad = [(i.name, i.detail) for i in report.items if i.status == "fail"]
     # T_1 = 1 and T_3 = 1 + q by substitution; q_tangent reads the patched
     # a*, so both d_1 items find (1 + q) d_1 != T_3
-    not_divisible = ("ArithmeticError at n=1", "T_3 not divisible by (1+q)...(1+q^1)")
+    not_divisible = ("ArithmeticError at n=1", "(1+q)...(1+q^1) d_1 != T_3")
     assert bad == [
         ("T_1 == a*[1,1]", "first difference at q^1: expected 5, got 0"),
         ("T_3 == a*[3,2]", "first difference at q^1: expected 6, got 1"),
@@ -741,8 +741,12 @@ def test_a_broken_carried_out_triangle_fails_its_suite(monkeypatch, family, chan
     _cold_central(monkeypatch)
     bad = [(i.name, i.detail) for i in run_suite(suite, max_n).items if i.status == "fail"]
     assert [name for name, _ in bad] == want
-    assert all("not divisible by" in detail for name, detail in bad
-               if name.startswith("ArithmeticError"))
+    # a quotient check names the product it compared
+    for name, detail in bad:
+        if name.startswith("ArithmeticError"):
+            n = int(name.rpartition("=")[2])
+            assert detail == (f"(1+q)...(1+q^{n}) d_{n} != T_{2*n+1}" if suite == "tangent"
+                              else f"(-q;q^2)_{n} (1+q)^{n} G*_{2*n} != E*_{2*n}")
 
 
 def _perturbed_row(monkeypatch, row_name, n, i, entry):
@@ -1346,7 +1350,7 @@ cli.build_parser()
 print(sorted(set(sys.argv[1:]) & set(sys.modules)))
 """
     unused = ["dataclasses", "inspect", "typing", "pathlib", "importlib.resources",
-              "tempfile", "zipfile"]
+              "tempfile", "zipfile", "argparse", "gettext", "shutil", "locale"]
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script, *unused],
@@ -1372,16 +1376,19 @@ PARSER_REUSE_ARGVS = [
 ]
 
 
+def _exit(argv):
+    """``main(argv)``'s exit status, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    return status, out.getvalue(), err.getvalue()
+
+
 def test_main_in_process_matches_fresh_processes():
-    got = []
-    for argv in PARSER_REUSE_ARGVS:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            try:
-                rc = main(argv)
-            except SystemExit as exc:
-                rc = exc.code
-        got.append((rc, out.getvalue()))
+    got = [_exit(argv)[:2] for argv in PARSER_REUSE_ARGVS]
     want = [(p.returncode, p.stdout) for p in (run_cli(*argv) for argv in PARSER_REUSE_ARGVS)]
     assert [rc for rc, _ in want] == [0, 2, 0, 0, 0, 0]
     assert all(out for rc, out in want if rc == 0)
@@ -1463,14 +1470,208 @@ def test_fuzzed_argv_exits_0_1_or_2_without_traceback(tmp_path):
     codes = Counter()
     for _ in range(1500):
         argv = _fuzz_argv(rng, fixtures)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                rc = main(argv)
-            except SystemExit as exc:
-                rc = exc.code
+        rc, _, err = _exit(argv)
         assert rc in (0, 1, 2), argv
-        assert "Traceback" not in err.getvalue(), argv
+        assert "Traceback" not in err, argv
         codes[rc] += 1
     # the draw reaches every exit code
     assert set(codes) == {0, 1, 2}
+
+
+# ---------------------------------------------------------------------------
+# the table-driven parser against the argparse parser it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_parser():
+    """The argparse parser the CLI used before its own, the reference the
+    differential test reads every argv with."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="qeuler",
+        description="Exact q-Eulerian polynomial triangles, expansions, and checks.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_format(p):
+        p.add_argument("--format", choices=("text", "csv", "json"), default="text")
+
+    p = sub.add_parser("table", help="print a coefficient triangle")
+    p.add_argument("family", choices=("a", "b", "A", "B"))
+    p.add_argument("--max-n", type=int, default=6)
+    p.add_argument("--q1", action="store_true", help="specialize entries at q=1")
+    add_format(p)
+    p.set_defaults(func=cli.cmd_table)
+
+    p = sub.add_parser("poly", help="print one polynomial")
+    p.add_argument("name", choices=tuple(cli.POLY_BUILDERS))
+    p.add_argument("--n", type=int, required=True)
+    add_format(p)
+    p.set_defaults(func=cli.cmd_poly)
+
+    p = sub.add_parser("verify", help="run a verification suite")
+    p.add_argument("suite", choices=("all",) + tuple(SUITES))
+    p.add_argument("--max-n", type=int, default=None)
+    p.add_argument("--points", type=cli._points_arg, default=None)
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.set_defaults(func=cli.cmd_verify)
+
+    p = sub.add_parser("conjecture", help="scan G*_{2n}(q) coefficient positivity")
+    p.add_argument("--max-n", type=int, default=6)
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.set_defaults(func=cli.cmd_conjecture)
+
+    p = sub.add_parser("oeis-check", help="compare q=1 triangles against b-file fixtures")
+    p.add_argument("sequence", choices=cli.OEIS_SEQUENCES)
+    p.add_argument("--max-n", type=int, default=6)
+    p.add_argument("--fixture", default=None, help="b-file path (default: bundled snapshot)")
+    p.add_argument("--skip", type=int, default=0, help="drop this many leading fixture terms")
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.set_defaults(func=cli.cmd_oeis_check)
+
+    return parser
+
+
+def _read(parser, argv):
+    """``parser``'s exit status on ``argv`` and, when it parses, its namespace."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return 0, vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, None
+
+
+# Beyond the fuzz corpus: argv whose reading by argparse is the same on
+# Python 3.10-3.13 (argparse's handling of a `--` before the command and of
+# `-h` run together with other letters differs between them)
+PARSER_CASES = [
+    [], [""], ["-h"], ["--help"], ["--he"], ["bogus"], ["bogus", "-h"], ["-h", "bogus"],
+    ["--bogus"], ["--bogus", "table", "B"], ["--bogus", "-h"], ["--max-n", "3", "table", "B"],
+    # abbreviations and =
+    ["table", "B", "--max=3"], ["table", "--max", "3", "B"], ["table", "B", "--max-n=3"],
+    ["table", "B", "--max-n=-3"], ["table", "B", "--max-n="], ["table", "B", "--q", "--fo", "csv"],
+    ["oeis-check", "A101280", "--f", "x"], ["oeis-check", "A101280", "--f=x"],
+    ["oeis-check", "A101280", "--fi", "x"], ["oeis-check", "A101280", "--sk=2", "--fo", "json"],
+    ["verify", "all", "--max-n", "3", "--p=2,1/2"],
+    # repeats, and options on either side of the positional
+    ["table", "B", "--max-n", "3", "--max-n", "4"], ["table", "--max-n", "x", "--max-n", "4", "B"],
+    ["table", "--format", "csv", "B", "--format", "json", "--q1"],
+    # --
+    ["table", "--", "B"], ["table", "--max-n", "3", "--", "B"], ["table", "--", "B", "--max-n", "3"],
+    ["table", "--", "--q1"], ["table", "B", "--max-n", "--", "3"], ["-h", "--", "table"],
+    # -h before and after a bad token
+    ["table", "-h", "z"], ["table", "z", "-h"], ["table", "B", "--bogus", "-h"],
+    ["table", "B", "--max-n", "x", "-h"], ["table", "B", "-h", "--max-n", "x"],
+    ["poly", "-h"], ["poly", "T", "--he"], ["conjecture", "--help", "--max-n", "x"],
+    # negative and empty values
+    ["table", "B", "--max-n", "-1"], ["table", "B", "--max-n", "-٣"], ["table", "B", "--max-n", "-1.5"],
+    ["verify", "monotone", "--points", "-2"], ["verify", "monotone", "--points", "-.5"],
+    ["table", "B", "--max-n", "-1 2"], ["oeis-check", "A101280", "--skip", "-3"],
+    ["table", "B", "--max-n", ""], ["table", "B", "--format", ""], ["table", ""],
+    ["oeis-check", "A101280", "--fixture", ""],
+    # flags with values, unknown options and extra positionals
+    ["table", "B", "--q1=x"], ["table", "B", "--help=x"], ["table", "B", "-x"], ["table", "B", "-"],
+    ["table", "B", "C"], ["table", "--q1", "B", "C"], ["verify", "all", "--fixture", "x"],
+    # missing positionals and required options
+    ["poly", "T"], ["poly", "--n", "3"], ["poly"], ["poly", "T", "--n"], ["table"],
+    ["conjecture", "x"], ["conjecture", "--max-n", "3", "--format=json"],
+]
+
+
+def test_parser_reads_argv_as_argparse_did(tmp_path):
+    # on the fuzz corpus and the cases above, both exit with the same status,
+    # and where both parse, every attribute has the same value
+    rng = random.Random(20261019)
+    fixtures = _fuzz_fixtures(tmp_path)
+    reference, parser = _reference_parser(), cli.build_parser()
+    argvs = [_fuzz_argv(rng, fixtures) for _ in range(1500)] + PARSER_CASES
+    got = [(argv, _read(parser, argv)) for argv in argvs]
+    assert [(argv, read) for argv, read in got if read != _read(reference, argv)] == []
+    # the comparison covers a parse, a help text and a usage error
+    assert {(status, ns is None) for _, (status, ns) in got} == {(0, False), (0, True), (2, True)}
+
+
+# the parser's own help and usage text, the same at every terminal width
+TOP_HELP = """\
+usage: qeuler [-h] {table,poly,verify,conjecture,oeis-check} ...
+
+Exact q-Eulerian polynomial triangles, expansions, and checks.
+
+  table       print a coefficient triangle
+  poly        print one polynomial
+  verify      run a verification suite
+  conjecture  scan G*_{2n}(q) coefficient positivity
+  oeis-check  compare q=1 triangles against b-file fixtures
+  -h, --help  show this help message and exit
+"""
+OEIS_CHECK_HELP = """\
+usage: qeuler oeis-check [-h] [--max-n MAX_N] [--fixture FIXTURE] [--skip SKIP] \
+[--format {text,json}] {A101280,A008971}
+
+compare q=1 triangles against b-file fixtures
+
+  --max-n MAX_N
+  --fixture FIXTURE     b-file path (default: bundled snapshot)
+  --skip SKIP           drop this many leading fixture terms
+  --format {text,json}
+  -h, --help            show this help message and exit
+"""
+USAGES = {
+    "table": "usage: qeuler table [-h] [--max-n MAX_N] [--q1] [--format {text,csv,json}] {a,b,A,B}",
+    "poly": "usage: qeuler poly [-h] --n N [--format {text,csv,json}] {A,B,T,dn,Estar,Gstar,Eq}",
+    "verify": "usage: qeuler verify [-h] [--max-n MAX_N] [--points POINTS] [--format {text,json}] "
+              "{all,expansionA,expansionB,series,tangent,secant,doubloon,reciprocity,monotone,brackets}",
+    "conjecture": "usage: qeuler conjecture [-h] [--max-n MAX_N] [--format {text,json}]",
+    "oeis-check": OEIS_CHECK_HELP.partition("\n")[0],
+}
+
+
+@pytest.mark.parametrize("columns", ["20", "200"])
+def test_help_and_usage_bytes(monkeypatch, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    assert _exit(["-h"]) == (0, TOP_HELP, "")
+    assert _exit(["oeis-check", "--help"]) == (0, OEIS_CHECK_HELP, "")
+    for name, usage in USAGES.items():
+        status, out, _ = _exit([name, "-h"])
+        assert (status, out.partition("\n")[0]) == (0, usage)
+    assert _exit([]) == (2, "", f"{TOP_HELP.partition(chr(10))[0]}\n"
+                         "qeuler: error: the following arguments are required: command\n")
+    assert _exit(["table", "z", "--max-n", "3"]) == (
+        2, "", f"{USAGES['table']}\nqeuler table: error: argument family: invalid choice: 'z' "
+               "(choose from 'a', 'b', 'A', 'B')\n")
+    # an error a command finds after parsing prints qeuler's own usage
+    assert _exit(["table", "B", "--max-n", "61"]) == (
+        2, "", f"{TOP_HELP.partition(chr(10))[0]}\nqeuler: error: --max-n must be in 1..60\n")
+
+
+USAGE_ERRORS = [
+    (["table", "B", "--max-n", "x"], "argument --max-n: invalid int value: 'x'"),
+    (["table", "B", "--format", "xml"],
+     "argument --format: invalid choice: 'xml' (choose from 'text', 'csv', 'json')"),
+    (["poly", "T"], "the following arguments are required: --n"),
+    (["poly", "--format", "json"], "the following arguments are required: name, --n"),
+    (["table", "B", "--max-n"], "argument --max-n: expected one argument"),
+    (["table", "B", "--max-n", "--q1"], "argument --max-n: expected one argument"),
+    (["oeis-check", "A101280", "--refresh", "x"], "unrecognized arguments: --refresh x"),
+    (["--bogus", "table", "B"], "unrecognized arguments: --bogus"),
+    (["oeis-check", "A101280", "--f", "x"], "ambiguous option: --f could match --fixture, --format"),
+    (["table", "B", "--q1=x"], "argument --q1: ignored explicit argument 'x'"),
+    (["verify", "monotone", "--points", "2,x"],
+     "argument --points: bad points list: entry 2, 'x': not an integer or a fraction a/b"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS, ids=[" ".join(a) for a, _ in USAGE_ERRORS])
+def test_usage_errors_keep_argparse_wording(argv, message):
+    status, out, err = _exit(argv)
+    assert (status, out) == (2, "")
+    # arguments no parser takes are reported at the top level, as argparse did
+    prog = "qeuler" if message.startswith("unrecognized") else f"qeuler {argv[0]}"
+    assert err.splitlines()[-1] == f"{prog}: error: {message}"
+
+
+def test_readme_shows_the_help_text():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert TOP_HELP in readme
+    assert all(usage[len("usage: "):] in readme for usage in USAGES.values())

@@ -326,14 +326,6 @@ class QLaurent:
             return self
         return QLaurent(self.base, self.offset + e)
 
-    def to_qpoly(self) -> QPoly:
-        """Lossless conversion; requires ``offset >= 0``.
-
-        >>> QLaurent(QPoly([1, 1]), 1).to_qpoly()
-        QPoly('q + q^2')
-        """
-        return self.base.shift(self.offset)
-
     def __bool__(self) -> bool:
         return not self.is_zero()
 
@@ -431,21 +423,8 @@ class TQPoly:
     def one() -> TQPoly:
         return TQPoly([1])
 
-    @staticmethod
-    def t_monomial(d: int, coeff: int | QPoly | QLaurent = 1) -> TQPoly:
-        """``coeff * t^d`` with ``d >= 0``."""
-        if d < 0:
-            raise ValueError("t-exponents must be nonnegative")
-        return TQPoly([QLaurent.zero()] * d + [QLaurent.coerce(coeff)])
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def t_degree(self) -> int:
-        return len(self.terms) - 1
-
-    def t_valuation(self) -> int:
-        return next((i for i, c in enumerate(self.terms) if c), 0)
 
     def coeff(self, d: int) -> QLaurent:
         """Coefficient of ``t^d`` (zero out of range)."""

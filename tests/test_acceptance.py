@@ -116,12 +116,12 @@ def test_criterion_02_displayed_polynomials():
             assert gamma_a_entry(n, k) == value, (n, k)
         displayed_b = {
             1: TQPoly([1, P(0, 1)]),
-            2: poch_t(1, 2, sign=-1, step=2) + TQPoly.t_monomial(1, P(0, 1, 2, 1)),
+            2: poch_t(1, 2, sign=-1, step=2) + TQPoly([0, P(0, 1, 2, 1)]),
             3: poch_t(1, 3, sign=-1, step=2)
             + P(0, 2, 5, 6, 5, 2) * TQPoly([0, 1, QPoly.monomial(3)]),
             4: poch_t(1, 4, sign=-1, step=2)
             + (P(0, 3, 9, 15, 18, 15, 9, 3) * poch_t(3, 2, sign=-1, step=2)).t_shift(1)
-            + TQPoly.t_monomial(2, QPoly.monomial(4) * P(2, 7, 11, 13, 14, 13, 11, 7, 2)),
+            + TQPoly([0, 0, QPoly.monomial(4) * P(2, 7, 11, 13, 14, 13, 11, 7, 2)]),
         }
         for n, value in displayed_b.items():
             assert typeB_poly(n) == value, n
@@ -270,8 +270,8 @@ def test_criterion_14_kernel_properties():
             lhs = poch_t(0, N, sign=+1)
             rhs = TQPoly.zero()
             for j in range(N + 1):
-                rhs = rhs + TQPoly.t_monomial(
-                    j, q_binom(N, j) * QPoly.monomial(j * (j - 1) // 2, (-1) ** j)
+                rhs = rhs + TQPoly(
+                    [0] * j + [q_binom(N, j) * QPoly.monomial(j * (j - 1) // 2, (-1) ** j)]
                 )
             assert lhs == rhs
         # ring axioms, 200 seeded random triples

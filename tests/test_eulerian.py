@@ -99,7 +99,7 @@ def test_carlitz_poly_small():
     assert carlitz_poly(1) == TQPoly.one()
     assert carlitz_poly(2) == TQPoly([1, P(0, 1)])
     # (1+tq)(1+tq^2) + (q+q^2) t
-    expected = poch_t(1, 2, sign=-1) + TQPoly.t_monomial(1, P(0, 1, 1))
+    expected = poch_t(1, 2, sign=-1) + TQPoly([0, P(0, 1, 1)])
     assert carlitz_poly(3) == expected
 
 
@@ -334,9 +334,10 @@ def test_basis_change_is_the_q_binomial_theorem(n):
     for expand, change, gammas, s, ks, first in cases:
         dense = _dense_gamma_sum(gammas, n, s)
         assert expand(n) == dense
-        assert dense.t_degree() == ks[-1] - first
+        assert len(dense.terms) - 1 == ks[-1] - first
         for k in ks:
-            assert change(n, k) == dense.coeff(k - first).to_qpoly(), (n, k)
+            c = dense.coeff(k - first)
+            assert change(n, k) == c.base.shift(c.offset), (n, k)
 
 
 def _dense_basis_change(row, n, i, s):

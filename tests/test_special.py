@@ -78,7 +78,7 @@ def test_a_star_wrong_exponent_is_not_polynomial():
     wrong = QLaurent.q_power(-(k * (k + 1) // 2)) * gamma_a_entry(3, 2)
     assert wrong.offset < 0
     with pytest.raises(ValueError):
-        wrong.to_qpoly()
+        wrong.base.shift(wrong.offset)
 
 
 def test_a_star_rescaled_recurrence():
@@ -416,7 +416,7 @@ def test_even_quotient_trivial():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_even_quotient_reconstructs_and_is_nonneg(n):
     quot = even_quotient(n)
-    assert quot.t_degree() == 2 * n - 2
+    assert len(quot.terms) - 1 == 2 * n - 2
     divisor = TQPoly([QLaurent.one(), QLaurent.q_power(n)])
     assert quot * divisor == carlitz_poly(2 * n)
     for c in quot.terms:
@@ -434,8 +434,8 @@ def test_b_odd_vanish(n):
     # a row that does not vanish is a plain False, never a negative power of
     # q: at every t-degree of B_{2n+1} and two above it, and with a q^-1 term
     poly = typeB_poly(2 * n + 1)
-    assert not any(b_odd_vanish(n, poly + TQPoly.t_monomial(d)) for d in range(2 * n + 4))
-    assert not b_odd_vanish(n, poly + TQPoly.t_monomial(1, QLaurent.q_power(-1)))
+    assert not any(b_odd_vanish(n, poly + TQPoly([0] * d + [1])) for d in range(2 * n + 4))
+    assert not b_odd_vanish(n, poly + TQPoly([0, QLaurent.q_power(-1)]))
     # a vanishing value stays True whatever its t-degree or offsets
     assert b_odd_vanish(n, poly * TQPoly([QLaurent.q_power(-1), 0, 0, 1]))
 
@@ -548,14 +548,14 @@ def test_negative_n_rejected():
 
 @pytest.mark.parametrize("n", range(1, 26))
 def test_d_poly_matches_exact_div(n):
-    divisor = poch_num(QLaurent.q_power(1, -1), n).to_qpoly()
-    assert d_poly(n) == exact_div(q_tangent(n), divisor)
+    divisor = poch_num(QLaurent.q_power(1, -1), n)
+    assert d_poly(n) == exact_div(q_tangent(n), divisor.base.shift(divisor.offset))
 
 
 @pytest.mark.parametrize("n", range(0, 21))
 def test_g_star_matches_exact_div(n):
     divisor = poch_num(QLaurent.q_power(1, -1), n, step=2) * P(1, 1) ** n
-    assert g_star(n) == exact_div(e_star(n), divisor.to_qpoly())
+    assert g_star(n) == exact_div(e_star(n), divisor.base.shift(divisor.offset))
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -15,7 +15,7 @@ import sys
 import time
 from collections import namedtuple
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 from types import SimpleNamespace
 
 from . import doubloon, eulerian, special, unimodality
@@ -31,6 +31,7 @@ from .eulerian import (
     carlitz_series_oracle,
     gamma_expand_A,
     gamma_expand_B,
+    iter_point_rows,
     iter_q1_rows,
     iter_rows,
     typeB_entry,
@@ -137,11 +138,12 @@ class Block(namedtuple("Block", "first checks cap by_point rows prepare",
     a function of one index that returns one ``(name, ok[, detail])`` item.
     The indices are ``(n,)`` for ``n = first..min(max_n, cap)``, or
     ``(q0, n)`` over the sample points and that range when ``by_point``.
-    ``rows``, when given, is ``(family, rows_of)``: the checks at ``n`` also
-    take the rows ``rows_of(n)`` of ``family``, consecutive and in order, as
-    :func:`iter_rows` streams them.  ``prepare``, when given, turns an
-    index and its rows, once per index, into what the checks take after the
-    index instead of the rows."""
+    ``rows``, when given, is ``(families, rows_of)``: the checks at ``n`` also
+    take, for each of the rows ``rows_of(n)``, consecutive and in order, that
+    row of each of ``families`` in turn, as :func:`_stream` gives them: the
+    q-rows, or the rows at ``q0`` when ``by_point``.  ``prepare``, when
+    given, turns an index and its rows, once per index, into what the checks
+    take after the index instead of the rows."""
 
     __slots__ = ()
 
@@ -276,10 +278,12 @@ def _secant_rows(n, even, odd):
 # re-recorded on purpose.  At each limit a cold run takes under 5 s and
 # 40 MB on a 2 vCPU VM (Python 3.11): series 2.2 s, expansionA 4.4 s,
 # expansionB 3.1 s, tangent 1.3 s / 38 MB, secant 0.9 s / 31 MB, monotone
-# 0.2 s, brackets 0.08 s (each lemma is decided once, at import),
-# reciprocity 0.6 s / 27 MB, doubloon 0.1 s.  No suite caches a row it reads
-# once: tangent, secant and reciprocity stream theirs, and tangent, secant and
-# doubloon read their central entries from the cone.
+# 0.04 s at the default points (0.14-0.22 s when it read the cached q-rows),
+# brackets 0.08 s (each lemma is decided once, at import), reciprocity
+# 0.6 s / 27 MB, doubloon 0.1 s.  No suite caches a row it reads once:
+# tangent, secant and reciprocity stream theirs, monotone streams the rows at
+# each point, computed in Z, and tangent, secant and doubloon read their
+# central entries from the cone.
 SUITES = {
     "expansionA": Suite(14, 35, (Block(1, (
         lambda n: _equal(f"gamma_expand_A({n}) == carlitz_poly({n})",
@@ -307,13 +311,13 @@ SUITES = {
                                   special._signed_value(TQPoly(row), n, n * (n - 1) // 2,
                                                         n, f"T_{2*n+1}"),
                                   special.a_star(2 * n + 1, n + 1)),
-        ), rows=("A", lambda n: (2 * n + 1,))),
+        ), rows=(("A",), lambda n: (2 * n + 1,))),
         Block(1, (
             lambda n, _: _confirmed(_nonnegative_poly(f"d_{n} in Z[q] with nonneg coeffs",
                                                       special.d_poly(n)),
                                     special._check_d_quotient, n),
             _reconstructs,
-        ), rows=("A", lambda n: (2 * n,))),
+        ), rows=(("A",), lambda n: (2 * n,))),
         Block(1, (lambda n: _confirmed(_equal(f"d_{n} rational identity", *special._d_identity(n)),
                                        special._check_d_quotient, n),),
               cap=5),
@@ -333,7 +337,7 @@ SUITES = {
             lambda n, even, *_: _equal(f"E_{2*n}(q) at q=1 == 4^{n} E_{2*n}",
                                        spec_q1(special.e_q_secant(n, even)),
                                        4**n * special.secant_number(n)),
-        ), rows=("B", lambda n: (2 * n, 2 * n + 1)), prepare=_secant_rows),
+        ), rows=(("B",), lambda n: (2 * n, 2 * n + 1)), prepare=_secant_rows),
         Block(0, (lambda n: _confirmed(
             _equal(f"G*_{2*n} rational identity", *special._gstar_identity(n)),
             special._check_gstar_quotient, n),), cap=4),
@@ -344,18 +348,18 @@ SUITES = {
         Block(1, (lambda n, row: _first_bad(f"A row reversal n={n}",
                                             unimodality._first_unreversed("A", n, row),
                                             "first bad k={}"),),
-              rows=("A", lambda n: (n,))),
+              rows=(("A",), lambda n: (n,))),
         Block(0, (lambda n, row: _first_bad(f"B row reversal n={n}",
                                             unimodality._first_unreversed("B", n, row),
                                             "first bad k={}"),),
-              rows=("B", lambda n: (n,))),
+              rows=(("B",), lambda n: (n,))),
     )),
     "monotone": Suite(10, 30, (Block(2, (
-        lambda q0, n: _first_bad(f"A strict growth n={n} q0={q0}",
-                                 unimodality._first_fall("A", n, q0), _FALL),
-        lambda q0, n: _first_bad(f"B strict growth n={n} q0={q0}",
-                                 unimodality._first_fall("B", n, q0), _FALL),
-    ), by_point=True),)),
+        lambda q0, n, A, _: _first_bad(f"A strict growth n={n} q0={q0}",
+                                       unimodality._first_fall("A", n, q0, *A), _FALL),
+        lambda q0, n, _, B: _first_bad(f"B strict growth n={n} q0={q0}",
+                                       unimodality._first_fall("B", n, q0, *B), _FALL),
+    ), by_point=True, rows=(("A", "B"), lambda n: (n,))),)),
     "brackets": Suite(12, 40, (
         Block(1, (lambda n: _brackets("A", eulerian.bracket_identity_A, 1, n),)),
         Block(0, (lambda n: _brackets("B", eulerian.bracket_identity_B, 0, n),)),
@@ -380,41 +384,60 @@ def _items(block, index, rows) -> list[tuple]:
     return out
 
 
+def _stream(families: tuple[str, ...], q0, N: int):
+    """``(m, rows)`` for ``m`` from the largest ``first_n`` of ``families``
+    to ``N``, ``rows`` holding row ``m`` of each family in turn: the q-row,
+    as :func:`iter_rows` streams it, or at a sample point ``q0`` the pair
+    ``(D, row)`` of :func:`iter_point_rows`, the row's values at ``q0``
+    times ``b^D``.  The families' streams are walked in step, each once."""
+    start = max(FAMILIES[f].first_n for f in families)
+    if q0 is None:
+        streams = [iter_rows(f, N) for f in families]
+    else:
+        streams = [((m, (D, row)) for m, D, row in iter_point_rows(f, N, q0)) for f in families]
+    for items in zip(*[islice(stream, start - FAMILIES[f].first_n, None)
+                       for f, stream in zip(families, streams)]):
+        yield items[0][0], tuple(row for _, row in items)
+
+
 @_timed
 def run_suite(name: str, max_n: int | None = None, points=None) -> Report:
     """Run suite ``name`` up to ``max_n`` (default: the suite's own bound),
     sampling monotonicity at ``points`` (default :data:`DEFAULT_POINTS`).
 
     The suite's central entries are filled first, by one cone stream per
-    family, and each family that its blocks read rows of is walked once, by
-    one :func:`iter_rows` stream: an index's checks run when the stream
-    reaches the last row they read, with at most as many rows held as one index
-    reads.  The items are reported in the suite's order all the same."""
+    family, and the rows its blocks read are walked once per block family
+    list, and per sample point in a ``by_point`` block, by one
+    :func:`_stream`: an index's checks run when the stream reaches the last
+    row they read, with at most as many rows held as one index reads.  The
+    items are reported in the suite's order all the same."""
     indices = SUITES[name].indices(max_n, points)
     for family in SUITES[name].central if indices else ():
         _central_entry(family, max(index[-1] for _, index in indices))
     items = [None] * len(indices)
-    # family -> last row read -> (position, rows read) of each index that
-    # reads it, and family -> the most rows one index reads
-    streams: dict[str, dict[int, list[tuple]]] = {}
-    span: dict[str, int] = {}
+    # stream -> last row read -> (position, rows read) of each index that
+    # reads it, and stream -> the most rows one index reads; a stream is
+    # (families, q0), with q0 None for the q-rows
+    streams: dict[tuple, dict[int, list[tuple]]] = {}
+    span: dict[tuple, int] = {}
     for i, (block, index) in enumerate(indices):
         if block.rows is None:
             items[i] = _items(block, index, ())
             continue
-        family, rows_of = block.rows
+        families, rows_of = block.rows
+        key = (families, index[0] if block.by_point else None)
         ms = rows_of(index[-1])
-        streams.setdefault(family, {}).setdefault(ms[-1], []).append((i, ms))
-        span[family] = max(span.get(family, 1), len(ms))
-    for family, ready in streams.items():
+        streams.setdefault(key, {}).setdefault(ms[-1], []).append((i, ms))
+        span[key] = max(span.get(key, 1), len(ms))
+    for key, ready in streams.items():
         held = {}
-        for m, row in iter_rows(family, max(ready)):
-            held[m] = row
+        for m, rows in _stream(*key, max(ready)):
+            held[m] = rows
             for i, ms in ready.get(m, ()):
                 block, index = indices[i]
-                items[i] = _items(block, index, [held[k] for k in ms])
+                items[i] = _items(block, index, [row for k in ms for row in held[k]])
             # an index still to run reads no row below m + 2 - span
-            held.pop(m + 1 - span[family], None)
+            held.pop(m + 1 - span[key], None)
     r = Report(name)
     for checked in items:
         for item in checked:
@@ -660,35 +683,53 @@ def cmd_oeis_check(args, parser) -> int:
 
 
 # The most digits a --points numerator or denominator may have, in lowest
-# terms.  Evaluating a row entry at a/b works on integers of about its degree
-# times the digits of a and b: cold on a 2 vCPU VM (Python 3.11), `verify
-# monotone --max-n 30` takes 0.7-1.1 s at the two 30-digit points
-# (10^30-1)/(10^30-2) and its reciprocal, 1.4 s at 40 digits and 0.3 s at
-# 10^10 and 10^-10.
+# terms.  Row n at a/b is computed as b^D_n times its values, integers of
+# about D_n times the digits of a and b (D_n is the row's degree, 435 for A
+# and 900 for B at 30): cold on a 2 vCPU VM (Python 3.11), `verify monotone
+# --max-n 30` takes 0.4-0.9 s at the two 30-digit points (10^30-1)/(10^30-2)
+# and its reciprocal, 1.0-1.4 s at 40 digits and 0.09 s at 10^10 and
+# 10^-10, against 0.7-1.5 s, 1.4-2.0 s and 0.2-0.3 s with Horner's rule on
+# the cached q-rows.
 MAX_POINT_DIGITS = 30
 
 # The most digits all --points entries may have together, counted as above.
-# Points below 1 cost the most, about 1.5 times a point above 1 of the same
-# digits: at this budget the slowest list, two points of 60 digits each just
-# below 1 such as (10^30-2)/(10^30-1) and (10^30-3)/(10^30-2), takes `verify
-# monotone --max-n 30` 1.1 s cold, and forty points 1/2 take 0.6 s.
+# Each point's rows are computed whole, so a point below 1 costs about what
+# one above 1 of the same digits does: at this budget the slowest lists, two
+# points of 60 digits each, such as (10^30-2)/(10^30-1) and (10^30-3)/(10^30-2)
+# or the first and its reciprocal, take `verify monotone --max-n 30`
+# 0.4-0.9 s cold, and forty points 1/2 take 0.04 s (1.0-1.5 s and 0.6-1.0 s
+# with Horner's rule on the cached q-rows).
 POINTS_DIGIT_BUDGET = 120
 
 
 def _point(part: str) -> Fraction:
-    """One ``--points`` entry.  Exponent forms are refused before a value is
-    built, since ``Fraction("1e10000000")`` alone takes seconds.  No message
-    repeats the entry, which may be long."""
+    """One ``--points`` entry: optional whitespace around an optional sign
+    and ``a/b``, or a decimal ``a``, ``a.``, ``a.d`` or ``.d``, each letter
+    standing for digits.  That is the grammar of ``Fraction(str)`` on
+    Python 3.10, whose later versions also take ``_`` and spaces around
+    ``/``; it is read here by hand and the value built as ``Fraction(int,
+    int)``, so every Python takes the same entries.  Exponent forms get
+    their own message, and no message repeats the entry, which may be
+    long."""
     if "e" in part.lower():
         raise ValueError("exponent form; write it as digits or a/b")
+    body = part.strip()
+    negative = body.startswith("-")
+    if body.startswith(("+", "-")):
+        body = body[1:]
+    num, slash, den = body.partition("/")
+    if not slash:
+        num, _, den = body.partition(".")
+    if not (num.isdecimal() and den.isdecimal() if slash else (num + den).isdecimal()):
+        raise ValueError("not an integer or a fraction a/b")
     try:
-        q0 = Fraction(part)
-    except ValueError as exc:
-        if "literal" in str(exc):
-            raise ValueError("not an integer or a fraction a/b") from None  # not the entry again
-        q0 = None  # over int()'s limit of 4300 digits, so far over the cap
-    except ZeroDivisionError:
-        raise ValueError("its denominator is 0") from None
+        # den is the denominator after a slash, else the decimal digits
+        a, b = (int(num), int(den)) if slash else (int(num + den), 10 ** len(den))
+    except ValueError:  # over int()'s limit of 4300 digits, so far over the cap
+        a, b = None, 1
+    if b == 0:
+        raise ValueError("its denominator is 0")
+    q0 = None if a is None else Fraction(-a if negative else a, b)
     if q0 is None or max(abs(q0.numerator), q0.denominator) >= 10**MAX_POINT_DIGITS:
         raise ValueError(f"a point may have at most {MAX_POINT_DIGITS} digits "
                          "in its numerator and denominator")

@@ -71,11 +71,13 @@ The ``*_entry`` functions and the generating polynomials read rows of ``A``,
 walks the same row step without the cache, for readers that need each row
 once and in order, and with a lag it walks only the dependency cone of the
 entries near the diagonal: each central entry that the q-tangent and q-secant
-families read comes from one such stream per family.  :func:`iter_q1_rows`
-walks the recurrence at ``q = 1`` in Z, where ``[m]_{q^s}`` is ``m`` and each
-``1 + q^f`` is 2, so the integer rows cost no q-row; it shares the package's
-one integer row engine with ``classical_gamma_a/b``, which keep their own
-coefficients as independent ``q = 1`` references.
+families read comes from one such stream per family.
+:func:`iter_point_rows` walks the recurrence at a point ``q = a/b`` in Z,
+row ``n`` times ``b^D_n``, so the values at the point cost no q-row, and
+:func:`iter_q1_rows` is its ``q = 1`` case, where ``[m]_{q^s}`` is ``m`` and
+each ``1 + q^f`` is 2; they share the package's one integer row engine with
+``classical_gamma_a/b``, which keep their own coefficients as independent
+``q = 1`` references.
 """
 
 from __future__ import annotations
@@ -84,10 +86,10 @@ from collections import namedtuple
 from collections.abc import Callable, Iterator
 from functools import lru_cache
 from itertools import accumulate, compress, count
-from math import comb
-from operator import add, sub
+from math import comb, prod
+from operator import add, mul, sub
 
-from .qring import QLaurent, QPoly, TQPoly, poch_t, q_int
+from .qring import QLaurent, QPoly, RatLike, TQPoly, poch_t, q_int
 
 
 # ``(e, fs, v)`` stands for ``q^e prod_{f in fs} (1 + q^f) [v]_{q^s}``.
@@ -458,48 +460,100 @@ def basis_change_B(n: int, k: int) -> QPoly:
 
 
 # ---------------------------------------------------------------------------
-# Classical (q = 1) integer triangles
+# Integer rows: the recurrence at a point, and the classical (q = 1) triangles
 # ---------------------------------------------------------------------------
 
 
-def _classical_rows(N: int, seed_n: int, krange, alpha, beta) -> Iterator[tuple[int, list[int]]]:
-    """``(n, P[n])`` for ``n = seed_n..N`` of the integer recurrence
-    ``P[n,k] = alpha(n,k) P[n-1,k] + beta(n,k) P[n-1,k-1]`` from
-    ``P[seed_n] = [1]``, row ``n`` over ``krange(n)``, each row built from the
-    one before it and none kept; every row starts at the same ``k``, so entry
-    ``j`` reads row ``n-1``, zero-padded, at ``j+1`` and ``j``."""
-    row = [1]
-    yield seed_n, row
+def _integer_rows(N: int, seed_n: int, steps) -> Iterator[tuple[int, int, list[int]]]:
+    """``(n, D_n, P[n])`` for ``n = seed_n..N`` of the integer recurrence
+    ``P[n,j] = xs[j] P[n-1,j] + ys[j] P[n-1,j-1]`` from ``P[seed_n] = [1]``
+    and ``D_seed_n = 0``, with ``(delta, xs, ys) = steps(n)`` the multiplier
+    lists of row ``n``, one per entry, and ``D_n = D_(n-1) + delta``; each
+    row is built from the one before it and none kept.  Every row starts at
+    the same ``k``, so entry ``j`` reads row ``n-1``, zero-padded, at ``j``
+    and ``j-1``."""
+    row, D = [1], 0
+    yield seed_n, D, row
     for n in range(seed_n + 1, N + 1):
-        prev = [0, *row, 0]
-        row = [alpha(n, k) * prev[j + 1] + beta(n, k) * prev[j]
-               for j, k in enumerate(krange(n))]
-        yield n, row
+        delta, xs, ys = steps(n)
+        row = [*map(add, map(mul, xs, [*row, 0]), map(mul, ys, [0, *row]))]
+        D += delta
+        yield n, D, row
 
 
-def iter_q1_rows(family: str, N: int) -> Iterator[tuple[int, list[int]]]:
-    """:func:`iter_rows` at ``q = 1``: ``(n, [P[n,k](1) for k in krange(n)])``
-    for ``n = first_n..N``, computed in Z by the ``FAMILIES`` recurrence at
-    ``q = 1``, where ``[m]_q`` is ``m`` and each ``1 + q^f`` is 2, so no
-    q-row is built."""
+def _point_steps(fam: Family, a: int, b: int):
+    """The ``steps`` of :func:`_integer_rows` that run ``fam`` at ``q = a/b``
+    with row ``n`` scaled by ``b^D_n``.  ``[m]_{q^s}`` at ``a/b`` is
+    ``H^(s)_m / b^(s(m-1))`` with ``H^(s)_m = sum_{i<m} a^(s i) b^(s(m-1-i))``,
+    ``q^e`` is ``a^e / b^e`` and ``1 + q^f`` is ``(a^f + b^f) / b^f``, so
+    each term of the recurrence is an integer times ``b`` to minus its top
+    degree: ``u - 1`` for ``[u] P[n-1,k]`` and ``e + sum(fs) + s(v-1)`` for
+    the other.  ``delta`` is the largest top degree among the terms row
+    ``n`` has, and each term's multiplier makes up the rest in powers of
+    ``b``.  At ``a = b = 1`` the multipliers are ``u`` and ``v 2^len(fs)``."""
+    s = fam.stride
+    # a^i, b^i, H^(1)_m and H^(s)_m by index, grown as the rows need them:
+    # every exponent of a term that a row has is at least 0 (u and v at
+    # least 1, e and each f at least 0) and at most that row's delta (+ s)
+    pa, pb, h = [1], [1], [0]
+    hs = h if s == 1 else [0]
+
+    def steps(n: int) -> tuple[int, list[int], list[int]]:
+        kr, width = fam.krange(n), len(fam.krange(n - 1))
+        # [u] P[n-1,k] is a term where k is a column of row n-1, and the
+        # other term where k-1 is
+        us = [fam.alpha(n, k) for k in kr[:width]]
+        betas = [fam.beta(n, k) for k in kr[1:width + 1]]
+        tops = [e + sum(fs) + s * (v - 1) for e, fs, v in betas]
+        delta = max(max(us) - 1, max(tops, default=0))
+        while len(pa) <= delta + s:
+            pa.append(pa[-1] * a)
+            pb.append(pb[-1] * b)
+        while len(h) <= delta + 1:
+            h.append(a * h[-1] + pb[len(h) - 1])
+        while s * (len(hs) - 1) <= delta:
+            hs.append(pa[s] * hs[-1] + pb[s * (len(hs) - 1)])
+        xs = [h[u] * pb[delta + 1 - u] for u in us] + [0] * (len(kr) - width)
+        ys = [0] + [pa[e] * prod([pa[f] + pb[f] for f in fs]) * hs[v] * pb[delta - top]
+                    for (e, fs, v), top in zip(betas, tops)]
+        return delta, xs, ys
+
+    return steps
+
+
+def iter_point_rows(family: str, N: int, q0: RatLike) -> Iterator[tuple[int, int, list[int]]]:
+    """:func:`iter_rows` at ``q = q0 = a/b``: ``(n, D_n, [b^D_n P[n,k](a/b)
+    for k in krange(n)])`` for ``n = first_n..N``, computed in Z by the
+    ``FAMILIES`` recurrence at ``a/b`` (:func:`_point_steps`), so no q-row is
+    built.  ``D_n`` is at least the degree of every entry of row ``n``."""
     fam = FAMILIES[family]
     if N < fam.first_n:
         raise ValueError(f"family {family} needs N >= {fam.first_n}, got {N}")
+    for item in _integer_rows(N, fam.seed_n, _point_steps(fam, q0.numerator, q0.denominator)):
+        if item[0] >= fam.first_n:
+            yield item
 
-    def beta(n: int, k: int) -> int:
-        _, fs, v = fam.beta(n, k)
-        return v << len(fs)
 
-    for n, row in _classical_rows(N, fam.seed_n, fam.krange, fam.alpha, beta):
-        if n >= fam.first_n:
-            yield n, row
+def iter_q1_rows(family: str, N: int) -> Iterator[tuple[int, list[int]]]:
+    """:func:`iter_point_rows` at ``q = 1``, where ``[m]_q`` is ``m`` and each
+    ``1 + q^f`` is 2: ``(n, [P[n,k](1) for k in krange(n)])`` for ``n =
+    first_n..N``."""
+    for n, _, row in iter_point_rows(family, N, 1):
+        yield n, row
 
 
 def _classical_triangle(N: int, krange, alpha, beta) -> list[list[int]]:
-    """Rows 1..N of :func:`_classical_rows` from ``P[1] = [1]``."""
+    """Rows 1..N of ``P[n,k] = alpha(n,k) P[n-1,k] + beta(n,k) P[n-1,k-1]``
+    from ``P[1] = [1]``, row ``n`` over ``krange(n)``, on
+    :func:`_integer_rows`."""
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
-    return [row for _, row in _classical_rows(N, 1, krange, alpha, beta)]
+
+    def steps(n: int) -> tuple[int, list[int], list[int]]:
+        kr = krange(n)
+        return 0, [alpha(n, k) for k in kr], [beta(n, k) for k in kr]
+
+    return [row for _, _, row in _integer_rows(N, 1, steps)]
 
 
 def classical_gamma_a(N: int) -> list[list[int]]:

@@ -297,6 +297,22 @@ def test_table_q1_builds_no_q_row(monkeypatch, capsys, family, fmt):
         assert capsys.readouterr().out == want
 
 
+@pytest.mark.parametrize("points", [None, f"{10**30 - 2}/{10**30 - 1},{10**30 - 1}/{10**30 - 2}"],
+                         ids=["default points", "60 digits"])
+def test_verify_monotone_builds_no_q_row(monkeypatch, capsys, points):
+    # each point's rows come from the recurrence at that point, in Z, never
+    # from a q-row, cached or streamed
+    def no_q_row(*args):
+        raise AssertionError("verify monotone built a q-row")
+
+    _clear_row_caches()
+    monkeypatch.setattr(eulerian, "_next_row", no_q_row)
+    argv = ["verify", "monotone", "--max-n", "30"] + (["--points", points] if points else [])
+    assert main(argv) == 0
+    assert "suite monotone: PASS" in capsys.readouterr().out
+    assert _cached_rows() == [0, 0, 0, 0]
+
+
 def _traced_peak(fn):
     """The most memory ``fn()`` holds at once, as ``tracemalloc`` counts it."""
     tracemalloc.start()
@@ -753,8 +769,10 @@ def test_a_broken_carried_out_triangle_fails_its_suite(monkeypatch, family, chan
 def _perturbed_row(monkeypatch, row_name, n, i, entry):
     """Make ``unimodality.<row_name>``, and the rows of its family that
     ``verify`` streams, give row ``n`` with entry ``i`` replaced by
-    ``entry(row)``."""
-    original, stream = getattr(unimodality, row_name), cli.iter_rows
+    ``entry(row)``: in the q-rows, and in the rows at each sample point as
+    that entry's value there at the row's scale."""
+    original = getattr(unimodality, row_name)
+    stream, point_stream = cli.iter_rows, cli.iter_point_rows
     family = {"_carlitz_row": "A", "_typeB_row": "B"}[row_name]
 
     def perturbed(m, r):
@@ -767,8 +785,16 @@ def _perturbed_row(monkeypatch, row_name, n, i, entry):
     def rows(fam, N, *args):
         return ((m, perturbed(m, r) if fam == family else r) for m, r in stream(fam, N, *args))
 
+    def point_rows(fam, N, q0):
+        for m, D, r in point_stream(fam, N, q0):
+            if (fam, m) == (family, n):
+                r = list(r)
+                r[i] = entry(original(n))._scaled(q0.numerator, q0.denominator, D)
+            yield m, D, r
+
     monkeypatch.setattr(unimodality, row_name, lambda m: perturbed(m, original(m)))
     monkeypatch.setattr(cli, "iter_rows", rows)
+    monkeypatch.setattr(cli, "iter_point_rows", point_rows)
 
 
 @pytest.mark.parametrize("family, row_name, n, k", [
@@ -795,6 +821,29 @@ def test_growth_failure_names_k_and_both_values(monkeypatch, family, row_name, n
         (f"{family} strict growth n={n} q0={q0}", f"first bad k=2: {a - 1} does not exceed {a}"),
     ]
     assert all(i.detail == "" for i in report.items if i.status == "pass")
+
+
+WIDE = (Fraction(10**30 - 2, 10**30 - 1), Fraction(10**30 - 1, 10**30 - 2))
+
+
+@pytest.mark.parametrize("q0", [Fraction(2), Fraction(1, 2), *WIDE])
+@pytest.mark.parametrize("family, row_name, n, lo", [("A", "_carlitz_row", 7, 0),
+                                                     ("B", "_typeB_row", 6, 1)])
+def test_stream_and_cached_row_report_one_fall(monkeypatch, family, row_name, n, lo, q0):
+    # the entry read third (forwards above 1, backwards below) made its
+    # predecessor less 1: the suite's locator, on the row at q0, reports
+    # the same k and the same two fractions as the cached-row locator on
+    # the perturbed q-row
+    at, before = (lo + 2, lo + 1) if q0 > 1 else (-3 - lo, -2 - lo)
+    _perturbed_row(monkeypatch, row_name, n, at, lambda r: r[before] - 1)
+    locate, found = unimodality._first_fall, []
+    monkeypatch.setattr(unimodality, "_first_fall",
+                        lambda *args: found.append(locate(*args)) or found[-1])
+    report = run_suite("monotone", n, (q0,))
+    want = locate(family, n, q0)
+    assert want[0] == 2
+    assert repr([x for x in found if x is not None]) == repr([want])
+    assert [i.detail for i in report.items if i.status == "fail"] == [cli._FALL.format(*want)]
 
 
 def _counted(monkeypatch, module, name):
@@ -854,15 +903,27 @@ def test_broken_library_claim_is_a_failed_item(monkeypatch, capsys):
     assert doc["counters"] == {"pass": 7, "fail": 10, "reported": 0}
 
 
+class _Vanishing(int):
+    """A row value that cannot be compared, as from a broken library claim."""
+
+    def __lt__(self, other):
+        raise ZeroDivisionError("row entry vanishes at q0")
+
+    __gt__ = __lt__
+
+
 def test_broken_library_claim_names_the_point(monkeypatch):
-    original = unimodality._first_fall
+    # the second value that strict growth compares in row 4 of A at 3/2
+    # cannot be compared
+    stream = cli.iter_point_rows
 
-    def broken(family, n, q0):
-        if (family, n, q0) == ("A", 4, Fraction(3, 2)):
-            raise ZeroDivisionError("row entry vanishes at q0")
-        return original(family, n, q0)
+    def broken(family, N, q0):
+        for m, D, row in stream(family, N, q0):
+            if (family, m, q0) == ("A", 4, Fraction(3, 2)):
+                row = [row[0], _Vanishing(row[1]), *row[2:]]
+            yield m, D, row
 
-    monkeypatch.setattr(unimodality, "_first_fall", broken)
+    monkeypatch.setattr(cli, "iter_point_rows", broken)
     report = run_suite("monotone", 5, (Fraction(3, 2), Fraction(1, 2)))
     assert [(i.name, i.detail) for i in report.items if i.status == "fail"] == [
         ("ZeroDivisionError at q0=3/2, n=4", "row entry vanishes at q0")
@@ -874,6 +935,29 @@ def test_broken_library_claim_names_the_point(monkeypatch):
 def test_verify_monotone_with_points():
     proc = run_cli("verify", "monotone", "--max-n", "6", "--points", "2,3/2,1/2")
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("entry, value", [
+    ("3/2", Fraction(3, 2)), (" +3/2\t", Fraction(3, 2)), ("1.5", Fraction(3, 2)),
+    (".5", Fraction(1, 2)), ("2.", Fraction(2)), ("0.50", Fraction(1, 2)),
+    ("007/3", Fraction(7, 3)),
+    ("\u0663/\u0662", Fraction(3, 2)),  # Arabic-Indic digits are digits
+    # what Fraction(str) takes on some Pythons and not on others
+    ("1_000", None), ("3_0/2", None), ("3 / 2", None), ("3/ 2", None), ("3 /2", None),
+    ("1/", None), ("/2", None), (".", None), ("", None), ("+", None), ("1.5/2", None),
+    ("1/2.0", None), ("- 3", None), ("1..5", None), ("0x10", None), ("\u00bd", None),
+])
+def test_points_grammar_is_one_on_every_python(entry, value):
+    # the Python 3.10 grammar of Fraction(str): later versions also take
+    # "_" in digits and spaces around "/"
+    if value is None:
+        with pytest.raises(ValueError, match="^not an integer or a fraction a/b$"):
+            cli._point(entry)
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+            main(["verify", "monotone", "--max-n", "2", "--points", f"2,{entry}"])
+        assert exc.value.code == 2
+    else:
+        assert cli._point(entry) == value
 
 
 def test_verify_bad_points_usage_error():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import operator
@@ -5,6 +6,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,7 @@ from qeuler.eulerian import (
     gamma_b_entry,
     gamma_expand_A,
     gamma_expand_B,
+    iter_point_rows,
     iter_q1_rows,
     iter_rows,
     q_int_ext,
@@ -958,7 +961,7 @@ def test_carried_out_weights_are_q_integers_of_positive_arguments(family):
 
 
 # ---------------------------------------------------------------------------
-# the rows at q = 1, computed in Z
+# the rows at a point, q = 1 among them, computed in Z
 # ---------------------------------------------------------------------------
 
 
@@ -984,3 +987,29 @@ def test_q1_rows_are_the_classical_gamma_triangles():
     # the two classical oracles keep their own coefficients, and agree
     assert [row for _, row in iter_q1_rows("a", 30)] == classical_gamma_a(30)
     assert [row for _, row in iter_q1_rows("b", 30)] == classical_gamma_b(30)
+
+
+# both sides of 1, q = 1 itself, a 30-digit point just above 1, and q = -1,
+# where [m]_{q^2} is m and [m]_q is 0 or 1
+POINTS = [Fraction(3, 2), Fraction(1, 2), Fraction(7, 3), Fraction(2, 5), Fraction(1),
+          Fraction(10**30 - 1, 10**30 - 2), Fraction(-1)]
+
+
+@functools.lru_cache(maxsize=None)
+def _q_rows(family, N):
+    return dict(iter_rows(family, N))
+
+
+@pytest.mark.parametrize("q0", POINTS, ids=str)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_point_rows_are_the_q_rows_at_the_point(family, q0):
+    # every entry is b^D p(a/b), D bounding the degree of the whole row
+    q_rows = _q_rows(family, 14)
+    ns = []
+    for n, D, row in iter_point_rows(family, 14, q0):
+        assert len(row) == len(q_rows[n])
+        for v, p in zip(row, q_rows[n]):
+            assert Fraction(v, q0.denominator**D) == p(q0), (n, p)
+            assert p.degree() <= D
+        ns.append(n)
+    assert ns == list(q_rows)

@@ -51,8 +51,8 @@ DEFAULT_POINTS = (
 )
 
 # sequence -> the triangle whose q=1 values it lists, row by row from n=1
-# (A008971 lists b[n,k](1) / 4^k)
-OEIS_SEQUENCES = {"A101280": "a", "A008971": "b"}
+# (A008971 lists btilde[n,k](1), which is b[n,k](1) / 4^k)
+OEIS_SEQUENCES = {"A101280": "a", "A008971": "btilde"}
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +278,11 @@ def _secant_rows(n, even, odd):
 # re-recorded on purpose.  At each limit a cold run takes under 5 s and
 # 40 MB on a 2 vCPU VM (Python 3.11): series 2.2 s, expansionA 4.4 s,
 # expansionB 3.1 s, tangent 1.3 s / 38 MB, secant 0.9 s / 31 MB, monotone
-# 0.04 s at the default points (0.14-0.22 s when it read the cached q-rows),
-# brackets 0.08 s (each lemma is decided once, at import), reciprocity
-# 0.6 s / 27 MB, doubloon 0.1 s.  No suite caches a row it reads once:
-# tangent, secant and reciprocity stream theirs, monotone streams the rows at
-# each point, computed in Z, and tangent, secant and doubloon read their
-# central entries from the cone.
+# 0.04 s at the default points, brackets 0.08 s (each lemma is decided once,
+# at import), reciprocity 0.6 s / 27 MB, doubloon 0.1 s.  No suite caches a
+# row it reads once: tangent, secant and reciprocity stream theirs, monotone
+# streams the rows at each point, computed in Z, and tangent, secant and
+# doubloon read their central entries from the cone.
 SUITES = {
     "expansionA": Suite(14, 35, (Block(1, (
         lambda n: _equal(f"gamma_expand_A({n}) == carlitz_poly({n})",
@@ -480,34 +479,23 @@ def default_fixture_path(sequence: str):
 
 @_timed
 def run_oeis_check(sequence: str, max_n: int, terms: list[int], skip: int = 0) -> Report:
-    """Compare rows 1..max_n with the fixture's ``terms`` after the first
-    ``skip``, each q=1 value as soon as it is computed; for A008971 the
-    type-b entries are divided by 4^k (divisibility checked)."""
+    """Compare rows 1..max_n of the sequence's triangle at q=1, computed in
+    Z with no q-row built, with the fixture's ``terms`` after the first
+    ``skip``."""
     if sequence not in OEIS_SEQUENCES:
         raise ValueError(f"unknown sequence {sequence}")
     family = OEIS_SEQUENCES[sequence]
-    krange = FAMILIES[family].krange
     r = Report(f"oeis-{sequence}")
     fixture = terms[skip:]
-    needed = sum(len(krange(n)) for n in range(1, max_n + 1))
+    needed = sum(len(FAMILIES[family].krange(n)) for n in range(1, max_n + 1))
     if len(fixture) < needed:
         r.check(
             "fixture length", False, detail=f"needs {needed} terms, fixture has {len(fixture)}"
         )
         return r
-    mismatches = []
-    i = 0
-    for n, row in iter_rows(family, max_n):
-        for k, p in zip(krange(n), row):
-            v = spec_q1(p)
-            if family == "b":
-                quot, rem = divmod(v, 4**k)
-                if rem:
-                    r.check(f"4^{k} divides b[{n},{k}](1)", False, detail=f"value={v}")
-                v = 0 if rem else quot
-            if v != fixture[i]:
-                mismatches.append(f"term {i}: computed {v} != fixture {fixture[i]}")
-            i += 1
+    computed = [v for _, row in iter_q1_rows(family, max_n) for v in row]
+    mismatches = [f"term {i}: computed {v} != fixture {w}"
+                  for i, (v, w) in enumerate(zip(computed, fixture)) if v != w]
     r.check(f"{needed} terms match", not mismatches, detail="; ".join(mismatches[:5]))
     return r
 
@@ -602,6 +590,8 @@ def cmd_poly(args, parser) -> int:
 
 def cmd_verify(args, parser) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    if args.points and not any(b.by_point for name in names for b in SUITES[name].blocks):
+        parser.error(f"suite {args.suite} samples no point; --points applies to monotone")
     for name in names:
         suite = SUITES[name]
         if args.max_n is not None and args.max_n > suite.max_n_limit:
@@ -688,8 +678,7 @@ def cmd_oeis_check(args, parser) -> int:
 # and 900 for B at 30): cold on a 2 vCPU VM (Python 3.11), `verify monotone
 # --max-n 30` takes 0.4-0.9 s at the two 30-digit points (10^30-1)/(10^30-2)
 # and its reciprocal, 1.0-1.4 s at 40 digits and 0.09 s at 10^10 and
-# 10^-10, against 0.7-1.5 s, 1.4-2.0 s and 0.2-0.3 s with Horner's rule on
-# the cached q-rows.
+# 10^-10.
 MAX_POINT_DIGITS = 30
 
 # The most digits all --points entries may have together, counted as above.
@@ -697,8 +686,7 @@ MAX_POINT_DIGITS = 30
 # one above 1 of the same digits does: at this budget the slowest lists, two
 # points of 60 digits each, such as (10^30-2)/(10^30-1) and (10^30-3)/(10^30-2)
 # or the first and its reciprocal, take `verify monotone --max-n 30`
-# 0.4-0.9 s cold, and forty points 1/2 take 0.04 s (1.0-1.5 s and 0.6-1.0 s
-# with Horner's rule on the cached q-rows).
+# 0.4-0.9 s cold, and forty points 1/2 take 0.04 s.
 POINTS_DIGIT_BUDGET = 120
 
 

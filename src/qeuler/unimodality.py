@@ -13,18 +13,17 @@ monotonicity.  ``verify`` hands each locator the row it streams instead:
 the q-row for reciprocity, and for monotonicity the row at the sample point,
 computed in Z with no q-row built.  That way, cold on a 2 vCPU VM (Python
 3.11), ``verify monotone --max-n 30`` takes 0.04 s at its default points and
-0.4-0.9 s at two 60-digit points, against 0.14-0.22 s and 0.7-1.5 s when it
-evaluated the cached rows.  The warm one-row predicates keep the cached
-rows: at n = 14 they take about 50 us (A) and 100 us (B), a stream of the
-rows to 14 about 200 and 320 us.
+0.4-0.9 s at two 60-digit points.  The warm one-row predicates keep the
+cached rows: at n = 14 they take about 50 us (A) and 100 us (B), a stream of
+the rows to 14 about 200 and 320 us.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .eulerian import FAMILIES, _carlitz_row, _typeB_row, iter_rows
-from .qring import RatLike, is_unimodal_ints, spec_q1
+from .eulerian import FAMILIES, _carlitz_row, _typeB_row, iter_q1_rows
+from .qring import RatLike, is_unimodal_ints
 
 
 def _mirrors(back, front, e: int) -> bool:
@@ -139,11 +138,11 @@ def monotone_check_B(n: int, q0: RatLike) -> bool:
 
 def q1_unimodality(family: str, N: int) -> bool:
     """At q = 1 every row of the chosen triangle ('A' or 'B') is a
-    palindromic unimodal integer sequence.  The rows are streamed, not
-    cached; ``B`` row 0, ``(1,)``, is checked too."""
+    palindromic unimodal integer sequence.  The rows are computed in Z by
+    the recurrence at q = 1, with no q-row built; ``B`` row 0, ``[1]``, is
+    checked too."""
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     if family not in ("A", "B"):
         raise ValueError(f"family must be 'A' or 'B', got {family!r}")
-    rows = ([spec_q1(p) for p in row] for _, row in iter_rows(family, N))
-    return all(is_unimodal_ints(row) and row == row[::-1] for row in rows)
+    return all(is_unimodal_ints(row) and row == row[::-1] for _, row in iter_q1_rows(family, N))

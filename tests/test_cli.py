@@ -236,15 +236,16 @@ def test_cone_and_stream_commands_hold_no_triangle(monkeypatch, args, bound_mb):
 
 @pytest.mark.parametrize("sequence", sorted(cli.OEIS_SEQUENCES))
 def test_oeis_check_leaves_the_row_caches_empty(capsys, tmp_path, sequence):
-    # a fixture past the bundled snapshots, from the integer triangles
+    # a fixture past the bundled snapshots, to the bound, from the
+    # hand-typed integer triangles
     if sequence == "A101280":
-        terms = [v for row in classical_gamma_a(20) for v in row]
+        terms = [v for row in classical_gamma_a(60) for v in row]
     else:
-        terms = [v // 4**k for row in classical_gamma_b(20) for k, v in enumerate(row)]
+        terms = [v // 4**k for row in classical_gamma_b(60) for k, v in enumerate(row)]
     path = tmp_path / "fixture.txt"
     path.write_text(_bfile(terms))
     _clear_row_caches()
-    assert main(["oeis-check", sequence, "--max-n", "20", "--fixture", str(path)]) == 0
+    assert main(["oeis-check", sequence, "--max-n", "60", "--fixture", str(path)]) == 0
     assert f"{len(terms)} terms match" in capsys.readouterr().out
     assert _cached_rows() == [0, 0, 0, 0]
 
@@ -295,6 +296,34 @@ def test_table_q1_builds_no_q_row(monkeypatch, capsys, family, fmt):
             m.setattr(eulerian, "_next_row", no_q_row)
             assert main(argv) == 0
         assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("sequence", sorted(cli.OEIS_SEQUENCES))
+def test_oeis_check_builds_no_q_row(monkeypatch, capsys, tmp_path, sequence, fmt):
+    # oeis-check compares the recurrence at q = 1, never a q-row, with a
+    # fixture made from the q-rows taken at q = 1, each b[n,k](1) divided
+    # by 4^k for A008971
+    q_rows = _q1_by_q_rows("a" if sequence == "A101280" else "b")
+    scale = 1 if sequence == "A101280" else 4
+    path = tmp_path / "fixture.txt"
+    path.write_text(_bfile([v // scale**k for _, row in q_rows for k, v in enumerate(row)]))
+
+    def no_q_row(*args):
+        raise AssertionError("oeis-check built a q-row")
+
+    monkeypatch.setattr(eulerian, "_next_row", no_q_row)
+    for N in (1, 2, 17, 60):
+        argv = ["oeis-check", sequence, "--max-n", str(N), "--fixture", str(path), "--format", fmt]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        needed = sum(len(row) for n, row in q_rows if n <= N)
+        if fmt == "json":
+            assert json.loads(out)["items"] == [
+                {"name": f"{needed} terms match", "status": "pass", "detail": ""}]
+        else:
+            assert out.startswith(f"[pass] oeis-{sequence}: {needed} terms match\n"
+                                  f"suite oeis-{sequence}: PASS  pass=1 fail=0 reported=0  wall=")
 
 
 @pytest.mark.parametrize("points", [None, f"{10**30 - 2}/{10**30 - 1},{10**30 - 1}/{10**30 - 2}"],
@@ -1040,6 +1069,16 @@ def test_verify_unknown_suite_usage_error():
     assert run_cli("verify", "nosuite").returncode == 2
 
 
+def test_verify_points_without_a_sampling_suite_usage_error(capsys):
+    # only monotone samples points, so a suite without it would ignore them
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "tangent", "--max-n", "3", "--points", "5/2"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("error: suite tangent samples no point; --points applies to monotone\n")
+
+
 def test_verify_json_report_shape():
     proc = run_cli("verify", "brackets", "--max-n", "4", "--format", "json")
     assert proc.returncode == 0
@@ -1337,8 +1376,8 @@ def test_parse_bfile():
 
 def test_divisibility_check_in_expected():
     report = run_oeis_check("A008971", 10, [0] * 39)
-    # divisibility by 4^k always holds for the real triangle, so the only
-    # failure is the value mismatch against the all-zero fixture
+    # the term comparison is the one item past the length check, so the
+    # all-zero fixture fails it alone
     assert [i.name for i in report.items if i.status == "fail"] == [
         f"{len([None for n in range(1, 11) for _ in range(0, n // 2 + 1)])} terms match"
     ]
@@ -1352,40 +1391,10 @@ def test_oeis_check_short_fixture_builds_no_row(monkeypatch):
     def no_rows(*args):
         raise AssertionError("a row was built")
 
-    monkeypatch.setattr(cli, "iter_rows", no_rows)
+    monkeypatch.setattr(cli, "iter_q1_rows", no_rows)
     report = run_oeis_check("A101280", 60, _bundled_terms("A101280"))
     assert [(i.name, i.status, i.detail) for i in report.items] == [
         ("fixture length", "fail", "needs 930 terms, fixture has 42"),
-    ]
-
-
-@pytest.mark.parametrize("sequence", sorted(cli.OEIS_SEQUENCES))
-def test_oeis_check_builds_each_row_once(monkeypatch, sequence):
-    steps = []
-    next_row = eulerian._next_row
-
-    def counted(fam, n, prev):
-        steps.append(n)
-        return next_row(fam, n, prev)
-
-    monkeypatch.setattr(eulerian, "_next_row", counted)
-    report = run_oeis_check(sequence, 12, _bundled_terms(sequence))
-    assert report.ok
-    seed_n = FAMILIES[cli.OEIS_SEQUENCES[sequence]].seed_n
-    assert steps == list(range(seed_n + 1, 13))
-
-
-def test_oeis_check_reports_each_indivisible_entry_in_place(monkeypatch):
-    # b[3,1](1) = 20 and b[5,2](1) = 976 made one more: neither is then
-    # divisible by 4^k, each is reported where the stream meets it, and each
-    # is compared with the fixture as 0
-    bad = {eulerian.gamma_b_entry(3, 1), eulerian.gamma_b_entry(5, 2)}
-    monkeypatch.setattr(cli, "spec_q1", lambda p: spec_q1(p) + (p in bad))
-    report = run_oeis_check("A008971", 6, _bundled_terms("A008971"))
-    assert [(i.name, i.status, i.detail) for i in report.items] == [
-        ("4^1 divides b[3,1](1)", "fail", "value=21"),
-        ("4^2 divides b[5,2](1)", "fail", "value=977"),
-        ("15 terms match", "fail", "term 4: computed 0 != fixture 5; term 10: computed 0 != fixture 61"),
     ]
 
 

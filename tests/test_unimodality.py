@@ -3,7 +3,7 @@ from itertools import pairwise
 
 import pytest
 
-from qeuler import unimodality
+from qeuler import eulerian, unimodality
 from qeuler.cli import DEFAULT_POINTS
 from qeuler.eulerian import FAMILIES, carlitz_entry, iter_rows, typeB_entry
 from qeuler.qring import QLaurent, QPoly, spec_q1, subst_q_recip
@@ -96,12 +96,21 @@ def test_q1_rows():
     assert [spec_q1(typeB_entry(2, k)) for k in range(3)] == [1, 6, 1]
 
 
-def test_q1_unimodality():
-    assert q1_unimodality("A", 12)
-    assert q1_unimodality("B", 12)
+def test_q1_unimodality(monkeypatch):
+    # the rows come from the recurrence at q = 1, never from a q-row
+    def no_q_row(*args):
+        raise AssertionError("q1_unimodality built a q-row")
+
+    monkeypatch.setattr(eulerian, "_next_row", no_q_row)
+    assert q1_unimodality("A", 60)
+    assert q1_unimodality("B", 60)
     assert q1_unimodality("A", 1)
     with pytest.raises(ValueError):
         q1_unimodality("a", 4)
+    # a row that is not unimodal, or not palindromic, is caught
+    for row in ([1, 2, 1, 2, 1], [1, 2]):
+        monkeypatch.setattr(unimodality, "iter_q1_rows", lambda family, N, row=row: [(1, row)])
+        assert not q1_unimodality("A", 1)
 
 
 # ---------------------------------------------------------------------------

@@ -558,8 +558,9 @@ def _last_row_poly(family: str, n: int) -> TQPoly:
 POLY_BUILDERS = {
     # name -> (min n, max n, builder); the largest n builds rows to 100 or
     # 101, and none is cached.  Cold on a 2 vCPU VM (Python 3.11): B at 100,
-    # its rows streamed, about 2.6-3.0 s and 0.19 GB, and A 1.2-1.7 s and
-    # 85 MB; at 50, Eq (B streamed to 100) 2.3-3.0 s and 88 MB, and from the
+    # its rows streamed, about 2.6-3.3 s and 0.19 GB (88 MB in CSV, whose rows
+    # are written one at a time), and A 1.2-1.7 s and 85 MB (47 MB in CSV);
+    # at 50, Eq (B streamed to 100) 2.3-3.0 s and 88 MB, and from the
     # cone of their central entry Estar (b) 0.5 s and 30 MB, Gstar (btilde)
     # 0.45 s and 23 MB, T (a) 0.4 s and 22 MB, and dn (abar) 0.2 s and 19 MB.
     "A": (1, 100, lambda n: _last_row_poly("A", n)),
@@ -620,10 +621,7 @@ def cmd_conjecture(args, parser) -> int:
         doc = {
             "conjecture": "positivity of the G*_{2n}(q) coefficients",
             "verdict": scan.verdict,
-            "rows": [{"n": r.n, "degree": r.degree, "min_coeff": r.min_coeff,
-                      "value_at_one": r.value_at_one, "secant": r.secant,
-                      "palindromic": r.palindromic, "consistent": r.consistent}
-                     for r in scan.rows],
+            "rows": [r._asdict() for r in scan.rows],
         }
         print(json.dumps(doc))
     else:

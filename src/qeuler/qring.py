@@ -27,6 +27,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress
+from math import prod
 from operator import add, indexOf, sub
 
 RatLike = Fraction | int
@@ -67,17 +68,6 @@ def _fmt(coeffs: tuple[int, ...], offset: int = 0) -> str:
         else:
             parts.append(f"{sign}{c}q" if e == 1 else f"{sign}{c}q^{e}")
     return "".join(parts) or "0"
-
-
-def _power(base, n: int, one):
-    """``base ** n`` for ``n >= 0`` by square-and-multiply."""
-    result = one
-    while n:
-        if n & 1:
-            result = result * base
-        base = base * base
-        n >>= 1
-    return result
 
 
 def _mul_q_ratio(p: QPoly, a: int, b: int) -> QPoly:
@@ -208,8 +198,8 @@ class QPoly:
 
     def __pow__(self, n: int) -> QPoly:
         if n < 0:
-            raise ValueError("negative powers leave Z[q]; use QLaurent")
-        return _power(self, n, QPoly.one())
+            raise ValueError("negative powers leave Z[q]")
+        return prod([self] * n, start=QPoly.one())
 
     def shift(self, e: int) -> QPoly:
         """Multiply by ``q^e``; for ``e < 0`` only when ``q^-e`` divides."""
@@ -364,11 +354,6 @@ class QLaurent:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> QLaurent:
-        if n < 0:
-            raise ValueError("negative powers are not supported")
-        return QLaurent(self.base**n, self.offset * n)
-
     def __call__(self, x: RatLike) -> Fraction:
         if self.is_zero():
             return Fraction(0)
@@ -473,11 +458,6 @@ class TQPoly:
         return TQPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> TQPoly:
-        if n < 0:
-            raise ValueError("negative t-powers are not supported")
-        return _power(self, n, TQPoly.one())
 
     def __repr__(self) -> str:
         return f"TQPoly('{self._fmt()}')"

@@ -14,6 +14,7 @@ in powers with explicit signs and ``q^k`` exponents ("2 + 4q + 4q^2 - q^3").
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 
 from .qring import QLaurent, QPoly, TQPoly
 
@@ -43,14 +44,13 @@ def from_json(obj: dict) -> QPoly | QLaurent | TQPoly:
             return QLaurent(QPoly(coeffs), obj["offset"])
         return QPoly(coeffs)
     if kind == "bivar":
-        if not obj["terms"]:
-            return TQPoly.zero()
-        n = max(t["tdeg"] for t in obj["terms"]) + 1
-        terms = [QLaurent.zero()] * n
+        terms = {}
         for t in obj["terms"]:
-            coeff = from_json(t["coeff"])
-            terms[t["tdeg"]] = QLaurent.coerce(coeff)
-        return TQPoly(terms)
+            d = t["tdeg"]
+            if d < 0 or d in terms:
+                raise ValueError(f"{'negative' if d < 0 else 'repeated'} tdeg {d}")
+            terms[d] = from_json(t["coeff"])
+        return TQPoly([terms.get(d, 0) for d in range(max(terms, default=-1) + 1)])
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -69,18 +69,13 @@ def render(p: QPoly | QLaurent | TQPoly) -> str:
     raise TypeError(f"cannot render {type(p).__name__}")
 
 
-def csv_rows(p: QPoly | QLaurent | TQPoly) -> list[tuple]:
-    """Flat exponent/coefficient rows for CSV export; bivariate values get a
-    leading t-degree column."""
+def csv_rows(p: QPoly | QLaurent | TQPoly) -> Iterator[tuple]:
+    """Flat exponent/coefficient rows for CSV export, made one at a time;
+    bivariate values get a leading t-degree column."""
     if isinstance(p, QPoly):
         p = QLaurent(p)
     if isinstance(p, QLaurent):
-        return [
-            (i + p.offset, str(c)) for i, c in enumerate(p.base.coeffs) if c != 0
-        ]
+        return ((i, str(c)) for i, c in enumerate(p.base.coeffs, p.offset) if c != 0)
     if isinstance(p, TQPoly):
-        out = []
-        for d, coeff in enumerate(p.terms):
-            out.extend((d, e, c) for e, c in csv_rows(coeff))
-        return out
+        return ((d, e, c) for d, coeff in enumerate(p.terms) for e, c in csv_rows(coeff))
     raise TypeError(f"cannot export {type(p).__name__}")

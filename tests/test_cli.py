@@ -31,7 +31,9 @@ from qeuler.cli import (
     run_oeis_check,
     run_suite,
 )
-from qeuler.eulerian import FAMILIES, carlitz_poly, classical_gamma_a, classical_gamma_b, iter_rows
+from qeuler.eulerian import (
+    FAMILIES, carlitz_poly, classical_gamma_a, classical_gamma_b, iter_rows, typeB_poly,
+)
 from qeuler.qring import QLaurent, QPoly, TQPoly, spec_q1
 from qeuler.serialize import csv_rows, from_json, render, to_json
 
@@ -402,6 +404,12 @@ def test_poly_json_roundtrip():
     assert from_json(json.loads(proc.stdout)) == e_star(2)
 
 
+@pytest.mark.parametrize("name, n, build", [("A", 8, carlitz_poly), ("B", 7, typeB_poly)])
+def test_poly_row_json_roundtrip(capsys, name, n, build):
+    assert main(["poly", name, "--n", str(n), "--format", "json"]) == 0
+    assert from_json(json.loads(capsys.readouterr().out)) == build(n)
+
+
 def test_poly_out_of_range_usage_error():
     assert run_cli("poly", "dn", "--n", "0").returncode == 2
     assert run_cli("poly", "nosuch", "--n", "1").returncode == 2
@@ -498,6 +506,17 @@ GOLDEN_SHA256 = {
         "3820c31c9d0d16dd9244d89fc1e0a0576ce797e2f111423749d275e170d2b3ba",
     ("poly", "B", "--n", "7"):
         "fa6db582f555dd47a4e7950ea485e91d6117f45858a770accafca1ad6256b2ab",
+    # the CSV and JSON writers of the A and B rows, and the CSV of a plain poly
+    ("poly", "A", "--n", "8", "--format", "csv"):
+        "fd7887067f65a30aa307e81621ded25722a6097d930a66d4078908466994bcf7",
+    ("poly", "A", "--n", "8", "--format", "json"):
+        "df651def2e51f04317df7471c99f06e3059e255ac2ea172947bc8c590145dd7a",
+    ("poly", "B", "--n", "7", "--format", "csv"):
+        "54584fd1b20c79f1198134216d7786835840db2789b91122773dca66774f6e28",
+    ("poly", "B", "--n", "7", "--format", "json"):
+        "67aa4b3263cb830fc8471f408a88f163d93e269c741d3fa7c861033d223063be",
+    ("poly", "dn", "--n", "8", "--format", "csv"):
+        "c1392173e3f67513f6528b8bdc85a622f8eebf9ce8542f98ac4727311c536859",
     # the derived families, recorded while they were still computed by
     # substitution into the A and B rows, so a change of route keeps them
     ("poly", "T", "--n", "8", "--format", "json"):
@@ -1301,13 +1320,16 @@ def test_oeis_check_max_n_bounded_at_parser():
     assert proc.stdout == ""
 
 
-def test_oeis_check_short_fixture_fails_before_building_rows(capsys):
+def _no_rows(*args):
+    raise AssertionError("a row was built")
+
+
+def test_oeis_check_short_fixture_fails_before_building_rows(capsys, monkeypatch):
     # the bundled A101280 snapshot covers rows 1..12; the length check comes
     # before any row is built
-    eulerian._gamma_a_row.cache_clear()
+    monkeypatch.setattr(cli, "iter_q1_rows", _no_rows)
     assert main(["oeis-check", "A101280", "--max-n", "60"]) == 1
     assert "needs 930 terms, fixture has 42" in capsys.readouterr().out
-    assert eulerian._gamma_a_row.cache_info().currsize == 0
 
 
 def test_oeis_check_missing_fixture_usage_error(tmp_path):
@@ -1388,10 +1410,7 @@ def _bundled_terms(sequence):
 
 
 def test_oeis_check_short_fixture_builds_no_row(monkeypatch):
-    def no_rows(*args):
-        raise AssertionError("a row was built")
-
-    monkeypatch.setattr(cli, "iter_q1_rows", no_rows)
+    monkeypatch.setattr(cli, "iter_q1_rows", _no_rows)
     report = run_oeis_check("A101280", 60, _bundled_terms("A101280"))
     assert [(i.name, i.status, i.detail) for i in report.items] == [
         ("fixture length", "fail", "needs 930 terms, fixture has 42"),

@@ -138,10 +138,18 @@ def test_qpoly_pow():
     assert P(1, 1) ** 0 == P(1)
 
 
+@pytest.mark.parametrize("base", [P(0, 0, 1), P(-1, 0, 1), P(1, 1)])
+@pytest.mark.parametrize("k", [1, 3])
+def test_qpoly_negative_power_raises(base, k):
+    with pytest.raises(ValueError, match=r"negative powers leave Z\[q\]"):
+        base ** -k
+
+
+# ``**`` is defined on QPoly only
 @pytest.mark.parametrize("base", [QLaurent.q_power(2), QLaurent.q_power(-1, -1), QLaurent(P(1, 1))])
 @pytest.mark.parametrize("k", [1, 3])
 def test_laurent_negative_power_raises(base, k):
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         base ** -k
 
 

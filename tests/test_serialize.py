@@ -83,6 +83,17 @@ def test_from_json_rejects_unknown_kind():
         from_json({"kind": "matrix"})
 
 
+@pytest.mark.parametrize("terms, message", [
+    ([(0, 1), (-1, 7)], "negative tdeg -1"),  # a list index would take the last slot
+    ([(-2, 1)], "negative tdeg -2"),
+    ([(0, 1), (0, 7)], "repeated tdeg 0"),
+], ids=str)
+def test_from_json_rejects_a_bad_tdeg(terms, message):
+    doc = {"kind": "bivar", "terms": [{"tdeg": d, "coeff": to_json(P(c))} for d, c in terms]}
+    with pytest.raises(ValueError, match=message):
+        from_json(doc)
+
+
 # ---------------------------------------------------------------------------
 # golden text rendering
 # ---------------------------------------------------------------------------
@@ -101,9 +112,20 @@ def test_render_goldens():
 
 
 def test_csv_rows():
-    assert csv_rows(P(1, 0, 2)) == [(0, "1"), (2, "2")]
-    assert csv_rows(QLaurent(P(1, 1), -1)) == [(-1, "1"), (0, "1")]
-    assert csv_rows(TQPoly([1, P(0, 2)])) == [(0, 0, "1"), (1, 1, "2")]
+    assert list(csv_rows(P(1, 0, 2))) == [(0, "1"), (2, "2")]
+    assert list(csv_rows(QLaurent(P(1, 1), -1))) == [(-1, "1"), (0, "1")]
+    assert list(csv_rows(TQPoly([1, P(0, 2)]))) == [(0, 0, "1"), (1, 1, "2")]
+
+
+@pytest.mark.parametrize("value", [P(1, 2), QLaurent(P(1), -1), TQPoly([1, P(0, 2)])], ids=repr)
+def test_csv_rows_is_an_iterator(value):
+    rows = csv_rows(value)
+    assert iter(rows) is rows
+
+
+def test_csv_rows_rejects_an_unknown_type_at_once():
+    with pytest.raises(TypeError, match="cannot export int"):
+        csv_rows(3)
 
 
 def test_kernel_doctests():

@@ -39,7 +39,7 @@ from .eulerian import (
     typeB_series_oracle,
 )
 from .qring import QLaurent, TQPoly, _mul_one_plus_t_q_power, is_nonneg, spec_q1
-from .serialize import csv_rows, dumps, render, to_json
+from .serialize import csv_rows, dumps, json_pieces, render, render_pieces
 
 DEFAULT_POINTS = (
     Fraction(3, 2),
@@ -518,7 +518,7 @@ def cmd_table(args, parser) -> int:
     fam = FAMILIES[args.family]
     # at q = 1 the rows are integers, computed in Z without any q-row
     rows = (iter_q1_rows if args.q1 else iter_rows)(args.family, args.max_n)
-    value = to_json if args.format == "json" else render
+    value = str if args.q1 else dumps if args.format == "json" else render
     out = sys.stdout
     # no CSV field needs quoting: they are ints and rendered polynomials
     if args.format == "csv":
@@ -528,18 +528,17 @@ def cmd_table(args, parser) -> int:
         head = {"family": args.family, "max_n": args.max_n, "q1": bool(args.q1), "rows": []}
         out.write(json.dumps(head)[:-2])
     for n, row in rows:
-        kr, values = fam.krange(n), row if args.q1 else map(value, row)
+        kr, values = fam.krange(n), map(value, row)
         if args.format == "csv":
             out.writelines(f"{n},{k},{v}\n" for k, v in zip(kr, values))
         elif args.format == "json":
             # the row's own bytes, its "entries" list filled in one entry at a time
             out.write((", " if n > fam.first_n else "")
                       + json.dumps({"n": n, "kmin": kr.start, "entries": []})[:-2])
-            out.writelines((", " if k > kr.start else "") + json.dumps(v)
-                           for k, v in zip(kr, values))
+            out.writelines((", " if k > kr.start else "") + v for k, v in zip(kr, values))
             out.write("]}")
         elif args.q1:
-            out.write(f"n={n}: {' '.join(map(str, values))}\n")
+            out.write(f"n={n}: {' '.join(values)}\n")
         else:
             out.writelines(f"{args.family}[{n},{k}] = {v}\n" for k, v in zip(kr, values))
     if args.format == "json":
@@ -558,8 +557,8 @@ def _last_row_poly(family: str, n: int) -> TQPoly:
 POLY_BUILDERS = {
     # name -> (min n, max n, builder); the largest n builds rows to 100 or
     # 101, and none is cached.  Cold on a 2 vCPU VM (Python 3.11): B at 100,
-    # its rows streamed, about 2.6-3.3 s and 0.19 GB (88 MB in CSV, whose rows
-    # are written one at a time), and A 1.2-1.7 s and 85 MB (47 MB in CSV);
+    # its rows streamed, about 2.6-3.3 s and 88 MB, and A 1.2-1.7 s and 47 MB,
+    # in every format, as each t^d term is written when it is formatted;
     # at 50, Eq (B streamed to 100) 2.3-3.0 s and 88 MB, and from the
     # cone of their central entry Estar (b) 0.5 s and 30 MB, Gstar (btilde)
     # 0.45 s and 23 MB, T (a) 0.4 s and 22 MB, and dn (abar) 0.2 s and 19 MB.
@@ -578,14 +577,14 @@ def cmd_poly(args, parser) -> int:
     if not min_n <= args.n <= max_n:
         parser.error(f"poly {args.name} requires --n in {min_n}..{max_n}")
     p = builder(args.n)
-    if args.format == "text":
-        print(render(p))
-    elif args.format == "csv":
+    if args.format == "csv":
         # fields are exponents and integers, none of which needs quoting
         print("tdeg,exponent,coefficient" if isinstance(p, TQPoly) else "exponent,coefficient")
         sys.stdout.writelines(",".join(map(str, row)) + "\n" for row in csv_rows(p))
     else:
-        print(dumps(p))
+        # a bivariate value is written one t^d term at a time, not as one string
+        sys.stdout.writelines((render_pieces if args.format == "text" else json_pieces)(p))
+        sys.stdout.write("\n")
     return 0
 
 

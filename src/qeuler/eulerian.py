@@ -89,7 +89,7 @@ from itertools import accumulate, compress, count
 from math import comb, prod
 from operator import add, mul, sub
 
-from .qring import QLaurent, QPoly, RatLike, TQPoly, poch_t, q_int
+from .qring import QLaurent, QPoly, RatLike, TQPoly, _mul_q_ratio, poch_t, q_int
 
 
 # ``(e, fs, v)`` stands for ``q^e prod_{f in fs} (1 + q^f) [v]_{q^s}``.
@@ -415,9 +415,8 @@ def gamma_expand_B(n: int) -> TQPoly:
 def _basis_change(row, n: int, i: int, s: int) -> QPoly:
     """The ``t^i`` coefficient of :func:`_gamma_expand` (module docstring),
     summed in one integer list: each ``[N, d]_{q^s} g_j`` is made from
-    ``g_j``'s coefficients by ``min(d, N - d)`` ratio factors, each the
-    prefix sums of ``g - q^a g`` along the residue classes mod ``b``, as
-    :func:`~qeuler.qring._mul_q_ratio` makes them; ``d > N`` gives 0."""
+    ``g_j``'s coefficients by ``min(d, N - d)`` factors of
+    :func:`~qeuler.qring._mul_q_ratio`; ``d > N`` gives 0."""
     acc = []
     for j, g in enumerate(row(n)[: i + 1]):
         d, N = i - j, n + s - 2 - 2 * j
@@ -428,12 +427,7 @@ def _basis_change(row, n: int, i: int, s: int) -> QPoly:
         low = min(d, N - d)
         g = g.coeffs
         for m in range(1, low + 1):
-            a, b = s * (N - low + m), s * m
-            pad = [0] * a
-            g = list(map(sub, [*g, *pad], [*pad, *g]))
-            for r in range(b):
-                g[r::b] = accumulate(g[r::b])
-            del g[-b:]  # the last b sums run through whole residue classes: 0
+            g = _mul_q_ratio(g, s * (N - low + m), s * m)
         e = s * (d * (d - 1) // 2) + (s * j + 1) * d
         end = e + len(g)
         if len(acc) < end:

@@ -23,7 +23,7 @@ command's work, and a slotted instance carries no ``__dict__``.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress
@@ -70,16 +70,20 @@ def _fmt(coeffs: tuple[int, ...], offset: int = 0) -> str:
     return "".join(parts) or "0"
 
 
-def _mul_q_ratio(p: QPoly, a: int, b: int) -> QPoly:
-    """``(1 - q^a) / (1 - q^b) * p`` in O(deg p + a): the prefix sums of
-    ``p - q^a p`` along each residue class mod ``b``.  Valid only when
-    ``1 - q^b`` divides ``(1 - q^a) p``; then the last ``b`` sums have run
-    through a whole residue class and are zero."""
-    pad = (0,) * a
-    out = list(map(sub, p.coeffs + pad, pad + p.coeffs))
+def _mul_q_ratio(p: Sequence[int], a: int, b: int) -> list[int]:
+    """The coefficient list of ``(1 - q^a) / (1 - q^b) * p`` in O(deg p + a):
+    the prefix sums of ``p - q^a p`` along each residue class mod ``b``.
+    Valid only when ``1 - q^b`` divides ``(1 - q^a) p``; then the last ``b``
+    sums would run through a whole residue class and be zero, so they are
+    dropped before the sums are taken.
+    With ``a >= 1``, a ``p`` ending in a nonzero coefficient gives a list
+    that does too."""
+    out = [*p, *[0] * a]
+    out[a:] = map(sub, out[a:], p)
+    del out[-b:]
     for r in range(b):
         out[r::b] = accumulate(out[r::b])
-    return QPoly(out)
+    return out
 
 
 class QPoly:
@@ -463,9 +467,14 @@ class TQPoly:
         return f"TQPoly('{self._fmt()}')"
 
     def _fmt(self) -> str:
+        return "".join(self._fmt_terms())
+
+    def _fmt_terms(self) -> Iterator[str]:
+        """The text of :meth:`_fmt` one nonzero ``t^d`` term at a time, each
+        after a ``" + "`` but the first; ``"0"`` for zero."""
         if self.is_zero():
-            return "0"
-        parts = []
+            yield "0"
+        sep = ""
         for d, c in enumerate(self.terms):
             if c.is_zero():
                 continue
@@ -478,8 +487,8 @@ class TQPoly:
                     body = tpow
                 else:
                     body = f"{body} {tpow}"
-            parts.append(body)
-        return " + ".join(parts)
+            yield sep + body
+            sep = " + "
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +511,7 @@ def q_int(n: int, step: int = 1) -> QPoly:
         raise ValueError(f"q_int requires n >= 0, got {n}")
     if step < 1:
         raise ValueError(f"step must be positive, got {step}")
-    return _mul_q_ratio(QPoly.one(), step * n, step)
+    return QPoly(_mul_q_ratio((1,), step * n, step))
 
 
 def subst_q_power(p: QPoly, e: int) -> QPoly:
@@ -539,10 +548,10 @@ def q_binom(n: int, k: int) -> QPoly:
     if k < 0 or k > n:
         return QPoly()
     k = min(k, n - k)
-    out = QPoly.one()
+    out = [1]
     for i in range(1, k + 1):
         out = _mul_q_ratio(out, n - k + i, i)
-    return out
+    return QPoly(out)
 
 
 def poch_t(k_exp: int, m: int, sign: int = -1, step: int = 1) -> TQPoly:

@@ -54,19 +54,46 @@ def from_json(obj: dict) -> QPoly | QLaurent | TQPoly:
     raise ValueError(f"unknown kind {kind!r}")
 
 
+def json_pieces(p: QPoly | QLaurent | TQPoly) -> Iterator[str]:
+    """The text of :func:`dumps` in pieces, a bivariate value one ``t^d`` term
+    at a time, so a writer never holds the whole document."""
+    if not isinstance(p, TQPoly):
+        return iter((json.dumps(to_json(p)),))
+    return _bivar_pieces(p)
+
+
+def _bivar_pieces(p: TQPoly) -> Iterator[str]:
+    # the document's own bytes, its "terms" list filled in one term at a time
+    yield json.dumps({"kind": "bivar", "terms": []})[:-2]
+    sep = ""
+    for d, c in enumerate(p.terms):
+        if not c.is_zero():
+            yield sep + json.dumps({"tdeg": d, "coeff": to_json(c)})
+            sep = ", "
+    yield "]}"
+
+
 def dumps(p: QPoly | QLaurent | TQPoly) -> str:
-    return json.dumps(to_json(p))
+    return "".join(json_pieces(p))
 
 
 def loads(s: str) -> QPoly | QLaurent | TQPoly:
     return from_json(json.loads(s))
 
 
+def render_pieces(p: QPoly | QLaurent | TQPoly) -> Iterator[str]:
+    """The text of :func:`render` in pieces, a bivariate value one ``t^d``
+    term at a time."""
+    if isinstance(p, TQPoly):
+        return p._fmt_terms()
+    if isinstance(p, (QPoly, QLaurent)):
+        return iter((p._fmt(),))
+    raise TypeError(f"cannot render {type(p).__name__}")
+
+
 def render(p: QPoly | QLaurent | TQPoly) -> str:
     """Human-readable form, e.g. ``1 + q`` or ``1 + (2q + 2q^2) t + q^3 t^2``."""
-    if isinstance(p, (QPoly, QLaurent, TQPoly)):
-        return p._fmt()
-    raise TypeError(f"cannot render {type(p).__name__}")
+    return "".join(render_pieces(p))
 
 
 def csv_rows(p: QPoly | QLaurent | TQPoly) -> Iterator[tuple]:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from qeuler import cli, doubloon, eulerian, special, unimodality
+from qeuler import cli, doubloon, eulerian, serialize, special, unimodality
 from qeuler.cli import (
     CONJECTURE_MAX_N,
     DEFAULT_POINTS,
@@ -35,7 +35,7 @@ from qeuler.eulerian import (
     FAMILIES, carlitz_poly, classical_gamma_a, classical_gamma_b, iter_rows, typeB_poly,
 )
 from qeuler.qring import QLaurent, QPoly, TQPoly, spec_q1
-from qeuler.serialize import csv_rows, from_json, render, to_json
+from qeuler.serialize import csv_rows, dumps, from_json, render, to_json
 
 # a child process imports qeuler from this checkout's src/, whether or not
 # PYTHONPATH names it: pytest puts src/ on its own path only
@@ -408,6 +408,41 @@ def test_poly_json_roundtrip():
 def test_poly_row_json_roundtrip(capsys, name, n, build):
     assert main(["poly", name, "--n", str(n), "--format", "json"]) == 0
     assert from_json(json.loads(capsys.readouterr().out)) == build(n)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("n", [1, 2, 7, 20])
+@pytest.mark.parametrize("name, build", [("A", carlitz_poly), ("B", typeB_poly)])
+def test_poly_row_text_and_json_are_the_whole_value(capsys, name, build, n, fmt):
+    p = build(n)
+    assert main(["poly", name, "--n", str(n), "--format", fmt]) == 0
+    assert capsys.readouterr().out == (render(p) if fmt == "text" else dumps(p)) + "\n"
+
+
+def _no_whole_text(self):
+    raise AssertionError("the whole text was built")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", ["A", "B"])
+def test_poly_row_is_written_one_term_at_a_time(capsys, monkeypatch, name, fmt):
+    # the whole-value writers are patched to raise: the command writes the
+    # terms of the row's TQPoly as it formats them, never one whole string
+    # or one whole-document dict
+    argv = ["poly", name, "--n", "7", "--format", fmt]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    real_to_json = serialize.to_json
+
+    def no_whole_document(p):
+        if isinstance(p, TQPoly):
+            raise AssertionError("the whole document was built")
+        return real_to_json(p)
+
+    monkeypatch.setattr(serialize, "to_json", no_whole_document)
+    monkeypatch.setattr(TQPoly, "_fmt", _no_whole_text)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_poly_out_of_range_usage_error():

@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
@@ -21,6 +21,7 @@ from qeuler.qring import (
     TQPoly,
     _div_one_plus_t_q_power,
     _mul_one_plus_t_q_power,
+    _mul_q_ratio,
     eval_rat,
     exact_div,
     is_nonneg,
@@ -214,6 +215,22 @@ def test_q_binom_matches_division_variant():
     q_binom.cache_clear()
     for n, k in pairs:
         assert q_binom(n, k) == _q_binom_by_division(n, k)
+
+
+def test_mul_q_ratio_matches_the_dense_product_and_division():
+    # (1 - q^a) p / (1 - q^b) is a polynomial when p = r (1 - q^b)/(1 - q^g),
+    # g = gcd(a, b); b | a gives g = b and p = r.  The kernel's list must
+    # be the dense route's coefficients exactly, its trailing zeros dropped.
+    rng = random.Random(7)
+    for _ in range(300):
+        a, b = rng.randint(1, 12), rng.randint(1, 12)
+        g = gcd(a, b)
+        r = QPoly([rng.randint(-9, 9) for _ in range(rng.randrange(0, 7))] + [rng.choice((-2, 1, 3))])
+        p = r * q_int(b // g, step=g)
+        want = exact_div(p * (1 - QPoly.monomial(a)), 1 - QPoly.monomial(b))
+        assert want is not NOT_DIVISIBLE
+        assert _mul_q_ratio(p.coeffs, a, b) == list(want.coeffs)
+        assert _mul_q_ratio(list(p.coeffs), a, b) == list(want.coeffs)
 
 
 def test_q_binom_symmetry_and_q1():

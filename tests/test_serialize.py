@@ -1,4 +1,5 @@
 import doctest
+import json
 import random
 
 import pytest
@@ -6,7 +7,16 @@ import pytest
 import qeuler.qring
 from qeuler.eulerian import typeB_poly
 from qeuler.qring import QLaurent, QPoly, TQPoly
-from qeuler.serialize import csv_rows, dumps, from_json, loads, render, to_json
+from qeuler.serialize import (
+    csv_rows,
+    dumps,
+    from_json,
+    json_pieces,
+    loads,
+    render,
+    render_pieces,
+    to_json,
+)
 from qeuler.special import q_tangent
 
 
@@ -78,6 +88,30 @@ def test_roundtrip_random():
         assert loads(dumps(t)) == t
 
 
+def _random_values(rng):
+    for _ in range(30):
+        p = QPoly([rng.randint(-10**12, 10**12) for _ in range(rng.randrange(0, 9))])
+        yield p
+        yield QLaurent(p, rng.randint(-5, 5))
+        yield TQPoly([QLaurent(QPoly([rng.randint(-99, 99) for _ in range(3)]), rng.randint(-3, 3))
+                      for _ in range(rng.randrange(0, 5))])
+
+
+@pytest.mark.parametrize("value", [*FIXED_VALUES, typeB_poly(6), *_random_values(random.Random(5))],
+                         ids=repr)
+def test_dumps_is_the_json_of_to_json_in_pieces(value):
+    pieces = json_pieces(value)
+    assert iter(pieces) is pieces
+    assert dumps(value) == "".join(pieces) == json.dumps(to_json(value))
+
+
+def test_writers_reject_an_unknown_type_at_once():
+    with pytest.raises(TypeError, match="cannot serialize int"):
+        json_pieces(3)
+    with pytest.raises(TypeError, match="cannot render int"):
+        render_pieces(3)
+
+
 def test_from_json_rejects_unknown_kind():
     with pytest.raises(ValueError):
         from_json({"kind": "matrix"})
@@ -109,6 +143,35 @@ def test_render_goldens():
     assert render(typeB_poly(2)) == "1 + (2q + 2q^2 + 2q^3) t + q^4 t^2"
     assert render(TQPoly([1, P(0, 1)])) == "1 + q t"
     assert render(TQPoly.zero()) == "0"
+
+
+def _whole_text(p):
+    # the former one-string TQPoly formatter, kept as the reference of the
+    # term-by-term one
+    parts = []
+    for d, c in enumerate(p.terms):
+        if c.is_zero():
+            continue
+        body = render(c)
+        if d > 0:
+            tpow = "t" if d == 1 else f"t^{d}"
+            if len(c.base.coeffs) - c.base.coeffs.count(0) > 1 or body.startswith("-"):
+                body = f"({body}) {tpow}"
+            elif body == "1":
+                body = tpow
+            else:
+                body = f"{body} {tpow}"
+        parts.append(body)
+    return " + ".join(parts) or "0"
+
+
+@pytest.mark.parametrize("value", [v for v in (*FIXED_VALUES, typeB_poly(6),
+                                               *_random_values(random.Random(6)))
+                                   if isinstance(v, TQPoly)], ids=repr)
+def test_render_of_a_tqpoly_is_its_terms_in_pieces(value):
+    pieces = render_pieces(value)
+    assert iter(pieces) is pieces
+    assert render(value) == "".join(pieces) == _whole_text(value)
 
 
 def test_csv_rows():
